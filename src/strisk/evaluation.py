@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 
@@ -77,22 +79,21 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     equals pairwise counting without the quadratic loop.
     """
     _check_aligned(scores, labels)
-    n_pos = sum(labels)
+    n_pos = int(sum(labels))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        midrank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = midrank
-        i = j + 1
-    rank_sum = sum(rank for rank, label in zip(ranks, labels) if label == 1)
+    values = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # Tie groups are runs of equal sorted scores; a run over sorted
+    # positions [start, end) shares the midrank (start + end - 1) / 2 + 1.
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(ordered)]
+    ranks = np.empty(len(ordered))
+    ranks[order] = np.repeat((starts + ends - 1) / 2 + 1, ends - starts)
+    # Ranks are multiples of 1/2, so this sum is exact in any order.
+    rank_sum = float(ranks[np.asarray(labels) == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 

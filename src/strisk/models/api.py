@@ -110,7 +110,9 @@ class TrainedModel:
             )
         spec = ModelSpec.from_dict(data["spec"])
         schema = FeatureSchema.from_dict(data["schema"])
-        impl = _IMPLEMENTATIONS[spec.family].from_params(data["params"])
+        impl = _IMPLEMENTATIONS[spec.family].from_params(
+            data["params"], width=len(schema.columns)
+        )
         return cls(spec=spec, schema=schema, impl=impl)
 
 

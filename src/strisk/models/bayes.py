@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encode import param_array
+
 
 @dataclass
 class GaussianNaiveBayes:
@@ -55,9 +57,11 @@ class GaussianNaiveBayes:
         }
 
     @classmethod
-    def from_params(cls, data: dict) -> GaussianNaiveBayes:
+    def from_params(cls, data: dict, width: int) -> GaussianNaiveBayes:
         model = cls(var_smoothing=data["var_smoothing"])
-        model.log_prior = np.asarray(data["log_prior"], dtype=np.float64)
-        model.means = np.asarray(data["means"], dtype=np.float64)
-        model.variances = np.asarray(data["variances"], dtype=np.float64)
+        model.log_prior = param_array(data["log_prior"], (2,), "log_prior")
+        model.means = param_array(data["means"], (2, width), "means")
+        model.variances = param_array(data["variances"], (2, width), "variances")
+        if not (model.variances > 0).all():
+            raise ValueError("variances must be positive")
         return model

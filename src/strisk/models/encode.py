@@ -86,6 +86,17 @@ def encode_labels(profiles: Sequence[FeatureVector]) -> np.ndarray:
     return np.array([p.label for p in profiles], dtype=np.int64)
 
 
+def param_array(raw, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A saved float parameter as an array; ValueError unless it has
+    ``shape`` and only finite values."""
+    array = np.asarray(raw, dtype=np.float64)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
 def standardize_fit(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and scales from training data; constant columns get scale 1."""
     mean = matrix.mean(axis=0)

@@ -29,6 +29,12 @@ def _resolve_max_features(max_features: int | str | None, n_features: int) -> in
     raise ValueError(f"max_features must be None, 'sqrt' or a positive int: {max_features!r}")
 
 
+def _trees_from_params(saved: list[dict], width: int) -> list[RegressionTree]:
+    if not saved:
+        raise ValueError("a tree ensemble needs at least one tree")
+    return [RegressionTree.from_params(tree, width) for tree in saved]
+
+
 @dataclass
 class BaggedTrees:
     """Bootstrap-aggregated probability trees; forests add per-node
@@ -76,8 +82,8 @@ class BaggedTrees:
         }
 
     @classmethod
-    def from_params(cls, data: dict) -> BaggedTrees:
-        trees = [RegressionTree.from_params(t) for t in data["trees"]]
+    def from_params(cls, data: dict, width: int) -> BaggedTrees:
+        trees = _trees_from_params(data["trees"], width)
         rest = {k: v for k, v in data.items() if k != "trees"}
         return cls(trees=trees, **rest)
 
@@ -151,7 +157,7 @@ class GradientBoostedTrees:
         }
 
     @classmethod
-    def from_params(cls, data: dict) -> GradientBoostedTrees:
-        trees = [RegressionTree.from_params(t) for t in data["trees"]]
+    def from_params(cls, data: dict, width: int) -> GradientBoostedTrees:
+        trees = _trees_from_params(data["trees"], width)
         rest = {k: v for k, v in data.items() if k != "trees"}
         return cls(trees=trees, **rest)

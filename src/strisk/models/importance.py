@@ -89,18 +89,19 @@ def permutation_importance(
         raise ValueError("repeats must be >= 1")
     scorer, model_name = _matrix_scorer(model)
     X = encode_profiles(dataset, default_schema())
-    y = encode_labels(dataset)
-    baseline = roc_auc(scorer(X).tolist(), y.tolist())
+    labels = encode_labels(dataset).tolist()
+    baseline = roc_auc(scorer(X), labels)
     rng = np.random.default_rng(seed)
     per_feature: dict[str, float] = {}
+    shuffled = X.copy()
     for feature in _FEATURE_NAMES:
         columns = _columns_for(feature)
         drops = []
         for _ in range(repeats):
             permutation = rng.permutation(len(dataset))
-            shuffled = X.copy()
             shuffled[:, columns] = X[np.ix_(permutation, columns)]
-            drops.append(baseline - roc_auc(scorer(shuffled).tolist(), y.tolist()))
+            drops.append(baseline - roc_auc(scorer(shuffled), labels))
+        shuffled[:, columns] = X[:, columns]
         per_feature[feature] = max(0.0, float(np.mean(drops)))
     sums = {
         "technical": sum(per_feature[name] for name in TECHNICAL_FEATURES),

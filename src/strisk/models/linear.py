@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .encode import param_array, standardize_apply, standardize_fit
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
@@ -47,8 +49,6 @@ class LogisticRegression:
     scale: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> LogisticRegression:
-        from .encode import standardize_apply, standardize_fit
-
         self.mean, self.scale = standardize_fit(X)
         X_std = standardize_apply(X, self.mean, self.scale)
         y = y.astype(np.float64)
@@ -66,8 +66,6 @@ class LogisticRegression:
         return self
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        from .encode import standardize_apply
-
         X_std = standardize_apply(X, self.mean, self.scale)
         return X_std @ self.weights + self.bias
 
@@ -85,12 +83,12 @@ class LogisticRegression:
         }
 
     @classmethod
-    def from_params(cls, data: dict) -> LogisticRegression:
+    def from_params(cls, data: dict, width: int) -> LogisticRegression:
         model = cls(l2=data["l2"], max_iter=data["max_iter"])
-        model.weights = np.asarray(data["weights"], dtype=np.float64)
+        model.weights = param_array(data["weights"], (width,), "weights")
         model.bias = float(data["bias"])
-        model.mean = np.asarray(data["mean"], dtype=np.float64)
-        model.scale = np.asarray(data["scale"], dtype=np.float64)
+        model.mean = param_array(data["mean"], (width,), "mean")
+        model.scale = param_array(data["scale"], (width,), "scale")
         return model
 
 
@@ -132,8 +130,6 @@ class LinearSvmPlatt:
     scale: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> LinearSvmPlatt:
-        from .encode import standardize_apply, standardize_fit
-
         if self.c <= 0:
             raise ValueError("c must be positive")
         self.mean, self.scale = standardize_fit(X)
@@ -167,8 +163,6 @@ class LinearSvmPlatt:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        from .encode import standardize_apply
-
         X_std = standardize_apply(X, self.mean, self.scale)
         margins = X_std @ self.weights + self.bias
         return _sigmoid(self.platt_a * margins + self.platt_b)
@@ -186,12 +180,12 @@ class LinearSvmPlatt:
         }
 
     @classmethod
-    def from_params(cls, data: dict) -> LinearSvmPlatt:
+    def from_params(cls, data: dict, width: int) -> LinearSvmPlatt:
         model = cls(c=data["c"], max_iter=data["max_iter"])
-        model.weights = np.asarray(data["weights"], dtype=np.float64)
+        model.weights = param_array(data["weights"], (width,), "weights")
         model.bias = float(data["bias"])
         model.platt_a = float(data["platt_a"])
         model.platt_b = float(data["platt_b"])
-        model.mean = np.asarray(data["mean"], dtype=np.float64)
-        model.scale = np.asarray(data["scale"], dtype=np.float64)
+        model.mean = param_array(data["mean"], (width,), "mean")
+        model.scale = param_array(data["scale"], (width,), "scale")
         return model

@@ -45,9 +45,10 @@ class StackedModel:
     def from_dict(cls, data: dict) -> StackedModel:
         if data.get("kind") != "stacked":
             raise ValueError("not a stacked model file")
+        bases = [TrainedModel.from_dict(b) for b in data["bases"]]
         return cls(
-            bases=[TrainedModel.from_dict(b) for b in data["bases"]],
-            meta=LogisticRegression.from_params(data["meta"]),
+            bases=bases,
+            meta=LogisticRegression.from_params(data["meta"], width=len(bases)),
             folds=int(data["folds"]),
             seed=int(data["seed"]),
         )

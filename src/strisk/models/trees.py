@@ -2,10 +2,12 @@
 
 Targets are arbitrary reals (0/1 class labels for bagging, gradient
 residuals for boosting); splits minimize within-node squared error via
-prefix sums over each candidate feature, which for binary targets is the
-classic impurity criterion. Trees are stored as flat parallel arrays so
-prediction routes whole index blocks per node instead of walking rows
-one at a time.
+prefix sums, which for binary targets is the classic impurity criterion.
+A node's split search sorts all candidate columns in one 2-D step and
+scores every cut of every column at once. A tree is five numpy node
+arrays in which leaves route to themselves, so prediction moves all rows
+down one level per step and is done after as many steps as the tree is
+deep.
 """
 from __future__ import annotations
 
@@ -18,21 +20,25 @@ _LEAF = -1
 
 @dataclass
 class RegressionTree:
-    """CART-style tree; fit() populates the flat node arrays.
+    """CART-style tree; fit() and from_params() fill the node arrays.
 
-    feature[i] is _LEAF for leaves; left/right hold child node indices.
-    Ties between equally good splits resolve to the earliest feature and
-    lowest threshold, making structure deterministic for a fixed rng.
+    Nodes are numbered in pre-order, so every child comes after its
+    parent. feature[i] is _LEAF for leaves, whose threshold is +inf and
+    whose left and right children are the leaf itself. Ties between
+    equally good splits resolve to the earliest feature and lowest
+    threshold, making structure deterministic for a fixed rng.
     """
 
     max_depth: int = 3
     min_samples_leaf: int = 1
     max_features: int | None = None
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
+    feature: np.ndarray = field(init=False, repr=False)
+    threshold: np.ndarray = field(init=False, repr=False)
+    left: np.ndarray = field(init=False, repr=False)
+    right: np.ndarray = field(init=False, repr=False)
+    value: np.ndarray = field(init=False, repr=False)
+    # Longest root-to-leaf path; apply() takes this many routing steps.
+    depth: int = field(init=False, default=0)
 
     def fit(
         self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None
@@ -41,18 +47,12 @@ class RegressionTree:
             raise ValueError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.value = [], [], []
-        self._grow(X, y, np.arange(len(y)), depth=0, rng=rng)
+        nodes: list[tuple[int, float, int, int, float]] = []
+        self.depth = 0
+        self._grow(X, y, np.arange(len(y)), 0, rng, nodes)
+        feature, threshold, left, right, value = zip(*nodes)
+        self._set_nodes(feature, threshold, left, right, value)
         return self
-
-    def _new_node(self, mean: float) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(mean)
-        return len(self.feature) - 1
 
     def _grow(
         self,
@@ -61,8 +61,12 @@ class RegressionTree:
         idx: np.ndarray,
         depth: int,
         rng: np.random.Generator | None,
+        nodes: list[tuple[int, float, int, int, float]],
     ) -> int:
-        node = self._new_node(float(y[idx].mean()))
+        """Append the subtree over rows idx to nodes in pre-order; return its root."""
+        node = len(nodes)
+        self.depth = max(self.depth, depth)
+        nodes.append((_LEAF, np.inf, node, node, float(y[idx].mean())))
         if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
             return node
         target = y[idx]
@@ -82,11 +86,20 @@ class RegressionTree:
             return node
         feature_id, cut = best
         goes_left = X[idx, feature_id] <= cut
-        self.feature[node] = int(feature_id)
-        self.threshold[node] = float(cut)
-        self.left[node] = self._grow(X, y, idx[goes_left], depth + 1, rng)
-        self.right[node] = self._grow(X, y, idx[~goes_left], depth + 1, rng)
+        left = self._grow(X, y, idx[goes_left], depth + 1, rng, nodes)
+        right = self._grow(X, y, idx[~goes_left], depth + 1, rng, nodes)
+        nodes[node] = (feature_id, cut, left, right, nodes[node][4])
         return node
+
+    def _set_nodes(self, feature, threshold, left, right, value) -> None:
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.value = np.asarray(value, dtype=np.float64)
+        # Row i holds (right, left) children of node i, so apply() finds a
+        # row's next node at flat index 2i + goes_left; left and right are
+        # views of it.
+        self._routes = np.column_stack([right, left]).astype(np.int64)
+        self.right, self.left = self._routes[:, 0], self._routes[:, 1]
 
     def _best_split(
         self,
@@ -97,78 +110,149 @@ class RegressionTree:
     ) -> tuple[int, float] | None:
         n = len(idx)
         min_leaf = self.min_samples_leaf
-        best_sse = np.inf
-        best: tuple[int, float] | None = None
-        for feature_id in candidates:
-            column = X[idx, feature_id]
-            order = np.argsort(column, kind="stable")
-            xs = column[order]
-            ys = target[order]
-            prefix = np.cumsum(ys)
-            prefix_sq = np.cumsum(ys * ys)
-            total, total_sq = prefix[-1], prefix_sq[-1]
-            sizes = np.arange(1, n)
-            valid = xs[:-1] < xs[1:]
-            valid &= (sizes >= min_leaf) & (n - sizes >= min_leaf)
-            if not valid.any():
-                continue
-            left_sum, left_sq = prefix[:-1], prefix_sq[:-1]
-            sse_left = left_sq - left_sum * left_sum / sizes
-            right_sum = total - left_sum
-            right_sq = total_sq - left_sq
-            sse_right = right_sq - right_sum * right_sum / (n - sizes)
-            sse = np.where(valid, sse_left + sse_right, np.inf)
-            pos = int(np.argmin(sse))
-            if sse[pos] < best_sse:
-                cut = (xs[pos] + xs[pos + 1]) / 2.0
-                # Adjacent floats can round the midpoint up onto xs[pos+1],
-                # which would route every row left; pin to the lower value.
-                if cut >= xs[pos + 1]:
-                    cut = xs[pos]
-                best_sse = float(sse[pos])
-                best = (int(feature_id), float(cut))
-        return best
+        columns = X[np.ix_(idx, candidates)]
+        order = np.argsort(columns, axis=0, kind="stable")
+        xs = np.take_along_axis(columns, order, axis=0)
+        ys = target[order]
+        prefix = np.cumsum(ys, axis=0)
+        prefix_sq = np.cumsum(ys * ys, axis=0)
+        total, total_sq = prefix[-1], prefix_sq[-1]
+        sizes = np.arange(1, n)[:, None]
+        valid = xs[:-1] < xs[1:]
+        valid &= (sizes >= min_leaf) & (n - sizes >= min_leaf)
+        left_sum, left_sq = prefix[:-1], prefix_sq[:-1]
+        sse_left = left_sq - left_sum * left_sum / sizes
+        right_sum = total - left_sum
+        right_sq = total_sq - left_sq
+        sse_right = right_sq - right_sum * right_sum / (n - sizes)
+        sse = np.where(valid, sse_left + sse_right, np.inf)
+        positions = np.argmin(sse, axis=0)
+        lowest = sse[positions, np.arange(len(candidates))]
+        # The earliest column reaching the overall minimum wins; a column
+        # with no valid cut (all inf) or a NaN minimum never does.
+        usable = lowest < np.inf
+        if not usable.any():
+            return None
+        column = int(np.argmin(np.where(usable, lowest, np.inf)))
+        pos = int(positions[column])
+        cut = (xs[pos, column] + xs[pos + 1, column]) / 2.0
+        # Adjacent floats can round the midpoint up onto xs[pos+1],
+        # which would route every row left; pin to the lower value.
+        if cut >= xs[pos + 1, column]:
+            cut = xs[pos, column]
+        return int(candidates[column]), float(cut)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for each row, routed block-wise per node."""
-        leaves = np.zeros(len(X), dtype=np.int64)
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] == _LEAF:
-                leaves[idx] = node
-                continue
-            goes_left = X[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[goes_left]))
-            stack.append((self.right[node], idx[~goes_left]))
-        return leaves
+        """Leaf node index for each row.
+
+        All rows start at the root and move down one level per step. A
+        row goes left when its value is <= the threshold, so NaN goes
+        right; a leaf's +inf threshold sends its rows back to itself.
+        """
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        cells = X.ravel()
+        row_start = np.arange(len(X)) * X.shape[1]
+        node = np.zeros(len(X), dtype=np.int64)
+        for _ in range(self.depth):
+            # Leaves read column -1; their +inf threshold makes it moot.
+            goes_left = cells.take(row_start + self.feature.take(node)) <= self.threshold.take(node)
+            node = self._routes.take(2 * node + goes_left)
+        return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        values = np.asarray(self.value)
-        return values[self.apply(X)]
+        return self.value[self.apply(X)]
 
     def set_leaf_values(self, leaf_ids: np.ndarray, values: np.ndarray) -> None:
         """Overwrite leaf outputs (boosting recomputes them after growth)."""
-        for leaf, value in zip(leaf_ids, values):
-            if self.feature[leaf] != _LEAF:
-                raise ValueError(f"node {leaf} is not a leaf")
-            self.value[leaf] = float(value)
+        leaf_ids = np.asarray(leaf_ids, dtype=np.int64)
+        inner = leaf_ids[self.feature[leaf_ids] != _LEAF]
+        if len(inner):
+            raise ValueError(f"node {inner[0]} is not a leaf")
+        self.value[leaf_ids] = values
 
     def leaf_ids(self) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.feature) == _LEAF)
+        return np.flatnonzero(self.feature == _LEAF)
 
     def to_params(self) -> dict:
+        leaf = self.feature == _LEAF
         return {
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
-            "feature": list(self.feature),
-            "threshold": list(self.threshold),
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": list(self.value),
+            "feature": self.feature.tolist(),
+            "threshold": np.where(leaf, 0.0, self.threshold).tolist(),
+            "left": np.where(leaf, _LEAF, self.left).tolist(),
+            "right": np.where(leaf, _LEAF, self.right).tolist(),
+            "value": self.value.tolist(),
         }
 
     @classmethod
-    def from_params(cls, data: dict) -> RegressionTree:
-        return cls(**data)
+    def from_params(cls, data: dict, width: int) -> RegressionTree:
+        """Rebuild a saved tree over ``width`` feature columns.
+
+        Raises ValueError for any tree that could crash or misroute:
+        unequal node arrays, a child outside parent < child < n (which
+        also rules out cycles), a node other than the root without
+        exactly one parent, a feature outside [0, width), a non-finite
+        threshold or value, or more levels than max_depth.
+        """
+        tree = cls(
+            max_depth=_positive_int(data["max_depth"], "max_depth"),
+            min_samples_leaf=_positive_int(data["min_samples_leaf"], "min_samples_leaf"),
+            max_features=(
+                None
+                if data["max_features"] is None
+                else _positive_int(data["max_features"], "max_features")
+            ),
+        )
+        feature, left, right = (_int_nodes(data[key], key) for key in ("feature", "left", "right"))
+        threshold, value = (_float_nodes(data[key], key) for key in ("threshold", "value"))
+        n = len(feature)
+        if n == 0 or any(len(nodes) != n for nodes in (threshold, left, right, value)):
+            raise ValueError("tree node arrays must be non-empty and of equal length")
+        inner = feature != _LEAF
+        ids = np.arange(n)
+        if not ((feature[inner] >= 0) & (feature[inner] < width)).all():
+            raise ValueError(f"tree feature index outside [0, {width})")
+        for children in (left, right):
+            if not ((ids[inner] < children[inner]) & (children[inner] < n)).all():
+                raise ValueError("tree child index out of range")
+            if not (children[~inner] == _LEAF).all():
+                raise ValueError("tree leaf has a child")
+        if not (np.bincount(np.concatenate([left[inner], right[inner]]), minlength=n)[1:] == 1).all():
+            raise ValueError("every tree node but the root must have exactly one parent")
+        if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+            raise ValueError("tree thresholds and values must be finite")
+        depth, level = 0, np.zeros(1, dtype=np.int64)
+        while inner[level].any():
+            level = level[inner[level]]
+            level = np.concatenate([left[level], right[level]])
+            depth += 1
+        if depth > tree.max_depth:
+            raise ValueError(f"tree is {depth} levels deep, max_depth is {tree.max_depth}")
+        tree.depth = depth
+        threshold[~inner] = np.inf
+        tree._set_nodes(
+            feature, threshold, np.where(inner, left, ids), np.where(inner, right, ids), value
+        )
+        return tree
+
+
+def _positive_int(raw, name: str) -> int:
+    if type(raw) is not int or raw < 1:
+        raise ValueError(f"tree {name} must be a positive integer: {raw!r}")
+    return raw
+
+
+def _int_nodes(raw, name: str) -> np.ndarray:
+    nodes = np.asarray(raw)
+    if nodes.ndim != 1 or (len(nodes) and nodes.dtype.kind != "i"):
+        raise ValueError(f"tree {name} must be a list of integers")
+    return nodes.astype(np.int64)
+
+
+def _float_nodes(raw, name: str) -> np.ndarray:
+    nodes = np.asarray(raw, dtype=np.float64)
+    if nodes.ndim != 1:
+        raise ValueError(f"tree {name} must be a list of numbers")
+    return nodes

@@ -6,7 +6,10 @@ uses, so agreement actually means something.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+import numpy as np
 
 
 def jaro_reference(a: str, b: str) -> float:
@@ -45,6 +48,135 @@ def pairwise_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
             elif p == n:
                 wins += 0.5
     return wins / (len(positives) * len(negatives))
+
+
+def midrank_auc_reference(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Rank-sum AUC: sort, walk each run of tied scores, give it the midrank."""
+    n_pos = sum(labels)
+    n_neg = len(labels) - n_pos
+    order = sorted(range(len(scores)), key=lambda i: scores[i])
+    ranks = [0.0] * len(scores)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        midrank = (i + j) / 2 + 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = midrank
+        i = j + 1
+    rank_sum = sum(rank for rank, label in zip(ranks, labels) if label == 1)
+    return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+
+def best_split_reference(
+    X: np.ndarray,
+    target: np.ndarray,
+    idx: np.ndarray,
+    candidates: Sequence[int],
+    min_samples_leaf: int,
+) -> tuple[int, float] | None:
+    """Squared-error split search, one column and one cut at a time.
+
+    For each candidate column, rows are sorted by value (stably) and every
+    cut between two distinct values that leaves min_samples_leaf rows per
+    side is scored from running sums. The first strictly lowest score
+    wins, scanning columns in order and cuts left to right.
+    """
+    n = len(idx)
+    best_sse = math.inf
+    best: tuple[int, float] | None = None
+    for feature in candidates:
+        rows = sorted(range(n), key=lambda r: X[idx[r], feature])
+        xs = [float(X[idx[r], feature]) for r in rows]
+        ys = [float(target[r]) for r in rows]
+        prefix, prefix_sq = [], []
+        running = running_sq = 0.0
+        for value in ys:
+            running += value
+            running_sq += value * value
+            prefix.append(running)
+            prefix_sq.append(running_sq)
+        total, total_sq = prefix[-1], prefix_sq[-1]
+        for size in range(1, n):
+            if not xs[size - 1] < xs[size]:
+                continue
+            if size < min_samples_leaf or n - size < min_samples_leaf:
+                continue
+            left_sum, left_sq = prefix[size - 1], prefix_sq[size - 1]
+            sse_left = left_sq - left_sum * left_sum / size
+            right_sum = total - left_sum
+            sse_right = (total_sq - left_sq) - right_sum * right_sum / (n - size)
+            sse = sse_left + sse_right
+            if sse < best_sse:
+                cut = (xs[size - 1] + xs[size]) / 2.0
+                if cut >= xs[size]:
+                    cut = xs[size - 1]
+                best_sse = sse
+                best = (int(feature), cut)
+    return best
+
+
+def grow_tree_reference(
+    X: np.ndarray,
+    y: np.ndarray,
+    max_depth: int,
+    min_samples_leaf: int,
+    max_features: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> dict[str, list]:
+    """Pre-order recursive growth into the saved-tree layout.
+
+    Leaves have feature -1, threshold 0.0 and children -1. Node means use
+    numpy's mean, as the library does, since the summation order of a
+    mean is not what is under test. Feature subsampling draws from rng
+    exactly where the library does, so equal seeds give equal trees.
+    """
+    tree: dict[str, list] = {key: [] for key in ("feature", "threshold", "left", "right", "value")}
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        node = len(tree["feature"])
+        for key, initial in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+            tree[key].append(initial)
+        tree["value"].append(float(np.mean(y[idx])))
+        target = y[idx]
+        if depth >= max_depth or len(idx) < 2 * min_samples_leaf or target.max() == target.min():
+            return node
+        n_features = X.shape[1]
+        if max_features is not None and max_features < n_features:
+            candidates = sorted(rng.choice(n_features, size=max_features, replace=False))
+        else:
+            candidates = range(n_features)
+        best = best_split_reference(X, target, idx, candidates, min_samples_leaf)
+        if best is None:
+            return node
+        feature, cut = best
+        goes_left = np.array([X[i, feature] <= cut for i in idx], dtype=bool)
+        tree["feature"][node] = feature
+        tree["threshold"][node] = cut
+        tree["left"][node] = grow(idx[goes_left], depth + 1)
+        tree["right"][node] = grow(idx[~goes_left], depth + 1)
+        return node
+
+    grow(np.arange(len(y)), 0)
+    return tree
+
+
+def apply_tree_reference(tree: dict[str, list], X: np.ndarray) -> list[int]:
+    """Walk each row from the root, one node at a time, to its leaf.
+
+    A row goes left when its value is <= the threshold, so NaN goes right.
+    """
+    leaves = []
+    for row in X:
+        node = 0
+        while tree["feature"][node] != -1:
+            if row[tree["feature"][node]] <= tree["threshold"][node]:
+                node = tree["left"][node]
+            else:
+                node = tree["right"][node]
+        leaves.append(node)
+    return leaves
 
 
 def confident_joint_reference(

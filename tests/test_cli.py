@@ -332,6 +332,30 @@ class TestExitCodes:
         assert main(["--quiet", "train", "--features", str(features), "--spec", str(spec), "--out", str(model)]) == 0
         assert main(["predict", "--model", str(model), "--features", str(bad), "--out", str(tmp_path / "s.csv")]) == 2
 
+    def test_tree_child_out_of_range_exit_data_error(self, workspace, tmp_path, capsys):
+        _, _, features, _ = workspace
+        spec = write_json(
+            tmp_path / "spec.json",
+            {"family": "random_forest", "hyperparameters": {"n_estimators": 2, "max_depth": 3}},
+        )
+        model = tmp_path / "model.json"
+        assert main(["--quiet", "train", "--features", str(features), "--spec", str(spec), "--out", str(model)]) == 0
+        data = json.loads(model.read_text())
+        data["params"]["trees"][0]["left"][0] = 10**6
+        write_json(model, data)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "child index out of range" in err
+        assert "Traceback" not in err
+
+    def test_truncated_linear_weights_exit_data_error(self, model_path, workspace, tmp_path):
+        _, _, features, _ = workspace
+        data = json.loads(model_path.read_text())
+        data["params"]["weights"] = data["params"]["weights"][:-1]
+        model = write_json(tmp_path / "model.json", data)
+        assert main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")]) == 2
+
     def test_malformed_jsonl_exit_data_error(self, workspace, tmp_path):
         _, corpus, _, _ = workspace
         broken = tmp_path / "broken.jsonl"

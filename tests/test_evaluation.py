@@ -1,11 +1,12 @@
 """Splitting and the metric suite against independent oracles."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import pairwise_auc
+from oracles import midrank_auc_reference, pairwise_auc
 from strisk.evaluation import (
     EvaluationReport,
     brier_score,
@@ -22,6 +23,20 @@ scores_and_labels = st.lists(
     ),
     min_size=2,
     max_size=60,
+).filter(lambda rows: 0 < sum(y for _, y in rows) < len(rows))
+
+
+# Scores drawn from a handful of values (often all one value) so most
+# pairs tie; labels cover both classes.
+tied_scores_and_labels = st.integers(min_value=1, max_value=4).flatmap(
+    lambda distinct: st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0][:distinct]),
+            st.integers(min_value=0, max_value=1),
+        ),
+        min_size=2,
+        max_size=80,
+    )
 ).filter(lambda rows: 0 < sum(y for _, y in rows) < len(rows))
 
 
@@ -118,6 +133,19 @@ class TestRocAuc:
         assert roc_auc(scores, labels) == pytest.approx(
             pairwise_auc(scores, labels), abs=1e-9
         )
+
+
+    @given(st.one_of(scores_and_labels, tied_scores_and_labels))
+    def test_matches_pairwise_counting_and_midrank_loop(self, rows):
+        scores = [s for s, _ in rows]
+        labels = [y for _, y in rows]
+        auc = roc_auc(scores, labels)
+        assert abs(auc - pairwise_auc(scores, labels)) <= 1e-12
+        assert auc == midrank_auc_reference(scores, labels)
+
+    def test_accepts_arrays(self):
+        scores = np.array([0.8, 0.5, 0.5, 0.2])
+        assert roc_auc(scores, np.array([1, 1, 0, 0])) == roc_auc(scores.tolist(), [1, 1, 0, 0])
 
 
 class TestBrierScore:

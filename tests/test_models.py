@@ -10,6 +10,7 @@ from strisk.models import (
     MODEL_FAMILIES,
     FeatureSchema,
     ModelSpec,
+    TrainedModel,
     default_schema,
     encode_profiles,
     load_model,
@@ -183,6 +184,23 @@ class TestTrainPredict:
         assert np.array_equal(
             predict_proba_many(model, test_set), predict_proba_many(restored, test_set)
         )
+
+    @pytest.mark.parametrize(
+        "family, key, edit, message",
+        [
+            ("logistic_regression", "weights", lambda w: w[:-1], r"shape \(36,\)"),
+            ("logistic_regression", "weights", lambda w: [float("nan")] + w[1:], "finite"),
+            ("linear_svm_platt", "scale", lambda s: s + [1.0], r"shape \(38,\)"),
+            ("naive_bayes", "means", lambda m: m[:1], r"shape \(1, 37\)"),
+            ("naive_bayes", "variances", lambda v: [[-1.0] + v[0][1:], v[1]], "positive"),
+        ],
+    )
+    def test_malformed_params_rejected_on_load(self, family, key, edit, message, separable_split):
+        train_set, _ = separable_split
+        data = train(train_set, fast_spec(family)).to_dict()
+        data["params"][key] = edit(data["params"][key])
+        with pytest.raises(ValueError, match=message):
+            TrainedModel.from_dict(data)
 
     def test_training_deterministic(self, separable_split):
         train_set, test_set = separable_split

@@ -1,0 +1,173 @@
+"""Regression trees against the one-node-at-a-time reference, and tree loading."""
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from oracles import apply_tree_reference, grow_tree_reference
+from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
+from strisk.models.trees import RegressionTree
+
+NODE_KEYS = ("feature", "threshold", "left", "right", "value")
+
+
+def tied_matrix(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
+    """Few distinct values per column, so most cuts are blocked by ties."""
+    return rng.integers(0, 4, size=(n, width)).astype(np.float64)
+
+
+def adjacent_float_matrix(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
+    """Values one ulp apart, where cut midpoints round onto the upper value."""
+    low = np.nextafter(1.0, 2.0)
+    return low + rng.integers(0, 3, size=(n, width)) * np.spacing(low)
+
+
+def rounded_matrix(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
+    return rng.normal(size=(n, width)).round(1)
+
+
+MATRICES = (tied_matrix, adjacent_float_matrix, rounded_matrix)
+
+
+def with_nan_rows(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
+    holed = X.copy()
+    holed[rng.random(X.shape) < 0.15] = np.nan
+    return holed
+
+
+def node_lists(tree: RegressionTree) -> dict[str, list]:
+    params = tree.to_params()
+    return {key: params[key] for key in NODE_KEYS}
+
+
+@pytest.mark.parametrize("make_matrix", MATRICES)
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_and_apply_match_reference(make_matrix, min_samples_leaf, seed):
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(8, 120)), int(rng.integers(1, 6))
+    X = make_matrix(rng, n, width)
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    if seed >= 2:
+        # Residual-like targets, whose sums depend on the order rows are added in.
+        y += rng.normal(scale=0.3, size=n)
+    max_features = None if seed % 2 == 0 else max(1, width - 1)
+    tree = RegressionTree(max_depth=5, min_samples_leaf=min_samples_leaf, max_features=max_features)
+    tree.fit(X, y, rng=np.random.default_rng(seed + 100))
+    reference = grow_tree_reference(
+        X, y, 5, min_samples_leaf, max_features, rng=np.random.default_rng(seed + 100)
+    )
+    assert node_lists(tree) == reference
+    X_new = with_nan_rows(rng, make_matrix(rng, 40, width))
+    for rows in (X, X_new):
+        leaves = apply_tree_reference(reference, rows)
+        assert tree.apply(rows).tolist() == leaves
+        assert tree.predict(rows).tolist() == [reference["value"][leaf] for leaf in leaves]
+
+
+def test_nan_rows_route_right():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    tree = RegressionTree(max_depth=1, min_samples_leaf=1).fit(X, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert tree.apply(np.array([[np.nan], [0.0]])).tolist() == [tree.right[0], tree.left[0]]
+
+
+def test_unsplit_root_routes_every_row_to_itself():
+    tree = RegressionTree(max_depth=3).fit(np.zeros((5, 2)), np.ones(5))
+    assert tree.depth == 0
+    assert tree.apply(np.full((3, 2), np.nan)).tolist() == [0, 0, 0]
+
+
+def test_boosted_predictions_follow_set_leaf_values():
+    rng = np.random.default_rng(7)
+    X = tied_matrix(rng, 80, 3)
+    y = (X[:, 0] + rng.normal(size=80) > 1.5).astype(np.int64)
+    model = GradientBoostedTrees(n_estimators=6, max_depth=3, min_samples_leaf=2).fit(X, y)
+    expected = np.full(len(X), model.base_score)
+    for tree in model.trees:
+        values = tree.to_params()["value"]
+        expected += model.learning_rate * np.array(
+            [values[leaf] for leaf in apply_tree_reference(tree.to_params(), X)]
+        )
+    assert model.decision(X).tolist() == expected.tolist()
+    tree = model.trees[0]
+    leaves = tree.leaf_ids()
+    tree.set_leaf_values(leaves, np.arange(len(leaves), dtype=np.float64) + 10.0)
+    routed = tree.apply(X)
+    assert tree.predict(X).tolist() == (np.searchsorted(leaves, routed) + 10.0).tolist()
+
+
+def test_set_leaf_values_rejects_inner_node():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    tree = RegressionTree(max_depth=1, min_samples_leaf=1).fit(X, np.array([0.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="not a leaf"):
+        tree.set_leaf_values(np.array([0]), np.array([1.0]))
+
+
+class TestFromParams:
+    @pytest.fixture
+    def params(self):
+        rng = np.random.default_rng(11)
+        X = rounded_matrix(rng, 60, 4)
+        y = rng.integers(0, 2, size=60).astype(np.float64)
+        tree = RegressionTree(max_depth=3, min_samples_leaf=2).fit(X, y)
+        # Saved trees go through JSON, so edits below see plain lists.
+        return json.loads(json.dumps(tree.to_params()))
+
+    def test_round_trip_is_identical(self, params):
+        tree = RegressionTree.from_params(params, width=4)
+        assert tree.to_params() == params
+        X = with_nan_rows(np.random.default_rng(1), rounded_matrix(np.random.default_rng(2), 30, 4))
+        assert tree.apply(X).tolist() == apply_tree_reference(params, X)
+
+    def test_leaf_values_stay_writable_after_load(self, params):
+        tree = RegressionTree.from_params(params, width=4)
+        leaves = tree.leaf_ids()
+        tree.set_leaf_values(leaves, np.full(len(leaves), 0.5))
+        assert tree.predict(np.zeros((3, 4))).tolist() == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["value"].pop(), "equal length"),
+            (lambda p: p.update({key: [] for key in NODE_KEYS}), "non-empty"),
+            (lambda p: p["left"].__setitem__(0, 10**6), "child index out of range"),
+            (lambda p: p["right"].__setitem__(0, 0), "child index out of range"),
+            (lambda p: p["left"].__setitem__(0, -1), "child index out of range"),
+            (lambda p: p["feature"].__setitem__(0, 4), r"feature index outside \[0, 4\)"),
+            (lambda p: p["feature"].__setitem__(0, -2), "feature index outside"),
+            (lambda p: p["feature"].__setitem__(0, 1.5), "list of integers"),
+            (lambda p: p["threshold"].__setitem__(0, float("nan")), "finite"),
+            (lambda p: p["value"].__setitem__(-1, float("inf")), "finite"),
+            (lambda p: p.update(max_depth=1), "levels deep"),
+            (lambda p: p.update(max_depth=0), "positive integer"),
+            (lambda p: p.update(min_samples_leaf="2"), "positive integer"),
+        ],
+    )
+    def test_malformed_tree_rejected(self, params, edit, message):
+        edit(params)
+        with pytest.raises(ValueError, match=message):
+            RegressionTree.from_params(params, width=4)
+
+    def test_shared_child_rejected(self, params):
+        # Point the root's right edge at its left child's subtree too.
+        params["right"][0] = params["left"][0]
+        with pytest.raises(ValueError, match="exactly one parent"):
+            RegressionTree.from_params(params, width=4)
+
+    def test_leaf_with_child_rejected(self, params):
+        leaf = params["feature"].index(-1)
+        params["left"][leaf] = len(params["feature"]) - 1
+        with pytest.raises(ValueError, match="leaf has a child"):
+            RegressionTree.from_params(params, width=4)
+
+
+@pytest.mark.parametrize("ensemble", [BaggedTrees, GradientBoostedTrees])
+def test_ensemble_without_trees_rejected(ensemble):
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    params = ensemble(n_estimators=2, seed=0).fit(X, np.array([0, 0, 1, 1])).to_params()
+    assert ensemble.from_params(params, width=1).to_params() == params
+    params["trees"] = []
+    with pytest.raises(ValueError, match="at least one tree"):
+        ensemble.from_params(params, width=1)
