@@ -17,16 +17,8 @@ import click
 from .evaluation import evaluate_scores
 from .features import featurize_corpus, parse_window, read_features_csv, write_features_csv
 from .models import ModelSpec, load_model, predict_proba_many, save_model, train, train_stacked
-from .models.stacking import load_stacked, predict_stacked_many, save_stacked
 from .names import MatchConfig, match_names
-from .noise import (
-    CONFIDENT_JOINT,
-    CONFUSION_MATRIX,
-    discover_noisy_negatives,
-    flip_labels,
-    noise_detection_experiment,
-    out_of_sample_probabilities,
-)
+from .noise import CONFIDENT_JOINT, CONFUSION_MATRIX, correct_labels, noise_detection_experiment
 from .pipeline import DataError, PipelineConfig, StageFailure, render_report_text, run_pipeline
 from .records import (
     RecordError,
@@ -34,7 +26,8 @@ from .records import (
     load_observations,
     load_organizations,
     load_tweets,
-    read_jsonl,
+    read_names,
+    write_json,
     write_jsonl,
 )
 from .synth import GeneratorConfig, generate_corpus, load_ground_truth, write_corpus
@@ -91,14 +84,11 @@ def _echo(ctx: click.Context, message: str) -> None:
 
 @click.group(name="strisk")
 @click.option("--seed", type=int, default=0, show_default=True, help="Default seed for commands that take one.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker threads for parallelizable stages.")
 @click.option("--quiet", is_flag=True, help="Suppress progress output.")
 @click.pass_context
-def cli(ctx: click.Context, seed: int, jobs: int, quiet: bool) -> None:
+def cli(ctx: click.Context, seed: int, quiet: bool) -> None:
     """Breach-risk pipeline: match, featurize, denoise, train, evaluate."""
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
-    ctx.obj = {"seed": seed, "jobs": jobs, "quiet": quiet}
+    ctx.obj = {"seed": seed, "quiet": quiet}
 
 
 @cli.command()
@@ -114,23 +104,11 @@ def match(ctx, incidents_path, registry_path, config_path, out_path) -> None:
         if config_path
         else MatchConfig()
     )
-    incident_names = [record["name"] for record in read_jsonl(incidents_path)]
-    registry_names = [record["name"] for record in read_jsonl(registry_path)]
+    incident_names = read_names(incidents_path)
+    registry_names = read_names(registry_path)
     with _stage("match"):
         candidates = match_names(incident_names, registry_names, config)
-    write_jsonl(
-        out_path,
-        (
-            {
-                "incident_name": c.incident_name.original,
-                "registry_name": c.registry_name.original,
-                "jaccard": c.jaccard,
-                "jaro_winkler": c.jaro_winkler,
-                "verdict": c.verdict,
-            }
-            for c in candidates
-        ),
-    )
+    write_jsonl(out_path, (c.to_dict() for c in candidates))
     _echo(ctx, f"matched {len(candidates)} names -> {out_path}")
 
 
@@ -181,20 +159,10 @@ def denoise(ctx, features_path, models_path, method, folds, seed, out_path, repo
     seed = ctx.obj["seed"] if seed is None else seed
     specs = _model_specs_from_file(models_path)
     profiles = _load_features(features_path)
-    labels = [p.label for p in profiles]
-    ids = [p.org_id for p in profiles]
     with _stage("denoise"):
-        prob_sets = [
-            out_of_sample_probabilities(profiles, spec, k=folds, seed=seed)
-            for spec in specs
-        ]
-        flagged = discover_noisy_negatives(prob_sets, labels, method, ids)
-        corrected, report = flip_labels(profiles, flagged, method)
+        corrected, report = correct_labels(profiles, specs, method, k=folds, seed=seed)
     write_features_csv(out_path, corrected)
-    Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(report_path).write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(report_path, report.to_dict())
     _echo(ctx, f"flipped {len(report.flipped_ids)} labels -> {out_path}")
 
 
@@ -219,35 +187,25 @@ def train_cmd(ctx, features_path, spec_path, out_path) -> None:
                 folds=int(data.get("folds", 5)),
                 seed=int(data.get("seed", ctx.obj["seed"])),
             )
-            save_stacked(model, out_path)
         else:
             try:
                 spec = ModelSpec.from_dict(data)
             except (ValueError, KeyError, TypeError) as exc:
                 raise click.UsageError(f"bad model spec: {exc}") from exc
-            save_model(train(profiles, spec), out_path)
+            model = train(profiles, spec)
+    save_model(model, out_path)
     _echo(ctx, f"trained -> {out_path}")
 
 
-def _load_any_model(path: str):
+def _load_model(path: str):
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return load_model(path)
     except FileNotFoundError as exc:
         raise click.UsageError(f"model file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    try:
-        if data.get("kind") == "stacked":
-            return load_stacked(path), True
-        return load_model(path), False
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"model file {path}: {exc}") from exc
-
-
-def _scores_for(model, is_stacked: bool, profiles):
-    if is_stacked:
-        return predict_stacked_many(model, profiles)
-    return predict_proba_many(model, profiles)
 
 
 @cli.command()
@@ -257,10 +215,10 @@ def _scores_for(model, is_stacked: bool, profiles):
 @click.pass_context
 def predict(ctx, model_path, features_path, out_path) -> None:
     """Score organizations: org_id, probability, class at 0.5."""
-    model, is_stacked = _load_any_model(model_path)
+    model = _load_model(model_path)
     profiles = _load_features(features_path)
     with _stage("predict"):
-        scores = _scores_for(model, is_stacked, profiles)
+        scores = predict_proba_many(model, profiles)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as handle:
@@ -279,22 +237,14 @@ def predict(ctx, model_path, features_path, out_path) -> None:
 @click.pass_context
 def evaluate(ctx, model_path, features_path, threshold, out_path) -> None:
     """Compute TPR/FPR/F1/AUC/Brier for a model on labeled features."""
-    model, is_stacked = _load_any_model(model_path)
+    model = _load_model(model_path)
     profiles = _load_features(features_path)
     with _stage("evaluate"):
-        scores = _scores_for(model, is_stacked, profiles).tolist()
+        scores = predict_proba_many(model, profiles).tolist()
         labels = [p.label for p in profiles]
-        name = (
-            "stacked(" + "+".join(b.spec.family for b in model.bases) + ")"
-            if is_stacked
-            else model.spec.family
-        )
-        report = evaluate_scores(name, scores, labels, threshold)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_path).write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    _echo(ctx, f"evaluated {name} -> {out_path}")
+        report = evaluate_scores(model.name, scores, labels, threshold)
+    write_json(out_path, report.to_dict())
+    _echo(ctx, f"evaluated {model.name} -> {out_path}")
 
 
 @cli.command()
@@ -342,10 +292,7 @@ def experiment(ctx, features_path, models_path, fraction, repeats, method, folds
             folds=folds,
             seed=seed,
         )
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_path).write_text(
-        json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out_path, result.to_dict())
     _echo(ctx, f"experiment table -> {out_path}")
 
 
@@ -382,9 +329,6 @@ def run(ctx, config_path, workdir, skips) -> None:
     if skips:
         data = dict(data)
         data["skip"] = sorted(set(data.get("skip", [])) | set(skips))
-    if ctx.obj["jobs"] != 1:
-        data = dict(data)
-        data["jobs"] = ctx.obj["jobs"]
     try:
         config = PipelineConfig.from_dict(data, workdir=Path(workdir) if workdir else None)
     except (ValueError, KeyError, TypeError) as exc:

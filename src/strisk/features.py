@@ -373,6 +373,27 @@ def write_features_csv(path: str | Path, profiles: Sequence[FeatureVector]) -> N
             writer.writerow(row)
 
 
+def _profile_from_row(row: list[str], with_latent: bool) -> FeatureVector:
+    org_id = row[0]
+    tech_values = [float(v) for v in row[1:11]]
+    social_values = [float(v) for v in row[11:27]]
+    sector, org_size, label = row[27], int(row[28]), int(row[29])
+    latent: int | None = None
+    if with_latent and row[30] != "":
+        latent = int(row[30])
+    technical = TechnicalBlock(org_id, **dict(zip(TECHNICAL_FEATURES, tech_values)))
+    social = SocialBlock(org_id, **dict(zip(SOCIAL_FEATURES, social_values)))
+    return FeatureVector(
+        org_id=org_id,
+        technical=technical,
+        social=social,
+        sector=sector,
+        org_size=org_size,
+        label=label,
+        latent_label=latent,
+    )
+
+
 def read_features_csv(path: str | Path) -> list[FeatureVector]:
     path = Path(path)
     profiles: list[FeatureVector] = []
@@ -389,26 +410,8 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
             expected = len(CSV_COLUMNS) + (1 if with_latent else 0)
             if len(row) != expected:
                 raise RecordError(f"{path}:{line_number}: expected {expected} fields")
-            org_id = row[0]
-            tech_values = [float(v) for v in row[1:11]]
-            social_values = [float(v) for v in row[11:27]]
-            sector, org_size, label = row[27], int(row[28]), int(row[29])
-            latent: int | None = None
-            if with_latent and row[30] != "":
-                latent = int(row[30])
-            technical = TechnicalBlock(
-                org_id, **dict(zip(TECHNICAL_FEATURES, tech_values))
-            )
-            social = SocialBlock(org_id, **dict(zip(SOCIAL_FEATURES, social_values)))
-            profiles.append(
-                FeatureVector(
-                    org_id=org_id,
-                    technical=technical,
-                    social=social,
-                    sector=sector,
-                    org_size=org_size,
-                    label=label,
-                    latent_label=latent,
-                )
-            )
+            try:
+                profiles.append(_profile_from_row(row, with_latent))
+            except ValueError as exc:
+                raise RecordError(f"{path}:{line_number}: {exc}") from exc
     return profiles

@@ -2,8 +2,11 @@
 
 A ModelSpec names a family, overrides any of its documented default
 hyperparameters, and fixes a seed. Training encodes profiles with the
-shared schema and returns a TrainedModel whose serialized form embeds the
+shared schema and returns a model whose serialized form embeds the
 schema fingerprint; prediction refuses vectors encoded any other way.
+Single and stacked models share one surface (name, schema,
+predict_matrix, to_dict), so saving, loading and scoring treat both
+alike.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ..features import FeatureVector
+from ..records import write_json
 from .bayes import GaussianNaiveBayes
 from .encode import FeatureSchema, default_schema, encode_labels, encode_profiles
 from .ensemble import BaggedTrees, GradientBoostedTrees
@@ -22,27 +26,34 @@ from .linear import LinearSvmPlatt, LogisticRegression
 
 MODEL_FORMAT_VERSION = 1
 
-DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
-    "logistic_regression": {"l2": 1e-3, "max_iter": 200},
-    "naive_bayes": {"var_smoothing": 1e-9},
-    "bagged_trees": {"n_estimators": 50, "max_depth": 8, "min_samples_leaf": 2},
-    "random_forest": {
-        "n_estimators": 80,
-        "max_depth": 10,
-        "min_samples_leaf": 2,
-        "max_features": "sqrt",
-    },
-    "gradient_boosted_trees": {
-        "n_estimators": 150,
-        "learning_rate": 0.1,
-        "max_depth": 3,
-        "min_samples_leaf": 2,
-        "l2_leaf": 1.0,
-    },
-    "linear_svm_platt": {"c": 1.0, "max_iter": 200},
+# Family -> (implementation class, default hyperparameters). The
+# hyperparameter names are the implementation's constructor arguments;
+# a spec may override only the ones listed.
+_FAMILIES: dict[str, tuple[type, dict]] = {
+    "logistic_regression": (LogisticRegression, {"l2": 1e-3, "max_iter": 200}),
+    "naive_bayes": (GaussianNaiveBayes, {"var_smoothing": 1e-9}),
+    "bagged_trees": (
+        BaggedTrees,
+        {"n_estimators": 50, "max_depth": 8, "min_samples_leaf": 2},
+    ),
+    "random_forest": (
+        BaggedTrees,
+        {"n_estimators": 80, "max_depth": 10, "min_samples_leaf": 2, "max_features": "sqrt"},
+    ),
+    "gradient_boosted_trees": (
+        GradientBoostedTrees,
+        {
+            "n_estimators": 150,
+            "learning_rate": 0.1,
+            "max_depth": 3,
+            "min_samples_leaf": 2,
+            "l2_leaf": 1.0,
+        },
+    ),
+    "linear_svm_platt": (LinearSvmPlatt, {"c": 1.0, "max_iter": 200}),
 }
 
-MODEL_FAMILIES: tuple[str, ...] = tuple(DEFAULT_HYPERPARAMETERS)
+MODEL_FAMILIES: tuple[str, ...] = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,17 +65,21 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.family not in DEFAULT_HYPERPARAMETERS:
+        if self.family not in _FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {sorted(MODEL_FAMILIES)}"
             )
-        allowed = DEFAULT_HYPERPARAMETERS[self.family]
+        allowed = _FAMILIES[self.family][1]
         for key in self.hyperparameters:
             if key not in allowed:
                 raise ValueError(f"{self.family} does not take hyperparameter {key!r}")
 
+    @property
+    def impl_class(self) -> type:
+        return _FAMILIES[self.family][0]
+
     def resolved(self) -> dict:
-        merged = dict(DEFAULT_HYPERPARAMETERS[self.family])
+        merged = dict(_FAMILIES[self.family][1])
         merged.update(self.hyperparameters)
         return merged
 
@@ -91,8 +106,12 @@ class TrainedModel:
     impl: object
 
     @property
-    def fingerprint(self) -> str:
-        return self.schema.fingerprint
+    def name(self) -> str:
+        return self.spec.family
+
+    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Class-1 probabilities, clipped to [0, 1], for an encoded matrix."""
+        return np.clip(self.impl.predict_proba(X), 0.0, 1.0)
 
     def to_dict(self) -> dict:
         return {
@@ -110,105 +129,97 @@ class TrainedModel:
             )
         spec = ModelSpec.from_dict(data["spec"])
         schema = FeatureSchema.from_dict(data["schema"])
-        impl = _IMPLEMENTATIONS[spec.family].from_params(
-            data["params"], width=len(schema.columns)
-        )
+        impl = spec.impl_class.from_params(data["params"], width=len(schema.columns))
         return cls(spec=spec, schema=schema, impl=impl)
 
 
-_IMPLEMENTATIONS = {
-    "logistic_regression": LogisticRegression,
-    "naive_bayes": GaussianNaiveBayes,
-    "bagged_trees": BaggedTrees,
-    "random_forest": BaggedTrees,
-    "gradient_boosted_trees": GradientBoostedTrees,
-    "linear_svm_platt": LinearSvmPlatt,
-}
+@dataclass
+class StackedModel:
+    """Base models plus a logistic meta-model over their probabilities."""
 
+    bases: list[TrainedModel]
+    meta: LogisticRegression
+    folds: int
+    seed: int
 
-def _build_impl(spec: ModelSpec):
-    hyper = spec.resolved()
-    family = spec.family
-    if family == "logistic_regression":
-        return LogisticRegression(l2=hyper["l2"], max_iter=hyper["max_iter"])
-    if family == "naive_bayes":
-        return GaussianNaiveBayes(var_smoothing=hyper["var_smoothing"])
-    if family == "bagged_trees":
-        return BaggedTrees(
-            n_estimators=hyper["n_estimators"],
-            max_depth=hyper["max_depth"],
-            min_samples_leaf=hyper["min_samples_leaf"],
-            max_features=None,
-            seed=spec.seed,
+    @property
+    def name(self) -> str:
+        return "stacked(" + "+".join(base.name for base in self.bases) + ")"
+
+    @property
+    def schema(self) -> FeatureSchema:
+        """The layout every base was trained against."""
+        if len({base.schema.fingerprint for base in self.bases}) != 1:
+            raise ValueError("schema mismatch: stacked bases use different feature layouts")
+        return self.bases[0].schema
+
+    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Meta-model probabilities, clipped to [0, 1], for an encoded matrix."""
+        base_probs = np.column_stack([base.predict_matrix(X) for base in self.bases])
+        return np.clip(self.meta.predict_proba(base_probs), 0.0, 1.0)
+
+    def to_dict(self) -> dict:
+        return {
+            "format_version": MODEL_FORMAT_VERSION,
+            "kind": "stacked",
+            "folds": self.folds,
+            "seed": self.seed,
+            "bases": [base.to_dict() for base in self.bases],
+            "meta": self.meta.to_params(),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> StackedModel:
+        bases = [TrainedModel.from_dict(b) for b in data["bases"]]
+        return cls(
+            bases=bases,
+            meta=LogisticRegression.from_params(data["meta"], width=len(bases)),
+            folds=int(data["folds"]),
+            seed=int(data["seed"]),
         )
-    if family == "random_forest":
-        return BaggedTrees(
-            n_estimators=hyper["n_estimators"],
-            max_depth=hyper["max_depth"],
-            min_samples_leaf=hyper["min_samples_leaf"],
-            max_features=hyper["max_features"],
-            seed=spec.seed,
-        )
-    if family == "gradient_boosted_trees":
-        return GradientBoostedTrees(
-            n_estimators=hyper["n_estimators"],
-            learning_rate=hyper["learning_rate"],
-            max_depth=hyper["max_depth"],
-            min_samples_leaf=hyper["min_samples_leaf"],
-            l2_leaf=hyper["l2_leaf"],
-            seed=spec.seed,
-        )
-    if family == "linear_svm_platt":
-        return LinearSvmPlatt(c=hyper["c"], max_iter=hyper["max_iter"])
-    raise ValueError(f"unknown family {family!r}")
 
 
-def train_matrix(X: np.ndarray, y: np.ndarray, spec: ModelSpec):
-    """Fit a family implementation on an already-encoded matrix."""
+Model = TrainedModel | StackedModel
+
+
+def train_matrix(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> TrainedModel:
+    """Fit a model on an already-encoded matrix in the default schema."""
     if not np.isfinite(X).all():
         raise ValueError("non-finite feature")
     if len(set(y.tolist())) < 2:
         raise ValueError("training needs both classes present")
-    return _build_impl(spec).fit(X, y)
+    impl_class = spec.impl_class
+    hyper = spec.resolved()
+    if "seed" in impl_class.__dataclass_fields__:
+        hyper["seed"] = spec.seed
+    return TrainedModel(spec=spec, schema=default_schema(), impl=impl_class(**hyper).fit(X, y))
 
 
 def train(dataset: Sequence[FeatureVector], spec: ModelSpec) -> TrainedModel:
-    schema = default_schema()
-    X = encode_profiles(dataset, schema)
-    y = encode_labels(dataset)
-    impl = train_matrix(X, y, spec)
-    return TrainedModel(spec=spec, schema=schema, impl=impl)
+    X = encode_profiles(dataset, default_schema())
+    return train_matrix(X, encode_labels(dataset), spec)
 
 
-def _check_schema(model: TrainedModel) -> FeatureSchema:
+def encode_for(model: Model, dataset: Sequence[FeatureVector]) -> np.ndarray:
+    """Encode profiles for ``model``, refusing a model trained on another layout."""
     schema = default_schema()
     if model.schema.fingerprint != schema.fingerprint:
         raise ValueError(
             "schema mismatch: model was trained against a different feature layout"
         )
-    return schema
+    return encode_profiles(dataset, schema)
 
 
-def predict_proba_many(
-    model: TrainedModel, dataset: Sequence[FeatureVector]
-) -> np.ndarray:
-    schema = _check_schema(model)
-    X = encode_profiles(dataset, schema)
-    return np.clip(model.impl.predict_proba(X), 0.0, 1.0)
+def predict_proba_many(model: Model, dataset: Sequence[FeatureVector]) -> np.ndarray:
+    return model.predict_matrix(encode_for(model, dataset))
 
 
-def predict_proba(model: TrainedModel, profile: FeatureVector) -> float:
-    return float(predict_proba_many(model, [profile])[0])
+def save_model(model: Model, path: str | Path) -> None:
+    write_json(path, model.to_dict())
 
 
-def save_model(model: TrainedModel, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(model.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_model(path: str | Path) -> TrainedModel:
+def load_model(path: str | Path) -> Model:
+    """Read a single or stacked model file, dispatching on its ``kind``."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return TrainedModel.from_dict(data)
+    cls = StackedModel if data.get("kind") == "stacked" else TrainedModel
+    return cls.from_dict(data)

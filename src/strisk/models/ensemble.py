@@ -160,4 +160,10 @@ class GradientBoostedTrees:
     def from_params(cls, data: dict, width: int) -> GradientBoostedTrees:
         trees = _trees_from_params(data["trees"], width)
         rest = {k: v for k, v in data.items() if k != "trees"}
-        return cls(trees=trees, **rest)
+        model = cls(trees=trees, **rest)
+        rate, base = model.learning_rate, model.base_score
+        if not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
+            raise ValueError("learning_rate must be a finite number in (0, 1]")
+        if not isinstance(base, (int, float)) or not math.isfinite(base):
+            raise ValueError("base_score must be a finite number")
+        return model

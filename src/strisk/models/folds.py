@@ -55,6 +55,6 @@ def out_of_fold_probabilities(
     probabilities = np.empty(len(dataset), dtype=np.float64)
     for fold in range(folds):
         held_out = assignments == fold
-        impl = train_matrix(X[~held_out], y[~held_out], spec)
-        probabilities[held_out] = np.clip(impl.predict_proba(X[held_out]), 0.0, 1.0)
+        model = train_matrix(X[~held_out], y[~held_out], spec)
+        probabilities[held_out] = model.predict_matrix(X[held_out])
     return probabilities

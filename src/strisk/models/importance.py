@@ -14,9 +14,8 @@ import numpy as np
 
 from ..evaluation import roc_auc
 from ..features import SOCIAL_FEATURES, TECHNICAL_FEATURES, FeatureVector
-from .api import TrainedModel
-from .encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, default_schema, encode_labels, encode_profiles
-from .stacking import StackedModel
+from .api import Model, encode_for
+from .encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels
 
 IMPORTANCE_CATEGORIES: tuple[str, ...] = ("technical", "twitter", "sector", "org_size")
 
@@ -51,20 +50,6 @@ class ImportanceReport:
         )
 
 
-def _matrix_scorer(model: TrainedModel | StackedModel):
-    if isinstance(model, StackedModel):
-        base_impls = [base.impl for base in model.bases]
-
-        def score(X: np.ndarray) -> np.ndarray:
-            base_probs = np.column_stack(
-                [np.clip(impl.predict_proba(X), 0.0, 1.0) for impl in base_impls]
-            )
-            return model.meta.predict_proba(base_probs)
-
-        return score, f"stacked({'+'.join(b.spec.family for b in model.bases)})"
-    return model.impl.predict_proba, model.spec.family
-
-
 def _columns_for(feature: str) -> list[int]:
     if feature == "sector":
         start = len(NUMERIC_COLUMNS)
@@ -73,7 +58,7 @@ def _columns_for(feature: str) -> list[int]:
 
 
 def permutation_importance(
-    model: TrainedModel | StackedModel,
+    model: Model,
     dataset: Sequence[FeatureVector],
     repeats: int = 5,
     seed: int = 0,
@@ -87,10 +72,9 @@ def permutation_importance(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    scorer, model_name = _matrix_scorer(model)
-    X = encode_profiles(dataset, default_schema())
+    X = encode_for(model, dataset)
     labels = encode_labels(dataset).tolist()
-    baseline = roc_auc(scorer(X), labels)
+    baseline = roc_auc(model.predict_matrix(X), labels)
     rng = np.random.default_rng(seed)
     per_feature: dict[str, float] = {}
     shuffled = X.copy()
@@ -100,7 +84,7 @@ def permutation_importance(
         for _ in range(repeats):
             permutation = rng.permutation(len(dataset))
             shuffled[:, columns] = X[np.ix_(permutation, columns)]
-            drops.append(baseline - roc_auc(scorer(shuffled), labels))
+            drops.append(baseline - roc_auc(model.predict_matrix(shuffled), labels))
         shuffled[:, columns] = X[:, columns]
         per_feature[feature] = max(0.0, float(np.mean(drops)))
     sums = {
@@ -115,7 +99,7 @@ def permutation_importance(
         for category, value in sums.items()
     }
     return ImportanceReport(
-        model=model_name,
+        model=model.name,
         baseline_auc=float(baseline),
         repeats=repeats,
         per_feature=per_feature,

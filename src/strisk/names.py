@@ -84,6 +84,16 @@ class MatchCandidate:
     jaro_winkler: float
     verdict: str
 
+    def to_dict(self) -> dict:
+        """The row written to a matches file."""
+        return {
+            "incident_name": self.incident_name.original,
+            "registry_name": self.registry_name.original,
+            "jaccard": self.jaccard,
+            "jaro_winkler": self.jaro_winkler,
+            "verdict": self.verdict,
+        }
+
 
 def normalize_name(raw: str, config: MatchConfig | None = None) -> CanonicalName:
     """Lowercase, strip punctuation/accents, and drop corporate suffix tokens.

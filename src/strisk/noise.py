@@ -404,6 +404,24 @@ def flip_labels(
     return corrected, report
 
 
+def correct_labels(
+    dataset: Sequence[FeatureVector],
+    model_specs: Sequence[ModelSpec],
+    method: str = CONFUSION_MATRIX,
+    k: int = 5,
+    seed: int = 0,
+) -> tuple[list[FeatureVector], NoiseReport]:
+    """Score every example out of sample with each spec, then flip the
+    negatives the ensemble confidently asserts positive."""
+    prob_sets = [
+        out_of_sample_probabilities(dataset, spec, k=k, seed=seed) for spec in model_specs
+    ]
+    labels = [p.label for p in dataset]
+    ids = [p.org_id for p in dataset]
+    flagged = discover_noisy_negatives(prob_sets, labels, method, ids)
+    return flip_labels(dataset, flagged, method)
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentRow:
     """Mean detection accuracy for one model combination and method."""

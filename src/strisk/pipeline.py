@@ -9,7 +9,6 @@ floats, making identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -25,30 +24,21 @@ from .features import (
 from .models import (
     ImportanceReport,
     ModelSpec,
-    StackedModel,
-    load_model,
-    load_stacked,
     permutation_importance,
     predict_proba_many,
     save_model,
-    save_stacked,
     train,
     train_stacked,
 )
-from .models.stacking import predict_stacked_many
 from .names import MatchConfig, match_names
-from .noise import (
-    NoiseReport,
-    discover_noisy_negatives,
-    flip_labels,
-    out_of_sample_probabilities,
-)
+from .noise import NoiseReport, correct_labels
 from .records import (
     RecordError,
     load_incidents,
     load_observations,
     load_organizations,
     load_tweets,
+    write_json,
     write_jsonl,
 )
 from .synth import GeneratorConfig, generate_corpus, load_ground_truth, write_corpus
@@ -91,7 +81,6 @@ class PipelineConfig:
     threshold: float = 0.5
     importance_repeats: int | None = 5
     skip: tuple[str, ...] = ()
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.simulate is None and not self.inputs:
@@ -101,8 +90,6 @@ class PipelineConfig:
         for stage in self.skip:
             if stage not in STAGES:
                 raise ValueError(f"unknown stage in skip list: {stage!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.window is not None:
             parse_window(self.window)
 
@@ -135,20 +122,12 @@ class PipelineConfig:
                 int(data["importance"]["repeats"]) if data.get("importance") else None
             ),
             skip=tuple(data.get("skip", [])),
-            jobs=int(data.get("jobs", 1)),
         )
 
     @classmethod
     def from_file(cls, path: str | Path, workdir: Path | None = None) -> PipelineConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         return cls.from_dict(data, workdir=workdir)
-
-
-def _dump_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 @dataclass
@@ -195,26 +174,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     if "match" not in skip:
         try:
             candidates = match_names(
-                [incident.name for incident in incidents] or [organizations[0].name],
+                [incident.name for incident in incidents],
                 [org.name for org in organizations],
                 config.match,
             )
         except ValueError as exc:
             raise StageFailure("match", str(exc)) from exc
         matches_path = workdir / "matches.jsonl"
-        write_jsonl(
-            matches_path,
-            (
-                {
-                    "incident_name": c.incident_name.original,
-                    "registry_name": c.registry_name.original,
-                    "jaccard": c.jaccard,
-                    "jaro_winkler": c.jaro_winkler,
-                    "verdict": c.verdict,
-                }
-                for c in candidates
-            ),
-        )
+        write_jsonl(matches_path, (c.to_dict() for c in candidates))
         artifacts["matches"] = matches_path
         for candidate in candidates:
             match_summary[candidate.verdict] = match_summary.get(candidate.verdict, 0) + 1
@@ -241,29 +208,19 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     noise_report: NoiseReport | None = None
     if "denoise" not in skip:
         try:
-            labels = [p.label for p in profiles]
-            ids = [p.org_id for p in profiles]
-
-            def oos(spec: ModelSpec):
-                return out_of_sample_probabilities(
-                    profiles, spec, k=config.denoise_folds, seed=config.seed
-                )
-
-            if config.jobs > 1:
-                with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                    prob_sets = list(pool.map(oos, config.denoise_models))
-            else:
-                prob_sets = [oos(spec) for spec in config.denoise_models]
-            flagged = discover_noisy_negatives(
-                prob_sets, labels, config.denoise_method, ids
+            profiles, noise_report = correct_labels(
+                profiles,
+                config.denoise_models,
+                config.denoise_method,
+                k=config.denoise_folds,
+                seed=config.seed,
             )
-            profiles, noise_report = flip_labels(profiles, flagged, config.denoise_method)
         except ValueError as exc:
             raise StageFailure("denoise", str(exc)) from exc
         denoised_path = workdir / "features_denoised.csv"
         write_features_csv(denoised_path, profiles)
         noise_path = workdir / "noise_report.json"
-        _dump_json(noise_path, noise_report.to_dict())
+        write_json(noise_path, noise_report.to_dict())
         artifacts["features_denoised"] = denoised_path
         artifacts["noise_report"] = noise_path
 
@@ -280,50 +237,40 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     artifacts["train"] = train_path
     artifacts["test"] = test_path
 
-    models_dir = workdir / "models"
-    trained: list[tuple[str, object]] = []
-    stacked: StackedModel | None = None
+    # Bases first, then the stacked model over them: importance scores the last.
+    trained = []
     try:
         for spec in config.models:
-            model = train(train_set, spec)
-            path = models_dir / f"{spec.family}.json"
-            save_model(model, path)
-            artifacts[f"model:{spec.family}"] = path
-            trained.append((spec.family, model))
+            trained.append((spec.family, train(train_set, spec)))
         if config.stack_folds and len(config.models) >= 2:
             stacked = train_stacked(
                 train_set, config.models, folds=config.stack_folds, seed=config.seed
             )
-            stacked_path = models_dir / "stacked.json"
-            save_stacked(stacked, stacked_path)
-            artifacts["model:stacked"] = stacked_path
+            trained.append(("stacked", stacked))
     except ValueError as exc:
         raise StageFailure("train", str(exc)) from exc
+    for key, model in trained:
+        path = workdir / "models" / f"{key}.json"
+        save_model(model, path)
+        artifacts[f"model:{key}"] = path
 
     evaluations: list[EvaluationReport] = []
     importance: ImportanceReport | None = None
     try:
         test_labels = [p.label for p in test_set]
-        for family, model in trained:
+        for _, model in trained:
             scores = predict_proba_many(model, test_set).tolist()
             evaluations.append(
-                evaluate_scores(family, scores, test_labels, config.threshold)
-            )
-        if stacked is not None:
-            scores = predict_stacked_many(stacked, test_set).tolist()
-            stack_name = "stacked(" + "+".join(f for f, _ in trained) + ")"
-            evaluations.append(
-                evaluate_scores(stack_name, scores, test_labels, config.threshold)
+                evaluate_scores(model.name, scores, test_labels, config.threshold)
             )
         if config.importance_repeats:
-            final_model = stacked if stacked is not None else trained[-1][1]
             importance = permutation_importance(
-                final_model, test_set, repeats=config.importance_repeats, seed=config.seed
+                trained[-1][1], test_set, repeats=config.importance_repeats, seed=config.seed
             )
     except ValueError as exc:
         raise StageFailure("evaluate", str(exc)) from exc
     evaluations_path = workdir / "evaluations.json"
-    _dump_json(
+    write_json(
         evaluations_path,
         {"evaluations": [e.to_dict() for e in evaluations]},
     )
@@ -364,7 +311,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "importance": importance.to_dict() if importance else None,
     }
     report_json = workdir / "report.json"
-    _dump_json(report_json, report)
+    write_json(report_json, report)
     report_txt = workdir / "report.txt"
     report_txt.write_text(render_report_text(report), encoding="utf-8")
     artifacts["report_json"] = report_json

@@ -246,16 +246,31 @@ class IncidentRecord:
         )
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                yield line_no, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"{path}:{line_no}: invalid JSON record") from exc
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    return (record for _, record in _numbered_records(path))
+
+
+def read_names(path: str | Path) -> list[str]:
+    """The string ``name`` of every record in a JSONL file."""
+    names = []
+    for line_no, record in _numbered_records(path):
+        name = record.get("name") if isinstance(record, dict) else None
+        if not isinstance(name, str):
+            raise RecordError(f"{path}:{line_no}: record needs a string 'name'")
+        names.append(name)
+    return names
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
@@ -265,6 +280,13 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write one JSON document with sorted keys, two-space indent and a final newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def load_organizations(path: str | Path) -> list[OrganizationRecord]:

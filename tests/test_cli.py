@@ -113,6 +113,28 @@ class TestMatch:
         assert by_name["Acme, Inc."]["verdict"] == "accepted"
         assert by_name["Zebra Holdings"]["verdict"] == "rejected"
 
+    @pytest.mark.parametrize("broken", ["incidents", "registry"])
+    def test_record_without_name_exit_data_error(self, tmp_path, capsys, broken):
+        paths = {}
+        for role in ("incidents", "registry"):
+            paths[role] = tmp_path / f"{role}.jsonl"
+            body = '{"name": "Acme"}\n'
+            if role == broken:
+                body += '{"title": "Acme"}\n'
+            paths[role].write_text(body)
+        code = main(
+            [
+                "match",
+                "--incidents", str(paths["incidents"]),
+                "--registry", str(paths["registry"]),
+                "--out", str(tmp_path / "matches.jsonl"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{paths[broken]}:2" in err
+        assert "Traceback" not in err
+
 
 class TestDenoise:
     def test_writes_corrected_features_and_report(self, workspace, tmp_path):
@@ -355,6 +377,48 @@ class TestExitCodes:
         data["params"]["weights"] = data["params"]["weights"][:-1]
         model = write_json(tmp_path / "model.json", data)
         assert main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", "fast"), ("learning_rate", float("nan")), ("base_score", None)],
+    )
+    def test_bad_boosting_params_exit_data_error(self, workspace, tmp_path, capsys, key, value):
+        _, _, features, _ = workspace
+        spec = write_json(
+            tmp_path / "spec.json",
+            {"family": "gradient_boosted_trees", "hyperparameters": {"n_estimators": 3}},
+        )
+        model = tmp_path / "model.json"
+        assert main(["--quiet", "train", "--features", str(features), "--spec", str(spec), "--out", str(model)]) == 0
+        data = json.loads(model.read_text())
+        data["params"][key] = value
+        write_json(model, data)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_model_file_not_an_object_exit_data_error(self, model_path, workspace, tmp_path, capsys):
+        _, _, features, _ = workspace
+        model = write_json(tmp_path / "model.json", [json.loads(model_path.read_text())])
+        assert main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [("blacklist_count", "abc"), ("org_size", "1.5"), ("label", "2")])
+    def test_bad_feature_cell_exit_data_error(self, model_path, workspace, tmp_path, capsys, column, value):
+        _, _, features, _ = workspace
+        with features.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[3][rows[0].index(column)] = value
+        bad = tmp_path / "features.csv"
+        with bad.open("w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        code = main(["predict", "--model", str(model_path), "--features", str(bad), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:4" in err
+        assert "Traceback" not in err
 
     def test_malformed_jsonl_exit_data_error(self, workspace, tmp_path):
         _, corpus, _, _ = workspace

@@ -17,7 +17,6 @@ from strisk.models import (
     load_stacked,
     out_of_fold_probabilities,
     permutation_importance,
-    predict_proba,
     predict_proba_many,
     save_model,
     save_stacked,
@@ -223,12 +222,6 @@ class TestTrainPredict:
         with pytest.raises(ValueError, match="schema mismatch"):
             predict_proba_many(model, test_set)
 
-    def test_predict_proba_single(self, separable_split):
-        train_set, test_set = separable_split
-        model = train(train_set, fast_spec("logistic_regression"))
-        value = predict_proba(model, test_set[0])
-        assert value == predict_proba_many(model, test_set[:1])[0]
-
 
 class TestLogisticGradient:
     def test_matches_finite_differences(self):
@@ -341,6 +334,18 @@ class TestStacking:
             predict_stacked_many(stacked, test_set),
             predict_stacked_many(restored, test_set),
         )
+
+    def test_schema_mismatch_in_any_base_rejected(self, separable_split):
+        train_set, test_set = separable_split
+        stacked = train_stacked(
+            train_set,
+            [fast_spec("logistic_regression"), fast_spec("naive_bayes")],
+            folds=3,
+            seed=0,
+        )
+        stacked.bases[1].schema = FeatureSchema(columns=("x", "y"))
+        with pytest.raises(ValueError, match="schema mismatch"):
+            predict_proba_many(stacked, test_set)
 
 
 class TestPermutationImportance:

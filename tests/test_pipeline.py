@@ -10,6 +10,7 @@ from strisk.pipeline import (
     NOISY_LABEL_POLICY,
     STAGES,
     PipelineConfig,
+    StageFailure,
     render_report_text,
     run_pipeline,
 )
@@ -54,11 +55,6 @@ class TestPipelineConfig:
     def test_unknown_skip_stage_rejected(self):
         data = dict(BASE_CONFIG, workdir="/tmp/x", skip=["optimize"])
         with pytest.raises(ValueError, match="unknown stage"):
-            PipelineConfig.from_dict(data)
-
-    def test_bad_jobs_rejected(self):
-        data = dict(BASE_CONFIG, workdir="/tmp/x", jobs=0)
-        with pytest.raises(ValueError, match="jobs"):
             PipelineConfig.from_dict(data)
 
     def test_denoise_models_default_to_training_models(self):
@@ -142,11 +138,23 @@ class TestRunPipeline:
         assert report["label_policy"] == NOISY_LABEL_POLICY
         assert not (result.workdir / "features_denoised.csv").exists()
 
-    def test_parallel_jobs_change_nothing(self, result, tmp_path):
-        parallel = run_pipeline(config_for(tmp_path, jobs=4))
-        assert (parallel.workdir / "report.json").read_bytes() == (
-            result.workdir / "report.json"
-        ).read_bytes()
+    def test_no_incidents_match_nothing(self, result, tmp_path):
+        corpus = result.workdir / "corpus"
+        inputs = {
+            name: str(corpus / f"{name}.jsonl")
+            for name in ("organizations", "observations", "tweets")
+        }
+        inputs["incidents"] = str(tmp_path / "incidents.jsonl")
+        (tmp_path / "incidents.jsonl").write_text("")
+        data = {k: v for k, v in BASE_CONFIG.items() if k != "simulate"}
+        config = PipelineConfig.from_dict(
+            dict(data, workdir=str(tmp_path / "work"), inputs=inputs)
+        )
+        # With no incidents every label is 0, so denoising cannot run; the
+        # match stage before it must still have matched nothing.
+        with pytest.raises(StageFailure, match="denoise"):
+            run_pipeline(config)
+        assert (tmp_path / "work" / "matches.jsonl").read_text() == ""
 
     def test_stage_order_is_documented(self):
         assert STAGES == (
