@@ -8,6 +8,7 @@ sector, the organization size, and the (possibly noisy) breach label.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -377,6 +378,10 @@ def _profile_from_row(row: list[str], with_latent: bool) -> FeatureVector:
     org_id = row[0]
     tech_values = [float(v) for v in row[1:11]]
     social_values = [float(v) for v in row[11:27]]
+    finite = list(map(math.isfinite, tech_values + social_values))
+    if not all(finite):
+        cell = 1 + finite.index(False)
+        raise ValueError(f"non-finite {CSV_COLUMNS[cell]}: {row[cell]!r}")
     sector, org_size, label = row[27], int(row[28]), int(row[29])
     latent: int | None = None
     if with_latent and row[30] != "":

@@ -13,18 +13,30 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..features import FeatureVector
 from ..records import write_json
 from .bayes import GaussianNaiveBayes
-from .encode import FeatureSchema, default_schema, encode_labels, encode_profiles
+from .encode import (
+    FeatureSchema,
+    column_shuffler,
+    default_schema,
+    encode_labels,
+    encode_profiles,
+)
 from .ensemble import BaggedTrees, GradientBoostedTrees
 from .linear import LinearSvmPlatt, LogisticRegression
 
 MODEL_FORMAT_VERSION = 1
+
+# score(columns, permutation) -> probabilities, as from a model's shuffle_scorer.
+ShuffleScorer = Callable[[Sequence[int], np.ndarray], np.ndarray]
+# proba(shuffled, columns) -> probabilities for a matrix that equals the
+# scorer's X outside columns; only _shuffle_scorer builds such matrices.
+PermutedProba = Callable[[np.ndarray, Sequence[int]], np.ndarray]
 
 # Family -> (implementation class, default hyperparameters). The
 # hyperparameter names are the implementation's constructor arguments;
@@ -113,6 +125,21 @@ class TrainedModel:
         """Class-1 probabilities, clipped to [0, 1], for an encoded matrix."""
         return np.clip(self.impl.predict_proba(X), 0.0, 1.0)
 
+    def shuffle_scorer(self, X: np.ndarray) -> ShuffleScorer:
+        """score(columns, permutation): predict_matrix of X with ``columns``
+        taken from rows ``permutation``."""
+        return _shuffle_scorer(X, self._permuted_proba(X))
+
+    def _permuted_proba(self, X: np.ndarray) -> PermutedProba:
+        # Tree ensembles re-route only the rows a shuffle can move; other
+        # families rescore every row.
+        proba = (
+            self.impl.permuted_proba(X)
+            if hasattr(self.impl, "permuted_proba")
+            else lambda shuffled, columns: self.impl.predict_proba(shuffled)
+        )
+        return lambda shuffled, columns: np.clip(proba(shuffled, columns), 0.0, 1.0)
+
     def to_dict(self) -> dict:
         return {
             "format_version": MODEL_FORMAT_VERSION,
@@ -155,8 +182,21 @@ class StackedModel:
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Meta-model probabilities, clipped to [0, 1], for an encoded matrix."""
-        base_probs = np.column_stack([base.predict_matrix(X) for base in self.bases])
-        return np.clip(self.meta.predict_proba(base_probs), 0.0, 1.0)
+        return self._combine([base.predict_matrix(X) for base in self.bases])
+
+    def shuffle_scorer(self, X: np.ndarray) -> ShuffleScorer:
+        """score(columns, permutation): predict_matrix of X with ``columns``
+        taken from rows ``permutation``."""
+        return _shuffle_scorer(X, self._permuted_proba(X))
+
+    def _permuted_proba(self, X: np.ndarray) -> PermutedProba:
+        bases = [base._permuted_proba(X) for base in self.bases]
+        return lambda shuffled, columns: self._combine(
+            [proba(shuffled, columns) for proba in bases]
+        )
+
+    def _combine(self, base_probs: list[np.ndarray]) -> np.ndarray:
+        return np.clip(self.meta.predict_proba(np.column_stack(base_probs)), 0.0, 1.0)
 
     def to_dict(self) -> dict:
         return {
@@ -180,6 +220,11 @@ class StackedModel:
 
 
 Model = TrainedModel | StackedModel
+
+
+def _shuffle_scorer(X: np.ndarray, proba: PermutedProba) -> ShuffleScorer:
+    shuffle = column_shuffler(X)
+    return lambda columns, permutation: proba(shuffle(columns, permutation), columns)
 
 
 def train_matrix(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> TrainedModel:

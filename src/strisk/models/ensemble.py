@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +28,59 @@ def _resolve_max_features(max_features: int | str | None, n_features: int) -> in
     if isinstance(max_features, int) and max_features >= 1:
         return min(max_features, n_features)
     raise ValueError(f"max_features must be None, 'sqrt' or a positive int: {max_features!r}")
+
+
+def _tree_sum(start: np.ndarray, weight: float, values: Iterable[np.ndarray]) -> np.ndarray:
+    """start plus weight times each tree's per-row values, added in tree order."""
+    for tree_values in values:
+        start += weight * tree_values
+    return start
+
+
+def _compact(ids: np.ndarray, bound: int) -> np.ndarray:
+    """ids below ``bound`` in the narrowest unsigned integer type that holds them."""
+    return ids.astype(np.min_scalar_type(max(bound - 1, 0)))
+
+
+def _permuted_values(
+    trees: list[RegressionTree], X: np.ndarray
+) -> Callable[[np.ndarray, Sequence[int]], Iterator[np.ndarray]]:
+    """values(shuffled, columns): each tree's per-row values for
+    ``shuffled``, a matrix equal to X outside ``columns``.
+
+    Only rows whose leaf for X lies under a split on one of ``columns``
+    are routed again; every other row keeps its leaf. Which rows those
+    are depends on the columns alone, so they are kept for the latest
+    column set, which the repeats of one feature share.
+    """
+    width = X.shape[1]
+    unshuffled = [_compact(tree.apply(X), len(tree.value)) for tree in trees]
+    # Bit-packed, a node's path columns take one byte per eight columns.
+    paths = [np.packbits(tree.path_columns(width), axis=1) for tree in trees]
+    movable: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+    def values(shuffled: np.ndarray, columns: Sequence[int]) -> Iterator[np.ndarray]:
+        key = tuple(columns)
+        if key not in movable:
+            movable.clear()
+            movable[key] = [
+                _compact(
+                    np.flatnonzero(
+                        np.unpackbits(path, axis=1, count=width)[:, columns]
+                        .any(axis=1)
+                        .take(leaf_ids)
+                    ),
+                    len(X),
+                )
+                for path, leaf_ids in zip(paths, unshuffled)
+            ]
+        for tree, leaf_ids, moved in zip(trees, unshuffled, movable[key]):
+            tree_values = tree.value.take(leaf_ids)
+            if len(moved):
+                tree_values[moved] = tree.predict(shuffled, moved)
+            yield tree_values
+
+    return values
 
 
 def _trees_from_params(saved: list[dict], width: int) -> list[RegressionTree]:
@@ -66,9 +120,16 @@ class BaggedTrees:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(len(X))
-        for tree in self.trees:
-            votes += tree.predict(X)
+        return self._proba(len(X), (tree.predict(X) for tree in self.trees))
+
+    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+        """proba(shuffled, columns): predict_proba of a matrix equal to X
+        outside ``columns``, re-routing only the rows that can move."""
+        values = _permuted_values(self.trees, X)
+        return lambda shuffled, columns: self._proba(len(X), values(shuffled, columns))
+
+    def _proba(self, n_rows: int, values: Iterable[np.ndarray]) -> np.ndarray:
+        votes = _tree_sum(np.zeros(n_rows), 1.0, values)
         return np.clip(votes / len(self.trees), 0.0, 1.0)
 
     def to_params(self) -> dict:
@@ -136,13 +197,19 @@ class GradientBoostedTrees:
         return self
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        scores = np.full(len(X), self.base_score)
-        for tree in self.trees:
-            scores += self.learning_rate * tree.predict(X)
-        return scores
+        return self._decision(len(X), (tree.predict(X) for tree in self.trees))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision(X))
+
+    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+        """proba(shuffled, columns): predict_proba of a matrix equal to X
+        outside ``columns``, re-routing only the rows that can move."""
+        values = _permuted_values(self.trees, X)
+        return lambda shuffled, columns: _sigmoid(self._decision(len(X), values(shuffled, columns)))
+
+    def _decision(self, n_rows: int, values: Iterable[np.ndarray]) -> np.ndarray:
+        return _tree_sum(np.full(n_rows, self.base_score), self.learning_rate, values)
 
     def to_params(self) -> dict:
         return {

@@ -142,25 +142,43 @@ class RegressionTree:
             cut = xs[pos, column]
         return int(candidates[column]), float(cut)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for each row.
+    def apply(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Leaf node index for each row of X, or for each of ``rows`` only.
 
-        All rows start at the root and move down one level per step. A
-        row goes left when its value is <= the threshold, so NaN goes
-        right; a leaf's +inf threshold sends its rows back to itself.
+        All routed rows start at the root and move down one level per
+        step. A row goes left when its value is <= the threshold, so NaN
+        goes right; a leaf's +inf threshold sends its rows back to itself.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         cells = X.ravel()
-        row_start = np.arange(len(X)) * X.shape[1]
-        node = np.zeros(len(X), dtype=np.int64)
+        if rows is None:
+            rows = np.arange(len(X))
+        row_start = np.asarray(rows, dtype=np.int64) * X.shape[1]
+        node = np.zeros(len(row_start), dtype=np.int64)
         for _ in range(self.depth):
             # Leaves read column -1; their +inf threshold makes it moot.
             goes_left = cells.take(row_start + self.feature.take(node)) <= self.threshold.take(node)
             node = self._routes.take(2 * node + goes_left)
         return node
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.value[self.apply(X)]
+    def path_columns(self, width: int) -> np.ndarray:
+        """(nodes, width) flags: True where the root-to-node path splits on the column.
+
+        Changing a row's values in columns its leaf's path never splits
+        on cannot move the row to another leaf.
+        """
+        paths = np.zeros((len(self.feature), width), dtype=bool)
+        level = np.zeros(1, dtype=np.int64)
+        for _ in range(self.depth):
+            level = level[self.feature[level] != _LEAF]
+            for children in (self.left[level], self.right[level]):
+                paths[children] = paths[level]
+                paths[children, self.feature[level]] = True
+            level = np.concatenate([self.left[level], self.right[level]])
+        return paths
+
+    def predict(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        return self.value[self.apply(X, rows)]
 
     def set_leaf_values(self, leaf_ids: np.ndarray, values: np.ndarray) -> None:
         """Overwrite leaf outputs (boosting recomputes them after growth)."""

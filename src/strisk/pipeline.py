@@ -238,15 +238,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     artifacts["test"] = test_path
 
     # Bases first, then the stacked model over them: importance scores the last.
-    trained = []
+    # A stacked model's bases are the single models, so they are fitted once.
     try:
-        for spec in config.models:
-            trained.append((spec.family, train(train_set, spec)))
         if config.stack_folds and len(config.models) >= 2:
             stacked = train_stacked(
                 train_set, config.models, folds=config.stack_folds, seed=config.seed
             )
-            trained.append(("stacked", stacked))
+            trained = [(base.name, base) for base in stacked.bases] + [("stacked", stacked)]
+        else:
+            trained = [(spec.family, train(train_set, spec)) for spec in config.models]
     except ValueError as exc:
         raise StageFailure("train", str(exc)) from exc
     for key, model in trained:

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 SECTORS = (
     "information_technology",
@@ -38,6 +38,8 @@ IP_KINDS = frozenset(OBSERVATION_KINDS[:4])
 
 INCIDENT_SOURCES = ("PRC", "VCDB")
 
+T = TypeVar("T")
+
 
 class RecordError(ValueError):
     """Raised when a record violates its schema or invariants."""
@@ -55,6 +57,34 @@ def _parse_timestamp(value: str | datetime) -> datetime:
 
 def _format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat()
+
+
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, kind: type, default=_REQUIRED):
+    """data[key], or default when the key is absent and a default is given.
+
+    The value must be of ``kind`` exactly as JSON decodes it: no string
+    is read as a number, no number as a boolean and no boolean as an
+    integer, so a mistyped field is an error rather than a guessed value.
+    """
+    if key not in data:
+        if default is _REQUIRED:
+            raise RecordError(f"missing field {key!r}")
+        return default
+    value = data[key]
+    if type(value) is not kind:
+        raise RecordError(f"field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _strings(data: dict, key: str) -> tuple[str, ...]:
+    """An optional list of strings, as a tuple."""
+    values = _field(data, key, list, [])
+    if not all(type(value) is str for value in values):
+        raise RecordError(f"field {key!r} must be a list of strings")
+    return tuple(values)
 
 
 def _is_ip(subject: str) -> bool:
@@ -112,12 +142,12 @@ class OrganizationRecord:
     @classmethod
     def from_dict(cls, data: dict) -> OrganizationRecord:
         return cls(
-            org_id=str(data["org_id"]),
-            name=str(data["name"]),
-            sector=str(data["sector"]),
-            org_size=int(data["org_size"]),
-            ip_ranges=tuple(data.get("ip_ranges", ())),
-            domains=tuple(data.get("domains", ())),
+            org_id=_field(data, "org_id", str),
+            name=_field(data, "name", str),
+            sector=_field(data, "sector", str),
+            org_size=_field(data, "org_size", int),
+            ip_ranges=_strings(data, "ip_ranges"),
+            domains=_strings(data, "domains"),
         )
 
 
@@ -157,11 +187,11 @@ class ObservationRecord:
     @classmethod
     def from_dict(cls, data: dict) -> ObservationRecord:
         return cls(
-            org_id=str(data["org_id"]),
-            kind=str(data["kind"]),
-            subject=str(data["subject"]),
-            timestamp=_parse_timestamp(data["timestamp"]),
-            detail=str(data.get("detail", "")),
+            org_id=_field(data, "org_id", str),
+            kind=_field(data, "kind", str),
+            subject=_field(data, "subject", str),
+            timestamp=_parse_timestamp(_field(data, "timestamp", str)),
+            detail=_field(data, "detail", str, ""),
         )
 
 
@@ -200,15 +230,15 @@ class TweetRecord:
     @classmethod
     def from_dict(cls, data: dict) -> TweetRecord:
         return cls(
-            org_id=str(data["org_id"]),
-            text=str(data["text"]),
-            likes=int(data["likes"]),
-            retweets=int(data["retweets"]),
-            replies=int(data["replies"]),
-            account=str(data["account"]),
-            is_reply_to=bool(data["is_reply_to"]),
-            is_replied_to=bool(data["is_replied_to"]),
-            timestamp=_parse_timestamp(data["timestamp"]),
+            org_id=_field(data, "org_id", str),
+            text=_field(data, "text", str),
+            likes=_field(data, "likes", int),
+            retweets=_field(data, "retweets", int),
+            replies=_field(data, "replies", int),
+            account=_field(data, "account", str),
+            is_reply_to=_field(data, "is_reply_to", bool),
+            is_replied_to=_field(data, "is_replied_to", bool),
+            timestamp=_parse_timestamp(_field(data, "timestamp", str)),
         )
 
 
@@ -238,11 +268,11 @@ class IncidentRecord:
     @classmethod
     def from_dict(cls, data: dict) -> IncidentRecord:
         return cls(
-            org_id=str(data["org_id"]),
-            name=str(data["name"]),
-            date=str(data["date"]),
-            source=str(data["source"]),
-            breach_type=str(data.get("breach_type", "HACK")),
+            org_id=_field(data, "org_id", str),
+            name=_field(data, "name", str),
+            date=_field(data, "date", str),
+            source=_field(data, "source", str),
+            breach_type=_field(data, "breach_type", str, "HACK"),
         )
 
 
@@ -289,17 +319,30 @@ def write_json(path: str | Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _load(path: str | Path, from_dict: Callable[[dict], T]) -> list[T]:
+    """Every record of a JSONL file; any invalid one is a RecordError naming path:line."""
+    records = []
+    for line_no, data in _numbered_records(path):
+        if not isinstance(data, dict):
+            raise RecordError(f"{path}:{line_no}: record must be a JSON object")
+        try:
+            records.append(from_dict(data))
+        except ValueError as exc:
+            raise RecordError(f"{path}:{line_no}: {exc}") from exc
+    return records
+
+
 def load_organizations(path: str | Path) -> list[OrganizationRecord]:
-    return [OrganizationRecord.from_dict(d) for d in read_jsonl(path)]
+    return _load(path, OrganizationRecord.from_dict)
 
 
 def load_observations(path: str | Path) -> list[ObservationRecord]:
-    return [ObservationRecord.from_dict(d) for d in read_jsonl(path)]
+    return _load(path, ObservationRecord.from_dict)
 
 
 def load_tweets(path: str | Path) -> list[TweetRecord]:
-    return [TweetRecord.from_dict(d) for d in read_jsonl(path)]
+    return _load(path, TweetRecord.from_dict)
 
 
 def load_incidents(path: str | Path) -> list[IncidentRecord]:
-    return [IncidentRecord.from_dict(d) for d in read_jsonl(path)]
+    return _load(path, IncidentRecord.from_dict)

@@ -179,6 +179,23 @@ def apply_tree_reference(tree: dict[str, list], X: np.ndarray) -> list[int]:
     return leaves
 
 
+def path_columns_reference(tree: dict[str, list], width: int) -> list[list[bool]]:
+    """For each node, walk up through its parents and flag every split column."""
+    parent = {}
+    for node, feature in enumerate(tree["feature"]):
+        if feature != -1:
+            parent[tree["left"][node]] = node
+            parent[tree["right"][node]] = node
+    paths = []
+    for node in range(len(tree["feature"])):
+        flags = [False] * width
+        while node in parent:
+            node = parent[node]
+            flags[tree["feature"][node]] = True
+        paths.append(flags)
+    return paths
+
+
 def confident_joint_reference(
     probabilities: Sequence[float],
     labels: Sequence[int],
@@ -199,3 +216,51 @@ def confident_joint_reference(
             continue
         counts[given][asserted] += 1
     return (counts[0][0], counts[0][1]), (counts[1][0], counts[1][1])
+
+
+def permutation_importance_reference(model, dataset, repeats: int, seed: int) -> dict:
+    """The full-rescore importance loop: every shuffle scores the whole
+    matrix through the model, reusing one buffer whose columns are
+    restored after each feature's repeats. Returns the report as a dict.
+    """
+    from strisk.evaluation import roc_auc
+    from strisk.features import SOCIAL_FEATURES, TECHNICAL_FEATURES
+    from strisk.models.api import encode_for
+    from strisk.models.encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels
+
+    X = encode_for(model, dataset)
+    labels = encode_labels(dataset).tolist()
+    baseline = roc_auc(model.predict_matrix(X), labels)
+    rng = np.random.default_rng(seed)
+    per_feature: dict[str, float] = {}
+    shuffled = X.copy()
+    for feature in TECHNICAL_FEATURES + SOCIAL_FEATURES + ("org_size", "sector"):
+        if feature == "sector":
+            start = len(NUMERIC_COLUMNS)
+            columns = list(range(start, start + len(SECTOR_COLUMNS)))
+        else:
+            columns = [NUMERIC_COLUMNS.index(feature)]
+        drops = []
+        for _ in range(repeats):
+            permutation = rng.permutation(len(dataset))
+            shuffled[:, columns] = X[np.ix_(permutation, columns)]
+            drops.append(baseline - roc_auc(model.predict_matrix(shuffled), labels))
+        shuffled[:, columns] = X[:, columns]
+        per_feature[feature] = max(0.0, float(np.mean(drops)))
+    sums = {
+        "technical": sum(per_feature[name] for name in TECHNICAL_FEATURES),
+        "twitter": sum(per_feature[name] for name in SOCIAL_FEATURES),
+        "sector": per_feature["sector"],
+        "org_size": per_feature["org_size"],
+    }
+    total = sum(sums.values())
+    return {
+        "model": model.name,
+        "baseline_auc": float(baseline),
+        "repeats": repeats,
+        "per_feature": per_feature,
+        "category_shares": {
+            category: (100.0 * value / total if total > 0 else 0.0)
+            for category, value in sums.items()
+        },
+    }

@@ -405,7 +405,17 @@ class TestExitCodes:
         assert main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column, value", [("blacklist_count", "abc"), ("org_size", "1.5"), ("label", "2")])
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("blacklist_count", "abc"),
+            ("org_size", "1.5"),
+            ("label", "2"),
+            ("blacklist_count", "nan"),
+            ("mentions", "inf"),
+            ("spreadability", "-inf"),
+        ],
+    )
     def test_bad_feature_cell_exit_data_error(self, model_path, workspace, tmp_path, capsys, column, value):
         _, _, features, _ = workspace
         with features.open(newline="") as handle:
@@ -418,6 +428,48 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}:4" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "role, field, value",
+        [
+            ("organizations", "sector", None),
+            ("organizations", "org_size", "12"),
+            ("organizations", "domains", "example.com"),
+            ("observations", "timestamp", None),
+            ("observations", "subject", 7),
+            ("tweets", "likes", "many"),
+            ("tweets", "is_reply_to", "false"),
+            ("incidents", "source", None),
+        ],
+    )
+    def test_incomplete_record_exit_data_error(self, workspace, tmp_path, capsys, role, field, value):
+        # value None removes the field; anything else replaces it.
+        _, corpus, _, _ = workspace
+        paths = {name: corpus / f"{name}.jsonl" for name in ("organizations", "observations", "tweets", "incidents")}
+        lines = paths[role].read_text().splitlines()
+        record = json.loads(lines[1])
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        lines[1] = json.dumps(record)
+        paths[role] = tmp_path / f"{role}.jsonl"
+        paths[role].write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "featurize",
+                "--orgs", str(paths["organizations"]),
+                "--observations", str(paths["observations"]),
+                "--tweets", str(paths["tweets"]),
+                "--incidents", str(paths["incidents"]),
+                "--out", str(tmp_path / "f.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{paths[role]}:2" in err
+        assert field in err
         assert "Traceback" not in err
 
     def test_malformed_jsonl_exit_data_error(self, workspace, tmp_path):

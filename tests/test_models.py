@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_profile
+from oracles import permutation_importance_reference
 from strisk.evaluation import roc_auc, split_train_test
 from strisk.models import (
     MODEL_FAMILIES,
@@ -45,6 +46,13 @@ def fast_spec(family: str, seed: int = 0) -> ModelSpec:
 def separable_split():
     dataset = make_dataset(160, 80, seed=9, shift=2.0)
     return split_train_test(dataset, 0.7, seed=2)
+
+
+@pytest.fixture(scope="module")
+def weak_signal_split():
+    # a faint shift, so trees split on many columns and every shuffle matters
+    dataset = make_dataset(150, 90, seed=31, shift=0.4)
+    return split_train_test(dataset, 0.6, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +396,29 @@ class TestPermutationImportance:
         report = permutation_importance(stacked, test_set, repeats=2, seed=0)
         assert report.model == "stacked(logistic_regression+naive_bayes)"
         assert sum(report.category_shares.values()) == pytest.approx(100.0)
+
+    @pytest.mark.parametrize(
+        "family",
+        ["random_forest", "bagged_trees", "gradient_boosted_trees", "logistic_regression"],
+    )
+    def test_equals_full_rescore(self, weak_signal_split, family):
+        train_set, test_set = weak_signal_split
+        model = train(train_set, fast_spec(family, seed=3))
+        report = permutation_importance(model, test_set, repeats=3, seed=8)
+        assert report.to_dict() == permutation_importance_reference(model, test_set, 3, 8)
+        assert any(value > 0.0 for value in report.per_feature.values())
+
+    def test_stacked_equals_full_rescore(self, weak_signal_split):
+        train_set, test_set = weak_signal_split
+        specs = [
+            fast_spec("random_forest"),
+            fast_spec("gradient_boosted_trees"),
+            fast_spec("logistic_regression"),
+            fast_spec("naive_bayes"),
+        ]
+        stacked = train_stacked(train_set, specs, folds=3, seed=2)
+        report = permutation_importance(stacked, test_set, repeats=2, seed=4)
+        assert report.to_dict() == permutation_importance_reference(stacked, test_set, 2, 4)
 
     def test_zero_repeats_rejected(self, single_signal_split):
         train_set, test_set = single_signal_split

@@ -156,6 +156,28 @@ class TestRunPipeline:
             run_pipeline(config)
         assert (tmp_path / "work" / "matches.jsonl").read_text() == ""
 
+    def test_saved_bases_are_the_stacked_bases_fitted_once(self, tmp_path, monkeypatch):
+        import strisk.models.stacking
+        import strisk.pipeline
+
+        fits = []
+
+        def counted(train):
+            def counting_train(dataset, spec):
+                fits.append(spec.family)
+                return train(dataset, spec)
+
+            return counting_train
+
+        for module in (strisk.pipeline, strisk.models.stacking):
+            monkeypatch.setattr(module, "train", counted(module.train))
+        workdir = run_pipeline(config_for(tmp_path)).workdir / "models"
+        assert fits == ["logistic_regression", "naive_bayes"]
+        stacked = json.loads((workdir / "stacked.json").read_text())
+        for base in stacked["bases"]:
+            saved = json.loads((workdir / f"{base['spec']['family']}.json").read_text())
+            assert saved == base
+
     def test_stage_order_is_documented(self):
         assert STAGES == (
             "simulate",

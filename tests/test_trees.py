@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import apply_tree_reference, grow_tree_reference
+from oracles import apply_tree_reference, grow_tree_reference, path_columns_reference
 from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
 from strisk.models.trees import RegressionTree
 
@@ -65,6 +65,10 @@ def test_fit_and_apply_match_reference(make_matrix, min_samples_leaf, seed):
         leaves = apply_tree_reference(reference, rows)
         assert tree.apply(rows).tolist() == leaves
         assert tree.predict(rows).tolist() == [reference["value"][leaf] for leaf in leaves]
+        # A row subset, in any order and with repeats, lands where the full matrix does.
+        subset = rng.integers(0, len(rows), size=int(rng.integers(0, len(rows) + 1)))
+        assert tree.apply(rows, subset).tolist() == [leaves[row] for row in subset]
+    assert tree.path_columns(width).tolist() == path_columns_reference(reference, width)
 
 
 def test_nan_rows_route_right():
@@ -77,6 +81,14 @@ def test_unsplit_root_routes_every_row_to_itself():
     tree = RegressionTree(max_depth=3).fit(np.zeros((5, 2)), np.ones(5))
     assert tree.depth == 0
     assert tree.apply(np.full((3, 2), np.nan)).tolist() == [0, 0, 0]
+    assert tree.apply(np.full((3, 2), np.nan), np.array([2])).tolist() == [0]
+    assert tree.path_columns(2).tolist() == [[False, False]]
+
+
+def test_apply_on_no_rows_is_empty():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    tree = RegressionTree(max_depth=1, min_samples_leaf=1).fit(X, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert tree.apply(X, np.array([], dtype=np.int64)).tolist() == []
 
 
 def test_boosted_predictions_follow_set_leaf_values():
