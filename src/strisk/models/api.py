@@ -20,22 +20,14 @@ import numpy as np
 from ..features import FeatureVector
 from ..records import write_json
 from .bayes import GaussianNaiveBayes
-from .encode import (
-    FeatureSchema,
-    column_shuffler,
-    default_schema,
-    encode_labels,
-    encode_profiles,
-)
+from .encode import FeatureSchema, default_schema, encode_labels, encode_profiles
 from .ensemble import BaggedTrees, GradientBoostedTrees
 from .linear import LinearSvmPlatt, LogisticRegression
 
 MODEL_FORMAT_VERSION = 1
 
-# score(columns, permutation) -> probabilities, as from a model's shuffle_scorer.
-ShuffleScorer = Callable[[Sequence[int], np.ndarray], np.ndarray]
 # proba(shuffled, columns) -> probabilities for a matrix that equals the
-# scorer's X outside columns; only _shuffle_scorer builds such matrices.
+# X given to permuted_proba outside columns.
 PermutedProba = Callable[[np.ndarray, Sequence[int]], np.ndarray]
 
 # Family -> (implementation class, default hyperparameters). The
@@ -125,14 +117,10 @@ class TrainedModel:
         """Class-1 probabilities, clipped to [0, 1], for an encoded matrix."""
         return np.clip(self.impl.predict_proba(X), 0.0, 1.0)
 
-    def shuffle_scorer(self, X: np.ndarray) -> ShuffleScorer:
-        """score(columns, permutation): predict_matrix of X with ``columns``
-        taken from rows ``permutation``."""
-        return _shuffle_scorer(X, self._permuted_proba(X))
-
-    def _permuted_proba(self, X: np.ndarray) -> PermutedProba:
-        # Tree ensembles re-route only the rows a shuffle can move; other
-        # families rescore every row.
+    def permuted_proba(self, X: np.ndarray) -> PermutedProba:
+        """proba(shuffled, columns): predict_matrix of a matrix equal to X
+        outside ``columns``. Tree ensembles re-route only the rows a
+        shuffle can move; other families rescore every row."""
         proba = (
             self.impl.permuted_proba(X)
             if hasattr(self.impl, "permuted_proba")
@@ -184,13 +172,10 @@ class StackedModel:
         """Meta-model probabilities, clipped to [0, 1], for an encoded matrix."""
         return self._combine([base.predict_matrix(X) for base in self.bases])
 
-    def shuffle_scorer(self, X: np.ndarray) -> ShuffleScorer:
-        """score(columns, permutation): predict_matrix of X with ``columns``
-        taken from rows ``permutation``."""
-        return _shuffle_scorer(X, self._permuted_proba(X))
-
-    def _permuted_proba(self, X: np.ndarray) -> PermutedProba:
-        bases = [base._permuted_proba(X) for base in self.bases]
+    def permuted_proba(self, X: np.ndarray) -> PermutedProba:
+        """proba(shuffled, columns): predict_matrix of a matrix equal to X
+        outside ``columns``, from each base's permuted_proba."""
+        bases = [base.permuted_proba(X) for base in self.bases]
         return lambda shuffled, columns: self._combine(
             [proba(shuffled, columns) for proba in bases]
         )
@@ -220,11 +205,6 @@ class StackedModel:
 
 
 Model = TrainedModel | StackedModel
-
-
-def _shuffle_scorer(X: np.ndarray, proba: PermutedProba) -> ShuffleScorer:
-    shuffle = column_shuffler(X)
-    return lambda columns, permutation: proba(shuffle(columns, permutation), columns)
 
 
 def train_matrix(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> TrainedModel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,25 +80,6 @@ def encode_profiles(
     if not np.isfinite(matrix).all():
         raise ValueError("non-finite feature")
     return matrix
-
-
-def column_shuffler(matrix: np.ndarray) -> Callable[[Sequence[int], np.ndarray], np.ndarray]:
-    """shuffle(columns, permutation): matrix with ``columns`` taken from
-    rows ``permutation`` and every other cell unchanged.
-
-    Every call returns the same buffer, after restoring the columns the
-    previous call shuffled, so use each result before the next call.
-    """
-    buffer = matrix.copy()
-    shuffled: list[int] = []
-
-    def shuffle(columns: Sequence[int], permutation: np.ndarray) -> np.ndarray:
-        buffer[:, shuffled] = matrix[:, shuffled]
-        buffer[:, columns] = matrix[np.ix_(permutation, columns)]
-        shuffled[:] = columns
-        return buffer
-
-    return shuffle
 
 
 def encode_labels(profiles: Sequence[FeatureVector]) -> np.ndarray:

@@ -74,16 +74,20 @@ def permutation_importance(
         raise ValueError("repeats must be >= 1")
     X = encode_for(model, dataset)
     labels = encode_labels(dataset).tolist()
-    baseline = roc_auc(model.predict_matrix(X), labels)
-    score = model.shuffle_scorer(X)
+    proba = model.permuted_proba(X)
+    # No column shuffled: every row keeps its leaf, so nothing is re-routed.
+    baseline = roc_auc(proba(X, []), labels)
     rng = np.random.default_rng(seed)
     per_feature: dict[str, float] = {}
+    shuffled = X.copy()
     for feature in _FEATURE_NAMES:
         columns = _columns_for(feature)
         drops = []
         for _ in range(repeats):
             permutation = rng.permutation(len(dataset))
-            drops.append(baseline - roc_auc(score(columns, permutation), labels))
+            shuffled[:, columns] = X[np.ix_(permutation, columns)]
+            drops.append(baseline - roc_auc(proba(shuffled, columns), labels))
+        shuffled[:, columns] = X[:, columns]
         per_feature[feature] = max(0.0, float(np.mean(drops)))
     sums = {
         "technical": sum(per_feature[name] for name in TECHNICAL_FEATURES),

@@ -2,10 +2,11 @@
 
 Negatives are the suspect class: an organization labeled 0 may simply
 have an unreported breach, while positives are documented incidents.
-Out-of-sample probabilities feed either a confident joint (per-class
-expected-self-confidence thresholds) or a plain 0.5 confusion matrix;
-examples confidently asserted positive while labeled negative get their
-labels flipped, never pruned, and never in the 1 -> 0 direction.
+Out-of-sample probabilities feed one confident-learning rule, under
+per-class expected-self-confidence thresholds (the confident joint) or
+thresholds of 0.5 (the plain confusion matrix); examples confidently
+asserted positive while labeled negative get their labels flipped,
+never pruned, and never in the 1 -> 0 direction.
 """
 from __future__ import annotations
 
@@ -48,6 +49,9 @@ class ClassThresholds:
 
     class0: float
     class1: float
+
+
+_HALF = ClassThresholds(class0=0.5, class1=0.5)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,19 +208,19 @@ def self_confidence_thresholds(
     )
 
 
-def _assert_cell(p1: float, label: int, t0: float, t1: float) -> tuple[int, int] | None:
+def _asserted(p1: np.ndarray, thresholds: ClassThresholds) -> np.ndarray:
+    """The class each p-hat(1) asserts, or -1 where it clears neither
+    threshold.
+
+    An example is asserted class j when p-hat(j) clears t_j; clearing both
+    resolves by argmax with the exact tie going to class 1.
+    """
     p0 = 1.0 - p1
-    meets0 = p0 >= t0
-    meets1 = p1 >= t1
-    if meets0 and meets1:
-        asserted = 1 if p1 >= p0 else 0
-    elif meets1:
-        asserted = 1
-    elif meets0:
-        asserted = 0
-    else:
-        return None
-    return label, asserted
+    meets0 = p0 >= thresholds.class0
+    meets1 = p1 >= thresholds.class1
+    asserted = (meets1 & (~meets0 | (p1 >= p0))).astype(np.int64)
+    asserted[~meets0 & ~meets1] = -1
+    return asserted
 
 
 def confident_joint(
@@ -224,38 +228,27 @@ def confident_joint(
     labels: Sequence[int],
     thresholds: ClassThresholds,
 ) -> JointMatrix:
-    """Count (given, asserted) pairs under per-class confidence thresholds.
-
-    An example is asserted class j when p-hat(j) clears t_j; clearing both
-    resolves by argmax with the exact tie going to class 1, and clearing
-    neither leaves the example uncounted.
-    """
-    p1_list = _probability_list(probs)
-    if len(p1_list) != len(labels):
+    """Count (given, asserted) pairs under per-class confidence thresholds;
+    an example that clears neither threshold is left uncounted."""
+    p1 = np.array(_probability_list(probs))
+    if len(p1) != len(labels):
         raise ValueError("probabilities and labels differ in length")
-    counts = [[0, 0], [0, 0]]
-    for p1, label in zip(p1_list, labels):
-        cell = _assert_cell(p1, label, thresholds.class0, thresholds.class1)
-        if cell is not None:
-            counts[cell[0]][cell[1]] += 1
+    asserted = _asserted(p1, thresholds)
+    counted = asserted >= 0
+    cells = 2 * np.asarray(labels, dtype=np.int64)[counted] + asserted[counted]
+    counts = np.bincount(cells, minlength=4).reshape(2, 2)
     return JointMatrix(
-        counts=tuple(tuple(row) for row in counts), tag=CONFIDENT_JOINT
+        counts=tuple(tuple(int(v) for v in row) for row in counts), tag=CONFIDENT_JOINT
     )
 
 
 def confusion_matrix_at_half(
     probs: OOSProbabilities | Sequence[float], labels: Sequence[int]
 ) -> JointMatrix:
-    """Plain confusion matrix: asserted class is the probability rounded at 0.5."""
-    p1_list = _probability_list(probs)
-    if len(p1_list) != len(labels):
-        raise ValueError("probabilities and labels differ in length")
-    counts = [[0, 0], [0, 0]]
-    for p1, label in zip(p1_list, labels):
-        counts[label][1 if p1 >= 0.5 else 0] += 1
-    return JointMatrix(
-        counts=tuple(tuple(row) for row in counts), tag=CONFUSION_MATRIX
-    )
+    """Plain confusion matrix: the confident joint at thresholds of 0.5,
+    where every example is counted and asserts 1 exactly when p-hat(1) >= 0.5."""
+    joint = confident_joint(probs, labels, _HALF)
+    return JointMatrix(counts=joint.counts, tag=CONFUSION_MATRIX)
 
 
 def noise_transition_matrix(
@@ -269,40 +262,21 @@ def noise_transition_matrix(
     """
     Z = np.array(joint.counts, dtype=np.float64)
     row_sums = Z.sum(axis=1)
+    col_sums = Z.sum(axis=0)
     if not row_sums.any():
         raise ValueError("joint matrix has no nonzero row")
     if label_counts is None:
         label_counts = (int(row_sums[0]), int(row_sums[1]))
 
-    row_normalized = np.full((2, 2), np.nan)
-    undefined_rows = []
-    for i in range(2):
-        if row_sums[i] > 0:
-            row_normalized[i] = Z[i] / row_sums[i]
-        else:
-            undefined_rows.append(i)
-
-    col_sums = Z.sum(axis=0)
-    simple = np.full((2, 2), np.nan)
-    undefined_columns = []
-    for j in range(2):
-        if col_sums[j] > 0:
-            simple[:, j] = Z[:, j] / col_sums[j]
-        else:
-            undefined_columns.append(j)
-
-    rescaled = np.full((2, 2), np.nan)
-    for i in range(2):
-        if row_sums[i] > 0:
-            rescaled[i] = (Z[i] / row_sums[i]) * label_counts[i]
-        else:
-            rescaled[i] = 0.0
-    composite = np.full((2, 2), np.nan)
-    for j in range(2):
-        total = rescaled[:, j].sum()
-        if total > 0:
-            composite[:, j] = rescaled[:, j] / total
-    composite[:, undefined_columns] = np.nan
+    # Counts are non-negative, so a zero row or column sum divides 0 by 0: NaN.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        row_normalized = Z / row_sums[:, None]
+        simple = Z / col_sums
+        rescaled = np.where(
+            row_sums[:, None] > 0, row_normalized * np.array(label_counts)[:, None], 0.0
+        )
+        totals = rescaled.sum(axis=0)
+        composite = np.where(totals > 0, rescaled / totals, np.nan)
 
     def freeze(matrix: np.ndarray) -> Matrix2x2:
         return tuple(tuple(float(v) for v in row) for row in matrix)
@@ -312,8 +286,8 @@ def noise_transition_matrix(
         simple_conditional=freeze(simple),
         row_normalized=freeze(row_normalized),
         label_counts=label_counts,
-        undefined_columns=tuple(undefined_columns),
-        undefined_rows=tuple(undefined_rows),
+        undefined_columns=tuple(int(j) for j in np.flatnonzero(col_sums == 0)),
+        undefined_rows=tuple(int(i) for i in np.flatnonzero(row_sums == 0)),
     )
 
 
@@ -326,8 +300,10 @@ def discover_noisy_negatives(
     """Flag negatives the model ensemble confidently asserts positive.
 
     The ensemble probability is the unweighted mean across prob_sets.
-    Returns ids ordered by descending ensemble probability (input order
-    breaks exact ties), so the most suspicious labels come first.
+    Thresholds are 0.5 for the confusion-matrix method and the ensemble's
+    self-confidence for the confident joint. Returns ids ordered by
+    descending ensemble probability (input order breaks exact ties), so
+    the most suspicious labels come first.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}: {method!r}")
@@ -341,22 +317,13 @@ def discover_noisy_negatives(
         ids = [str(i) for i in range(len(labels))]
     elif len(ids) != len(labels):
         raise ValueError("misaligned probability sets")
-    ensemble = [sum(column) / len(lists) for column in zip(*lists)]
-    if method == CONFIDENT_JOINT:
-        thresholds = self_confidence_thresholds(ensemble, labels)
-        t0, t1 = thresholds.class0, thresholds.class1
-        flagged = [
-            i
-            for i, (p1, label) in enumerate(zip(ensemble, labels))
-            if label == 0 and _assert_cell(p1, label, t0, t1) == (0, 1)
-        ]
-    else:
-        flagged = [
-            i
-            for i, (p1, label) in enumerate(zip(ensemble, labels))
-            if label == 0 and p1 >= 0.5
-        ]
-    flagged.sort(key=lambda i: (-ensemble[i], i))
+    ensemble = np.array([sum(column) / len(lists) for column in zip(*lists)])
+    thresholds = (
+        self_confidence_thresholds(ensemble, labels) if method == CONFIDENT_JOINT else _HALF
+    )
+    negatives = np.asarray(labels) == 0
+    flagged = np.flatnonzero(negatives & (_asserted(ensemble, thresholds) == 1))
+    flagged = flagged[np.argsort(-ensemble[flagged], kind="stable")]
     return [ids[i] for i in flagged]
 
 

@@ -30,7 +30,10 @@ from .records import (
     IncidentRecord,
     ObservationRecord,
     OrganizationRecord,
+    RecordError,
     TweetRecord,
+    _field,
+    _load,
     write_jsonl,
 )
 
@@ -375,13 +378,16 @@ def write_corpus(bundle: CorpusBundle, out_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
-def load_ground_truth(path: str | Path) -> dict[str, int]:
-    from .records import read_jsonl
+def _ground_truth_entry(data: dict) -> tuple[str, int]:
+    label = _field(data, "latent_label", int)
+    if label not in (0, 1):
+        raise RecordError(f"field 'latent_label' must be 0 or 1, got {label!r}")
+    return _field(data, "org_id", str), label
 
-    return {
-        record["org_id"]: int(record["latent_label"])
-        for record in read_jsonl(path)
-    }
+
+def load_ground_truth(path: str | Path) -> dict[str, int]:
+    """org_id -> latent label; any invalid record is a RecordError naming path:line."""
+    return dict(_load(path, _ground_truth_entry))
 
 
 def inject_label_noise(

@@ -264,3 +264,87 @@ def permutation_importance_reference(model, dataset, repeats: int, seed: int) ->
             for category, value in sums.items()
         },
     }
+
+
+def discover_noisy_negatives_reference(
+    prob_sets: Sequence[Sequence[float]],
+    labels: Sequence[int],
+    method: str,
+    ids: Sequence[str],
+) -> list[str]:
+    """Per-example flagging with a separate branch per method: the mean
+    probability rounded at 0.5, or the case enumeration of the confident
+    joint under self-confidence thresholds; sorted by (-mean, index)."""
+    ensemble = [sum(column) / len(prob_sets) for column in zip(*prob_sets)]
+    if method == "confident_joint":
+        class1 = [p for p, label in zip(ensemble, labels) if label == 1]
+        class0 = [1.0 - p for p, label in zip(ensemble, labels) if label == 0]
+        t0, t1 = sum(class0) / len(class0), sum(class1) / len(class1)
+        flagged = []
+        for i, (p1, label) in enumerate(zip(ensemble, labels)):
+            p0 = 1.0 - p1
+            if label != 0:
+                continue
+            if p0 >= t0 and p1 >= t1:
+                if p1 >= p0:
+                    flagged.append(i)
+            elif p1 >= t1:
+                flagged.append(i)
+    else:
+        flagged = [
+            i
+            for i, (p1, label) in enumerate(zip(ensemble, labels))
+            if label == 0 and p1 >= 0.5
+        ]
+    flagged.sort(key=lambda i: (-ensemble[i], i))
+    return [ids[i] for i in flagged]
+
+
+def noise_transition_matrix_reference(counts, label_counts=None):
+    """The three transition views cell by cell: a loop per row or column,
+    NaN written only where a row or column sums to zero."""
+    from strisk.noise import TransitionEstimate
+
+    Z = np.array(counts, dtype=np.float64)
+    row_sums = Z.sum(axis=1)
+    if label_counts is None:
+        label_counts = (int(row_sums[0]), int(row_sums[1]))
+    row_normalized = np.full((2, 2), np.nan)
+    undefined_rows = []
+    for i in range(2):
+        if row_sums[i] > 0:
+            row_normalized[i] = Z[i] / row_sums[i]
+        else:
+            undefined_rows.append(i)
+    col_sums = Z.sum(axis=0)
+    simple = np.full((2, 2), np.nan)
+    undefined_columns = []
+    for j in range(2):
+        if col_sums[j] > 0:
+            simple[:, j] = Z[:, j] / col_sums[j]
+        else:
+            undefined_columns.append(j)
+    rescaled = np.full((2, 2), np.nan)
+    for i in range(2):
+        if row_sums[i] > 0:
+            rescaled[i] = (Z[i] / row_sums[i]) * label_counts[i]
+        else:
+            rescaled[i] = 0.0
+    composite = np.full((2, 2), np.nan)
+    for j in range(2):
+        total = rescaled[:, j].sum()
+        if total > 0:
+            composite[:, j] = rescaled[:, j] / total
+    composite[:, undefined_columns] = np.nan
+
+    def freeze(matrix):
+        return tuple(tuple(float(v) for v in row) for row in matrix)
+
+    return TransitionEstimate(
+        conditional=freeze(composite),
+        simple_conditional=freeze(simple),
+        row_normalized=freeze(row_normalized),
+        label_counts=label_counts,
+        undefined_columns=tuple(undefined_columns),
+        undefined_rows=tuple(undefined_rows),
+    )

@@ -441,15 +441,25 @@ class TestExitCodes:
             ("tweets", "likes", "many"),
             ("tweets", "is_reply_to", "false"),
             ("incidents", "source", None),
+            ("ground_truth", "latent_label", None),
+            ("ground_truth", "latent_label", "yes"),
+            ("ground_truth", "latent_label", "1"),
+            ("ground_truth", "latent_label", True),
+            ("ground_truth", "latent_label", 7),
+            ("ground_truth", "org_id", 7),
+            ("ground_truth", None, ["org-1", 1]),
         ],
     )
     def test_incomplete_record_exit_data_error(self, workspace, tmp_path, capsys, role, field, value):
-        # value None removes the field; anything else replaces it.
+        # value None removes the field; field None makes value the whole record.
         _, corpus, _, _ = workspace
-        paths = {name: corpus / f"{name}.jsonl" for name in ("organizations", "observations", "tweets", "incidents")}
+        roles = ("organizations", "observations", "tweets", "incidents", "ground_truth")
+        paths = {name: corpus / f"{name}.jsonl" for name in roles}
         lines = paths[role].read_text().splitlines()
         record = json.loads(lines[1])
-        if value is None:
+        if field is None:
+            record = value
+        elif value is None:
             del record[field]
         else:
             record[field] = value
@@ -463,13 +473,14 @@ class TestExitCodes:
                 "--observations", str(paths["observations"]),
                 "--tweets", str(paths["tweets"]),
                 "--incidents", str(paths["incidents"]),
+                "--ground-truth", str(paths["ground_truth"]),
                 "--out", str(tmp_path / "f.csv"),
             ]
         )
         assert code == 2
         err = capsys.readouterr().err
         assert f"{paths[role]}:2" in err
-        assert field in err
+        assert (field or "JSON object") in err
         assert "Traceback" not in err
 
     def test_malformed_jsonl_exit_data_error(self, workspace, tmp_path):

@@ -4,16 +4,21 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_profile
-from oracles import confident_joint_reference
+from oracles import (
+    confident_joint_reference,
+    discover_noisy_negatives_reference,
+    noise_transition_matrix_reference,
+)
 from strisk.evaluation import roc_auc
 from strisk.models import ModelSpec
 from strisk.noise import (
     CONFIDENT_JOINT,
     CONFUSION_MATRIX,
+    METHODS,
     ClassThresholds,
     JointMatrix,
     NoiseReport,
@@ -35,6 +40,31 @@ prob_label_rows = st.lists(
     min_size=1,
     max_size=80,
 )
+
+# Exact 0.5, its float neighbours and a few repeated values, so ties at a
+# threshold and between ensemble probabilities are drawn often.
+probability = st.one_of(
+    st.sampled_from([0.0, 0.2, 0.5 - 2**-54, 0.5, 0.5 + 2**-53, 0.8, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+@st.composite
+def flag_cases(draw):
+    """Aligned probability sets and labels holding both classes."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    sets = draw(st.integers(min_value=1, max_value=4))
+    prob_sets = [draw(st.lists(probability, min_size=n, max_size=n)) for _ in range(sets)]
+    labels = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    return prob_sets, labels
+
+
+joint_cell = st.one_of(st.just(0), st.integers(min_value=1, max_value=500))
+
+
+def bits(view):
+    """A transition view with each float as its exact hex form, NaN as None."""
+    return [[None if math.isnan(v) else v.hex() for v in row] for row in view]
 
 
 class TestThresholds:
@@ -169,6 +199,28 @@ class TestTransitionMatrix:
             for view in (estimate.conditional, estimate.simple_conditional):
                 assert sum(view[i][j] for i in range(2)) == pytest.approx(1.0, abs=1e-9)
 
+    @given(
+        st.tuples(joint_cell, joint_cell, joint_cell, joint_cell),
+        st.none() | st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+    )
+    @example((0, 0, 3, 5), None)
+    @example((0, 0, 3, 5), (7, 2))
+    @example((0, 4, 0, 6), None)
+    @example((0, 4, 0, 6), (3, 11))
+    @example((8, 2, 1, 9), (100, 10))
+    @example((5, 0, 0, 0), (5, 0))
+    def test_matches_reference_loops(self, cells, label_counts):
+        a, b, c, d = cells
+        assume(a + b + c + d > 0)
+        joint = JointMatrix(counts=((a, b), (c, d)), tag=CONFUSION_MATRIX)
+        estimate = noise_transition_matrix(joint, label_counts)
+        reference = noise_transition_matrix_reference(joint.counts, label_counts)
+        for view in ("conditional", "simple_conditional", "row_normalized"):
+            assert bits(getattr(estimate, view)) == bits(getattr(reference, view)), view
+        assert estimate.label_counts == reference.label_counts
+        assert estimate.undefined_rows == reference.undefined_rows
+        assert estimate.undefined_columns == reference.undefined_columns
+
     def test_round_trip_preserves_nan_as_none(self):
         joint = JointMatrix(counts=((0, 4), (0, 6)), tag=CONFUSION_MATRIX)
         estimate = noise_transition_matrix(joint)
@@ -204,6 +256,15 @@ class TestDiscoverNoisyNegatives:
         assert flagged == []
         relaxed = discover_noisy_negatives(probs, labels, CONFUSION_MATRIX, ids=list("abcd"))
         assert relaxed == ["a"]
+
+    @given(flag_cases())
+    def test_matches_reference_flagging(self, case):
+        prob_sets, labels = case
+        ids = [f"org{i}" for i in range(len(labels))]
+        for method in METHODS:
+            assert discover_noisy_negatives(prob_sets, labels, method, ids) == (
+                discover_noisy_negatives_reference(prob_sets, labels, method, ids)
+            ), method
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError, match="method"):

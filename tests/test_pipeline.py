@@ -126,11 +126,28 @@ class TestRunPipeline:
             assert heading in text, heading
 
     def test_rerun_is_byte_identical(self, result, tmp_path):
-        again = run_pipeline(config_for(tmp_path))
-        for name in ("report.json", "report.txt", "evaluations.json", "features.csv"):
-            assert (again.workdir / name).read_bytes() == (
-                result.workdir / name
-            ).read_bytes(), name
+        # Each denoise method runs twice; the module's run is the first
+        # run of the configured one.
+        for method in ("confusion_matrix", "confident_joint"):
+            denoise = dict(BASE_CONFIG["denoise"], method=method)
+            first = (
+                result
+                if method == BASE_CONFIG["denoise"]["method"]
+                else run_pipeline(config_for(tmp_path / method, denoise=denoise))
+            )
+            again = run_pipeline(config_for(tmp_path / f"{method}-again", denoise=denoise))
+            names = sorted(
+                str(path.relative_to(first.workdir))
+                for path in first.workdir.rglob("*")
+                if path.is_file()
+            )
+            assert "noise_report.json" in names
+            for name in names:
+                assert (again.workdir / name).read_bytes() == (
+                    first.workdir / name
+                ).read_bytes(), (method, name)
+            noise = json.loads((first.workdir / "noise_report.json").read_text())
+            assert noise["method"] == method
 
     def test_skip_denoise_trains_on_noisy_labels(self, tmp_path):
         result = run_pipeline(config_for(tmp_path, skip=["denoise"]))
