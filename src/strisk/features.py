@@ -307,7 +307,8 @@ def featurize_corpus(
     a victim. Records referencing unknown organizations are an input
     error, not something to skip silently. Tweets are de-duplicated on
     (org, account, timestamp, text) because the same post can surface in
-    several collection queries.
+    several collection queries. Latent labels, when given, must cover
+    every organization and name no other.
     """
     by_id = {org.org_id: org for org in organizations}
     if len(by_id) != len(organizations):
@@ -329,11 +330,18 @@ def featurize_corpus(
         if incident.org_id not in by_id:
             raise RecordError(f"incident references unknown org {incident.org_id!r}")
         victims.add(incident.org_id)
+    if latent_labels is not None:
+        for org_id in by_id:
+            if org_id not in latent_labels:
+                raise RecordError(f"ground truth lacks org {org_id!r}")
+        for org_id in latent_labels:
+            if org_id not in by_id:
+                raise RecordError(f"ground truth references unknown org {org_id!r}")
     profiles: list[FeatureVector] = []
     for org in organizations:
         technical = compute_technical_features(org, obs_by_org[org.org_id])
         social = compute_social_features(org, tweets_by_org[org.org_id], polarity_fn)
-        latent = latent_labels.get(org.org_id) if latent_labels else None
+        latent = None if latent_labels is None else latent_labels[org.org_id]
         profiles.append(
             assemble_profile(
                 org,

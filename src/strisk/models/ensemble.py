@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .trees import RegressionTree
+from .trees import RegressionTree, rank_columns
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -107,6 +107,7 @@ class BaggedTrees:
         rng = np.random.default_rng(self.seed)
         subset = _resolve_max_features(self.max_features, X.shape[1])
         y = y.astype(np.float64)
+        ranks = rank_columns(X)
         self.trees = []
         for _ in range(self.n_estimators):
             rows = rng.integers(0, len(y), size=len(y))
@@ -115,7 +116,8 @@ class BaggedTrees:
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=subset,
             )
-            tree.fit(X[rows], y[rows], rng=rng)
+            # take() along the rows keeps each column's codes contiguous.
+            tree.fit(X[rows], y[rows], rng=rng, ranks=ranks.take(rows, axis=1))
             self.trees.append(tree)
         return self
 
@@ -176,6 +178,7 @@ class GradientBoostedTrees:
         positive_rate = float(y.mean())
         self.base_score = math.log(positive_rate / (1.0 - positive_rate))
         scores = np.full(len(y), self.base_score)
+        ranks = rank_columns(X)
         self.trees = []
         for _ in range(self.n_estimators):
             prob = _sigmoid(scores)
@@ -184,7 +187,7 @@ class GradientBoostedTrees:
             tree = RegressionTree(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
             )
-            tree.fit(X, residual)
+            tree.fit(X, residual, ranks=ranks)
             assignments = tree.apply(X)
             leaves = tree.leaf_ids()
             values = np.empty(len(leaves))

@@ -3,11 +3,14 @@
 Targets are arbitrary reals (0/1 class labels for bagging, gradient
 residuals for boosting); splits minimize within-node squared error via
 prefix sums, which for binary targets is the classic impurity criterion.
-A node's split search sorts all candidate columns in one 2-D step and
-scores every cut of every column at once. A tree is five numpy node
-arrays in which leaves route to themselves, so prediction moves all rows
-down one level per step and is done after as many steps as the tree is
-deep.
+Split search never sorts floats: rank_columns turns each column into
+integer codes once per ensemble, and a node stable-sorts its rows' codes
+(a radix sort for 8- and 16-bit codes), takes target prefix sums in that
+order and scores only the cuts between two different codes. The
+threshold is read back from the two adjacent feature values, so trees
+are the ones a float sort would grow. A tree is five numpy node arrays
+in which leaves route to themselves, so prediction moves all rows down
+one level per step and is done after as many steps as the tree is deep.
 """
 from __future__ import annotations
 
@@ -16,6 +19,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _LEAF = -1
+
+
+def rank_columns(X: np.ndarray) -> np.ndarray:
+    """(width, n) dense rank codes of X's columns, in the narrowest unsigned dtype.
+
+    Codes keep each column's order and are equal exactly where its values
+    are, so sorting codes sorts values; uint16 holds up to 65,536
+    distinct values per column. Raises ValueError for a non-finite X,
+    whose NaN would compare unequal to itself yet share a code.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("tree fitting needs finite feature values")
+    # Ranking one column at a time keeps temporaries to a column's size.
+    inverses = [np.unique(column, return_inverse=True)[1] for column in X.T]
+    top = max((int(inverse.max(initial=0)) for inverse in inverses), default=0)
+    return np.array(inverses, dtype=np.min_scalar_type(top)).reshape(X.shape[::-1])
 
 
 @dataclass
@@ -41,15 +61,30 @@ class RegressionTree:
     depth: int = field(init=False, default=0)
 
     def fit(
-        self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rng: np.random.Generator | None = None,
+        ranks: np.ndarray | None = None,
     ) -> RegressionTree:
+        """Grow the tree on X's rows and targets y.
+
+        ``ranks`` holds rank_columns codes for X's rows: (width, len(y)),
+        column j ordered like X[:, j], equal codes exactly where values
+        are equal. Ensembles rank their matrix once and pass each tree the
+        codes of its rows; without them fit ranks X itself.
+        """
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if ranks is None:
+            ranks = rank_columns(X)
+        if not np.isfinite(y).all():
+            raise ValueError("tree fitting needs finite targets")
         nodes: list[tuple[int, float, int, int, float]] = []
         self.depth = 0
-        self._grow(X, y, np.arange(len(y)), 0, rng, nodes)
+        self._grow(X, ranks, y, np.arange(len(y)), 0, rng, nodes)
         feature, threshold, left, right, value = zip(*nodes)
         self._set_nodes(feature, threshold, left, right, value)
         return self
@@ -57,6 +92,7 @@ class RegressionTree:
     def _grow(
         self,
         X: np.ndarray,
+        ranks: np.ndarray,
         y: np.ndarray,
         idx: np.ndarray,
         depth: int,
@@ -66,11 +102,12 @@ class RegressionTree:
         """Append the subtree over rows idx to nodes in pre-order; return its root."""
         node = len(nodes)
         self.depth = max(self.depth, depth)
-        nodes.append((_LEAF, np.inf, node, node, float(y[idx].mean())))
+        target = y[idx]
+        # The sum over the count is np.mean's own arithmetic, minus its overhead.
+        nodes.append((_LEAF, np.inf, node, node, float(target.sum() / len(idx))))
         if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
             return node
-        target = y[idx]
-        if np.ptp(target) == 0.0:
+        if target.min() == target.max():
             return node
         n_features = X.shape[1]
         if self.max_features is not None and self.max_features < n_features:
@@ -79,15 +116,16 @@ class RegressionTree:
             candidates = np.sort(
                 rng.choice(n_features, size=self.max_features, replace=False)
             )
+            codes = ranks.take(candidates, axis=0).take(idx, axis=1)
         else:
             candidates = np.arange(n_features)
-        best = self._best_split(X, target, idx, candidates)
+            codes = ranks.take(idx, axis=1)
+        best = self._best_split(X, codes, target, idx, candidates)
         if best is None:
             return node
-        feature_id, cut = best
-        goes_left = X[idx, feature_id] <= cut
-        left = self._grow(X, y, idx[goes_left], depth + 1, rng, nodes)
-        right = self._grow(X, y, idx[~goes_left], depth + 1, rng, nodes)
+        feature_id, cut, goes_left = best
+        left = self._grow(X, ranks, y, idx[goes_left], depth + 1, rng, nodes)
+        right = self._grow(X, ranks, y, idx[~goes_left], depth + 1, rng, nodes)
         nodes[node] = (feature_id, cut, left, right, nodes[node][4])
         return node
 
@@ -104,43 +142,52 @@ class RegressionTree:
     def _best_split(
         self,
         X: np.ndarray,
+        codes: np.ndarray,
         target: np.ndarray,
         idx: np.ndarray,
         candidates: np.ndarray,
-    ) -> tuple[int, float] | None:
+    ) -> tuple[int, float, np.ndarray] | None:
+        """Lowest-SSE cut over the node's (candidates, rows) codes, or None.
+
+        Returns the feature, the threshold and which of the node's rows
+        go left. Rows are summed in stable code order, which is stable
+        value order, so the sums match a float sort bit for bit.
+        """
         n = len(idx)
         min_leaf = self.min_samples_leaf
-        columns = X[np.ix_(idx, candidates)]
-        order = np.argsort(columns, axis=0, kind="stable")
-        xs = np.take_along_axis(columns, order, axis=0)
-        ys = target[order]
-        prefix = np.cumsum(ys, axis=0)
-        prefix_sq = np.cumsum(ys * ys, axis=0)
-        total, total_sq = prefix[-1], prefix_sq[-1]
-        sizes = np.arange(1, n)[:, None]
-        valid = xs[:-1] < xs[1:]
-        valid &= (sizes >= min_leaf) & (n - sizes >= min_leaf)
-        left_sum, left_sq = prefix[:-1], prefix_sq[:-1]
-        sse_left = left_sq - left_sum * left_sum / sizes
-        right_sum = total - left_sum
-        right_sq = total_sq - left_sq
-        sse_right = right_sq - right_sum * right_sum / (n - sizes)
-        sse = np.where(valid, sse_left + sse_right, np.inf)
-        positions = np.argmin(sse, axis=0)
-        lowest = sse[positions, np.arange(len(candidates))]
-        # The earliest column reaching the overall minimum wins; a column
-        # with no valid cut (all inf) or a NaN minimum never does.
-        usable = lowest < np.inf
-        if not usable.any():
+        order = np.argsort(codes, axis=1, kind="stable")
+        # Flat take()s gather several times faster than 2-D fancy indexing.
+        ranked = codes.take(order + np.arange(0, codes.size, n)[:, None])
+        ys = target.take(order)
+        prefix = np.cumsum(ys, axis=1)
+        prefix_sq = np.cumsum(ys * ys, axis=1)
+        # A cut after sorted position p leaves p + 1 rows on the left; only
+        # value boundaries with min_leaf rows on both sides are scored.
+        low, high = min_leaf - 1, n - min_leaf
+        column, pos = np.nonzero(ranked[:, low:high] != ranked[:, low + 1 : high + 1])
+        if not len(column):
             return None
-        column = int(np.argmin(np.where(usable, lowest, np.inf)))
-        pos = int(positions[column])
-        cut = (xs[pos, column] + xs[pos + 1, column]) / 2.0
-        # Adjacent floats can round the midpoint up onto xs[pos+1],
+        pos += low
+        sizes = pos + 1
+        at = column * n + pos
+        left_sum, left_sq = prefix.take(at), prefix_sq.take(at)
+        sse_left = left_sq - left_sum * left_sum / sizes
+        right_sum = prefix[:, -1].take(column) - left_sum
+        right_sq = prefix_sq[:, -1].take(column) - left_sq
+        sse_right = right_sq - right_sum * right_sum / (n - sizes)
+        # Cuts are listed column by column, lowest first, so the first
+        # minimum is the earliest column's lowest cut.
+        best = int(np.argmin(sse_left + sse_right))
+        column, pos = int(column[best]), int(pos[best])
+        feature = int(candidates[column])
+        low_value = X[idx[order[column, pos]], feature]
+        high_value = X[idx[order[column, pos + 1]], feature]
+        cut = (low_value + high_value) / 2.0
+        # Adjacent floats can round the midpoint up onto high_value,
         # which would route every row left; pin to the lower value.
-        if cut >= xs[pos + 1, column]:
-            cut = xs[pos, column]
-        return int(candidates[column]), float(cut)
+        if cut >= high_value:
+            cut = low_value
+        return feature, float(cut), codes[column] <= ranked[column, pos]
 
     def apply(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Leaf node index for each row of X, or for each of ``rows`` only.

@@ -173,6 +173,18 @@ class CorpusBundle:
     ground_truth: dict[str, int]
 
 
+def _address_block(index: int) -> str:
+    """The index-th synthetic /27 block, the first of 10.x.y.0/24.
+
+    There are 65,536 such blocks; past them ValueError, because wrapping
+    around would give two organizations the same addresses.
+    """
+    high, low = divmod(index, 256)
+    if not 0 <= high < 256:
+        raise ValueError(f"synthetic address block {index} is past the 65,536 in 10.0.0.0/8")
+    return f"10.{high}.{low}.0/27"
+
+
 def _timestamp(rng: np.random.Generator) -> datetime:
     offset = int(rng.integers(0, YEAR_SECONDS))
     return datetime.fromtimestamp(
@@ -246,11 +258,8 @@ def generate_corpus(config: GeneratorConfig) -> CorpusBundle:
         size_shift = 0.8 * s_size if is_victim else 0.0
         org_size = max(1, round(median * math.exp(rng.normal(size_shift, 0.75))))
         n_blocks = int(rng.integers(1, 3))
-        blocks = []
-        for _ in range(n_blocks):
-            high, low = divmod(block_cursor, 256)
-            blocks.append(f"10.{high % 256}.{low}.0/27")
-            block_cursor += 1
+        blocks = [_address_block(block_cursor + b) for b in range(n_blocks)]
+        block_cursor += n_blocks
         n_domains = int(rng.integers(1, 4))
         slug = name.lower().replace(" ", "-")
         domains = tuple(f"{slug}-{d}.example.com" for d in range(n_domains))

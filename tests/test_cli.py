@@ -483,6 +483,34 @@ class TestExitCodes:
         assert (field or "JSON object") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mismatch", ["missing", "unknown"])
+    def test_ground_truth_org_mismatch_exit_data_error(self, workspace, tmp_path, capsys, mismatch):
+        _, corpus, _, _ = workspace
+        lines = (corpus / "ground_truth.jsonl").read_text().splitlines()
+        if mismatch == "missing":
+            org_id = json.loads(lines.pop(0))["org_id"]
+        else:
+            org_id = "ghost"
+            lines.append(json.dumps({"org_id": org_id, "latent_label": 0}))
+        truth = tmp_path / "ground_truth.jsonl"
+        truth.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "featurize",
+                "--orgs", str(corpus / "organizations.jsonl"),
+                "--observations", str(corpus / "observations.jsonl"),
+                "--tweets", str(corpus / "tweets.jsonl"),
+                "--incidents", str(corpus / "incidents.jsonl"),
+                "--ground-truth", str(truth),
+                "--out", str(tmp_path / "f.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(org_id) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_malformed_jsonl_exit_data_error(self, workspace, tmp_path):
         _, corpus, _, _ = workspace
         broken = tmp_path / "broken.jsonl"

@@ -17,6 +17,7 @@ from strisk.records import (
 )
 from strisk.synth import (
     GeneratorConfig,
+    _address_block,
     generate_corpus,
     inject_label_noise,
     load_ground_truth,
@@ -132,6 +133,16 @@ class TestGenerateCorpus:
         bundle = generate_corpus(GeneratorConfig(n_orgs=80, seed=9))
         blocks = [b for org in bundle.organizations for b in org.ip_ranges]
         assert len(blocks) == len(set(blocks))
+
+    def test_address_blocks_are_distinct_until_the_space_ends(self):
+        blocks = [_address_block(index) for index in range(256 * 256)]
+        assert blocks[:2] == ["10.0.0.0/27", "10.0.1.0/27"]
+        assert blocks[256] == "10.1.0.0/27"
+        assert blocks[-1] == "10.255.255.0/27"
+        assert len(set(blocks)) == len(blocks)
+        for index in (256 * 256, 256 * 256 + 1, -1):
+            with pytest.raises(ValueError, match="65,536"):
+                _address_block(index)
 
     def test_observations_point_at_owned_addresses(self):
         bundle = generate_corpus(GeneratorConfig(n_orgs=40, seed=5))

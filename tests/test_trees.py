@@ -1,14 +1,18 @@
-"""Regression trees against the one-node-at-a-time reference, and tree loading."""
+"""Trees and ensembles against the one-node-at-a-time reference, rank codes, tree loading."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import apply_tree_reference, grow_tree_reference, path_columns_reference
 from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
-from strisk.models.trees import RegressionTree
+from strisk.models.trees import RegressionTree, rank_columns
 
 NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
@@ -69,6 +73,112 @@ def test_fit_and_apply_match_reference(make_matrix, min_samples_leaf, seed):
         subset = rng.integers(0, len(rows), size=int(rng.integers(0, len(rows) + 1)))
         assert tree.apply(rows, subset).tolist() == [leaves[row] for row in subset]
     assert tree.path_columns(width).tolist() == path_columns_reference(reference, width)
+
+
+# Few values, signed zeros and neighbouring floats, so ties and near-ties are common.
+rank_value = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -3.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+        elements=rank_value,
+    )
+)
+def test_rank_columns_keep_order_and_ties(X):
+    before = X.tobytes()
+    codes = rank_columns(X)
+    assert X.tobytes() == before
+    assert codes.shape == X.shape[::-1]
+    by_row = codes.T.astype(np.int64)
+    assert ((X[:, None] < X[None, :]) == (by_row[:, None] < by_row[None, :])).all()
+    assert ((X[:, None] == X[None, :]) == (by_row[:, None] == by_row[None, :])).all()
+    levels = max((len(np.unique(column)) for column in X.T), default=0)
+    assert codes.dtype == np.min_scalar_type(max(levels - 1, 0))
+    assert codes.dtype.kind == "u"
+
+
+@pytest.mark.parametrize(
+    "levels, dtype",
+    [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)],
+)
+def test_rank_columns_use_the_narrowest_dtype(levels, dtype):
+    X = np.column_stack([np.zeros(levels), -np.arange(levels, dtype=np.float64)])
+    codes = rank_columns(X)
+    assert codes.dtype == dtype
+    assert codes[1].tolist() == list(range(levels - 1, -1, -1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_fit_input_rejected(bad):
+    rng = np.random.default_rng(5)
+    X = rounded_matrix(rng, 30, 3)
+    y = np.array([0, 1] * 15)
+    holed = X.copy()
+    holed[4, 1] = bad
+    for fit in (
+        RegressionTree(max_depth=3).fit,
+        BaggedTrees(n_estimators=2).fit,
+        GradientBoostedTrees(n_estimators=2).fit,
+    ):
+        with pytest.raises(ValueError, match="finite feature values"):
+            fit(holed, y)
+    with pytest.raises(ValueError, match="finite targets"):
+        RegressionTree(max_depth=3).fit(X, np.where(np.arange(30) == 7, bad, 0.0))
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+@pytest.mark.parametrize("make_matrix", MATRICES)
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("max_features", [None, 2])
+def test_bagged_trees_match_reference_on_bootstrap_rows(make_matrix, seed, max_features):
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(40, 100)), int(rng.integers(3, 6))
+    X = make_matrix(rng, n, width)
+    y = np.resize([0, 1], n)
+    rng.shuffle(y)
+    model = BaggedTrees(
+        n_estimators=6, max_depth=4, min_samples_leaf=2, max_features=max_features, seed=seed
+    ).fit(X, y)
+    # Replay the fit: the same bootstrap rows, and feature draws from the same rng.
+    replay = np.random.default_rng(seed)
+    for tree in model.trees:
+        rows = replay.integers(0, n, size=n)
+        reference = grow_tree_reference(
+            X[rows], y[rows].astype(np.float64), 4, 2, max_features, rng=replay
+        )
+        assert node_lists(tree) == reference
+
+
+@pytest.mark.parametrize("make_matrix", MATRICES)
+@pytest.mark.parametrize("seed", range(2))
+def test_boosted_trees_match_reference_on_residuals(make_matrix, seed):
+    rng = np.random.default_rng(seed + 10)
+    n, width = int(rng.integers(40, 100)), int(rng.integers(3, 6))
+    X = make_matrix(rng, n, width)
+    y = np.resize([0.0, 1.0, 0.0], n)
+    rng.shuffle(y)
+    model = GradientBoostedTrees(n_estimators=8, max_depth=3, min_samples_leaf=2, seed=seed).fit(X, y)
+    scores = np.full(n, math.log(y.mean() / (1.0 - y.mean())))
+    for tree in model.trees:
+        prob = sigmoid(scores)
+        residual = y - prob
+        hessian = prob * (1.0 - prob)
+        reference = grow_tree_reference(X, residual, 3, 2)
+        leaves = np.array(apply_tree_reference(reference, X))
+        for leaf in np.unique(leaves):
+            mask = leaves == leaf
+            reference["value"][leaf] = residual[mask].sum() / (hessian[mask].sum() + model.l2_leaf)
+        assert node_lists(tree) == reference
+        scores += model.learning_rate * np.array(reference["value"])[leaves]
 
 
 def test_nan_rows_route_right():
