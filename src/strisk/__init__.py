@@ -16,13 +16,11 @@ from .evaluation import (
     tpr_fpr_f1_at,
 )
 from .features import (
+    FEATURES,
     SOCIAL_FEATURES,
     TECHNICAL_FEATURES,
     FeatureVector,
-    SocialBlock,
-    TechnicalBlock,
     TimeWindow,
-    assemble_profile,
     compute_social_features,
     compute_technical_features,
     featurize_corpus,

@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import click
 
@@ -19,7 +20,7 @@ from .features import featurize_corpus, parse_window, read_features_csv, write_f
 from .models import ModelSpec, load_model, predict_proba_many, save_model, train, train_stacked
 from .names import MatchConfig, match_names
 from .noise import CONFIDENT_JOINT, CONFUSION_MATRIX, correct_labels, noise_detection_experiment
-from .pipeline import DataError, PipelineConfig, StageFailure, render_report_text, run_pipeline
+from .pipeline import PipelineConfig, StageFailure, render_report_text, run_pipeline, stage_guard
 from .records import (
     RecordError,
     load_incidents,
@@ -32,6 +33,8 @@ from .records import (
 )
 from .synth import GeneratorConfig, generate_corpus, load_ground_truth, write_corpus
 
+T = TypeVar("T")
+
 _METHOD_ALIASES = {
     "cj": CONFIDENT_JOINT,
     "cm": CONFUSION_MATRIX,
@@ -40,41 +43,36 @@ _METHOD_ALIASES = {
 }
 
 
-@contextmanager
-def _stage(name: str):
-    """Convert in-stage ValueErrors into stage failures (exit code 3)."""
+def _parse_config(path: str, what: str, parse: Callable[[object], T]) -> T:
+    """Read the JSON config at ``path`` and parse it; a missing, invalid
+    or malformed config is a usage error (exit code 1)."""
     try:
-        yield
-    except (DataError, RecordError, StageFailure):
-        raise
-    except ValueError as exc:
-        raise StageFailure(name, str(exc)) from exc
-
-
-def _read_config_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise click.UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise click.UsageError(f"bad {what} config {path}: {exc}") from exc
 
 
 def _load_features(path: str):
     profiles = read_features_csv(path)
     if not profiles:
-        raise DataError(f"{path}: no feature rows")
+        raise RecordError(f"{path}: no feature rows")
     return profiles
 
 
 def _model_specs_from_file(path: str) -> list[ModelSpec]:
-    data = _read_config_json(path)
-    if isinstance(data, dict):
-        data = [data]
-    try:
-        return [ModelSpec.from_dict(entry) for entry in data]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"bad model spec in {path}: {exc}") from exc
+    return _parse_config(
+        path,
+        "model",
+        lambda data: [
+            ModelSpec.from_dict(entry) for entry in ([data] if isinstance(data, dict) else data)
+        ],
+    )
 
 
 def _echo(ctx: click.Context, message: str) -> None:
@@ -100,13 +98,13 @@ def cli(ctx: click.Context, seed: int, quiet: bool) -> None:
 def match(ctx, incidents_path, registry_path, config_path, out_path) -> None:
     """Match incident names against a registry of organization names."""
     config = (
-        MatchConfig.from_dict(_read_config_json(config_path))
+        _parse_config(config_path, "match", MatchConfig.from_dict)
         if config_path
         else MatchConfig()
     )
     incident_names = read_names(incidents_path)
     registry_names = read_names(registry_path)
-    with _stage("match"):
+    with stage_guard("match"):
         candidates = match_names(incident_names, registry_names, config)
     write_jsonl(out_path, (c.to_dict() for c in candidates))
     _echo(ctx, f"matched {len(candidates)} names -> {out_path}")
@@ -135,7 +133,7 @@ def featurize(ctx, orgs_path, observations_path, tweets_path, incidents_path, wi
     tweets = load_tweets(tweets_path)
     incidents = load_incidents(incidents_path)
     latent = load_ground_truth(truth_path) if truth_path else None
-    with _stage("featurize"):
+    with stage_guard("featurize"):
         profiles = featurize_corpus(
             organizations, observations, tweets, incidents,
             window=window, latent_labels=latent,
@@ -159,7 +157,7 @@ def denoise(ctx, features_path, models_path, method, folds, seed, out_path, repo
     seed = ctx.obj["seed"] if seed is None else seed
     specs = _model_specs_from_file(models_path)
     profiles = _load_features(features_path)
-    with _stage("denoise"):
+    with stage_guard("denoise"):
         corrected, report = correct_labels(profiles, specs, method, k=folds, seed=seed)
     write_features_csv(out_path, corrected)
     write_json(report_path, report.to_dict())
@@ -173,26 +171,20 @@ def denoise(ctx, features_path, models_path, method, folds, seed, out_path, repo
 @click.pass_context
 def train_cmd(ctx, features_path, spec_path, out_path) -> None:
     """Train one model (or a stacked ensemble) from a spec file."""
-    data = _read_config_json(spec_path)
-    profiles = _load_features(features_path)
-    with _stage("train"):
+
+    def trainer(data) -> Callable:
         if isinstance(data, dict) and "bases" in data:
-            try:
-                bases = [ModelSpec.from_dict(b) for b in data["bases"]]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise click.UsageError(f"bad stacked spec: {exc}") from exc
-            model = train_stacked(
-                profiles,
-                bases,
-                folds=int(data.get("folds", 5)),
-                seed=int(data.get("seed", ctx.obj["seed"])),
-            )
-        else:
-            try:
-                spec = ModelSpec.from_dict(data)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise click.UsageError(f"bad model spec: {exc}") from exc
-            model = train(profiles, spec)
+            bases = [ModelSpec.from_dict(b) for b in data["bases"]]
+            folds = int(data.get("folds", 5))
+            seed = int(data.get("seed", ctx.obj["seed"]))
+            return lambda profiles: train_stacked(profiles, bases, folds=folds, seed=seed)
+        spec = ModelSpec.from_dict(data)
+        return lambda profiles: train(profiles, spec)
+
+    fit = _parse_config(spec_path, "model", trainer)
+    profiles = _load_features(features_path)
+    with stage_guard("train"):
+        model = fit(profiles)
     save_model(model, out_path)
     _echo(ctx, f"trained -> {out_path}")
 
@@ -203,9 +195,9 @@ def _load_model(path: str):
     except FileNotFoundError as exc:
         raise click.UsageError(f"model file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
+        raise RecordError(f"model file {path} is not valid JSON: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"model file {path}: {exc}") from exc
+        raise RecordError(f"model file {path}: {exc}") from exc
 
 
 @cli.command()
@@ -217,7 +209,7 @@ def predict(ctx, model_path, features_path, out_path) -> None:
     """Score organizations: org_id, probability, class at 0.5."""
     model = _load_model(model_path)
     profiles = _load_features(features_path)
-    with _stage("predict"):
+    with stage_guard("predict"):
         scores = predict_proba_many(model, profiles)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -239,7 +231,7 @@ def evaluate(ctx, model_path, features_path, threshold, out_path) -> None:
     """Compute TPR/FPR/F1/AUC/Brier for a model on labeled features."""
     model = _load_model(model_path)
     profiles = _load_features(features_path)
-    with _stage("evaluate"):
+    with stage_guard("evaluate"):
         scores = predict_proba_many(model, profiles).tolist()
         labels = [p.label for p in profiles]
         report = evaluate_scores(model.name, scores, labels, threshold)
@@ -253,11 +245,8 @@ def evaluate(ctx, model_path, features_path, threshold, out_path) -> None:
 @click.pass_context
 def simulate(ctx, config_path, out_dir) -> None:
     """Generate a synthetic corpus with known latent labels."""
-    try:
-        config = GeneratorConfig.from_dict(_read_config_json(config_path))
-    except (ValueError, TypeError) as exc:
-        raise click.UsageError(f"bad generator config: {exc}") from exc
-    with _stage("simulate"):
+    config = _parse_config(config_path, "generator", GeneratorConfig.from_dict)
+    with stage_guard("simulate"):
         bundle = generate_corpus(config)
         paths = write_corpus(bundle, out_dir)
     _echo(ctx, f"simulated {config.n_orgs} organizations -> {out_dir}")
@@ -282,7 +271,7 @@ def experiment(ctx, features_path, models_path, fraction, repeats, method, folds
     specs = _model_specs_from_file(models_path)
     profiles = _load_features(features_path)
     chosen = None if method == "both" else _METHOD_ALIASES[method]
-    with _stage("experiment"):
+    with stage_guard("experiment"):
         result = noise_detection_experiment(
             profiles,
             specs,
@@ -307,9 +296,11 @@ def report(ctx, report_path, out_path) -> None:
     except FileNotFoundError as exc:
         raise click.UsageError(f"report file not found: {report_path}") from exc
     except json.JSONDecodeError as exc:
-        raise DataError(f"report file {report_path} is not valid JSON: {exc}") from exc
-    with _stage("report"):
+        raise RecordError(f"report file {report_path} is not valid JSON: {exc}") from exc
+    try:
         text = render_report_text(data)
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise RecordError(f"report file {report_path} is not a report: {exc!r}") from exc
     if out_path:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         Path(out_path).write_text(text, encoding="utf-8")
@@ -325,14 +316,14 @@ def report(ctx, report_path, out_path) -> None:
 @click.pass_context
 def run(ctx, config_path, workdir, skips) -> None:
     """Run the full pipeline from a single JSON config."""
-    data = _read_config_json(config_path)
-    if skips:
-        data = dict(data)
-        data["skip"] = sorted(set(data.get("skip", [])) | set(skips))
-    try:
+
+    def pipeline_config(data) -> PipelineConfig:
         config = PipelineConfig.from_dict(data, workdir=Path(workdir) if workdir else None)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"bad pipeline config: {exc}") from exc
+        if skips:
+            config = replace(config, skip=tuple(sorted(set(config.skip) | set(skips))))
+        return config
+
+    config = _parse_config(config_path, "pipeline", pipeline_config)
     result = run_pipeline(config)
     _echo(ctx, f"pipeline complete -> {result.workdir}")
     if not ctx.obj.get("quiet"):
@@ -358,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (RecordError, DataError) as exc:
+    except RecordError as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
     except StageFailure as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -57,6 +57,10 @@ SOCIAL_FEATURES: tuple[str, ...] = (
     "avg_polarity",
 )
 
+# The one feature order: FeatureVector.values, the features.csv columns
+# and the encoded matrix all follow it.
+FEATURES: tuple[str, ...] = TECHNICAL_FEATURES + SOCIAL_FEATURES
+
 _KIND_TO_PREFIX = {
     "blacklist_ip": "blacklist",
     "darknet_ip": "darknet",
@@ -67,62 +71,16 @@ _KIND_TO_PREFIX = {
 
 
 @dataclass(frozen=True, slots=True)
-class TechnicalBlock:
-    """Distinct-subject counts and exposure ratios per observation kind."""
-
-    org_id: str
-    blacklist_count: float = 0.0
-    blacklist_ratio: float = 0.0
-    darknet_count: float = 0.0
-    darknet_ratio: float = 0.0
-    open_port_count: float = 0.0
-    open_port_ratio: float = 0.0
-    expired_cert_count: float = 0.0
-    expired_cert_ratio: float = 0.0
-    spam_domain_count: float = 0.0
-    spam_domain_ratio: float = 0.0
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in TECHNICAL_FEATURES)
-
-
-@dataclass(frozen=True, slots=True)
-class SocialBlock:
-    """Engagement volumes, per-tweet ratios, and sentiment distribution."""
-
-    org_id: str
-    mentions: float = 0.0
-    unique_accounts: float = 0.0
-    retweets: float = 0.0
-    replies: float = 0.0
-    spreadability: float = 0.0
-    debatability: float = 0.0
-    reply_ratio: float = 0.0
-    is_reply_to_ratio: float = 0.0
-    replied_to_ratio: float = 0.0
-    likes_ratio: float = 0.0
-    strong_negative: float = 0.0
-    weak_negative: float = 0.0
-    neutral: float = 0.0
-    weak_positive: float = 0.0
-    strong_positive: float = 0.0
-    avg_polarity: float = 0.0
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in SOCIAL_FEATURES)
-
-
-@dataclass(frozen=True, slots=True)
 class FeatureVector:
     """One organization's full profile: features, sector, size, label.
 
+    ``values`` holds one number per name in FEATURES, in that order.
     latent_label is carried only by synthetic corpora where the true
     pre-noise outcome is known; observed corpora leave it None.
     """
 
     org_id: str
-    technical: TechnicalBlock
-    social: SocialBlock
+    values: tuple[float, ...]
     sector: str
     org_size: int
     label: int
@@ -133,22 +91,13 @@ class FeatureVector:
             raise ValueError(f"label must be 0 or 1: {self.label!r}")
         if self.latent_label not in (None, 0, 1):
             raise ValueError(f"latent_label must be 0, 1 or None: {self.latent_label!r}")
-        if self.technical.org_id != self.org_id or self.social.org_id != self.org_id:
-            raise ValueError("feature blocks carry a different org_id")
-
-    def numeric_values(self) -> tuple[float, ...]:
-        return self.technical.as_tuple() + self.social.as_tuple()
+        if len(self.values) != len(FEATURES):
+            raise ValueError(
+                f"values must hold {len(FEATURES)} features, got {len(self.values)}"
+            )
 
     def with_label(self, label: int) -> FeatureVector:
-        return FeatureVector(
-            org_id=self.org_id,
-            technical=self.technical,
-            social=self.social,
-            sector=self.sector,
-            org_size=self.org_size,
-            label=label,
-            latent_label=self.latent_label,
-        )
+        return replace(self, label=label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +129,7 @@ def parse_window(spec: str) -> TimeWindow:
 
 def compute_technical_features(
     org: OrganizationRecord, obs: Sequence[ObservationRecord]
-) -> TechnicalBlock:
+) -> dict[str, float]:
     """Count distinct observed subjects per kind and divide by exposure.
 
     IP-backed kinds use the address count of the organization's CIDR
@@ -197,7 +146,7 @@ def compute_technical_features(
         subjects[record.kind].add(record.subject)
     host_count = org.host_count
     domain_count = len(org.domains)
-    values: dict[str, float] = {"org_id": org.org_id}
+    values: dict[str, float] = {}
     for kind in OBSERVATION_KINDS:
         count = len(subjects[kind])
         denominator = domain_count if kind == "spam_domain" else host_count
@@ -208,14 +157,14 @@ def compute_technical_features(
         prefix = _KIND_TO_PREFIX[kind]
         values[f"{prefix}_count"] = float(count)
         values[f"{prefix}_ratio"] = count / denominator if denominator else 0.0
-    return TechnicalBlock(**values)
+    return values
 
 
 def compute_social_features(
     org: OrganizationRecord,
     tweets: Sequence[TweetRecord],
     polarity_fn: Callable[[str], float] = default_polarity,
-) -> SocialBlock:
+) -> dict[str, float]:
     """Aggregate tweet engagement and sentiment for one organization.
 
     spreadability is retweets per mention, debatability retweets per
@@ -229,7 +178,7 @@ def compute_social_features(
             )
     mentions = len(tweets)
     if mentions == 0:
-        return SocialBlock(org_id=org.org_id)
+        return dict.fromkeys(SOCIAL_FEATURES, 0.0)
     total_retweets = sum(t.retweets for t in tweets)
     total_replies = sum(t.replies for t in tweets)
     total_likes = sum(t.likes for t in tweets)
@@ -239,45 +188,24 @@ def compute_social_features(
         polarity = polarity_fn(clean_tweet_text(record.text))
         buckets[bucket_sentiment(polarity)] += 1
         polarity_sum += polarity
-    return SocialBlock(
-        org_id=org.org_id,
-        mentions=float(mentions),
-        unique_accounts=float(len({t.account for t in tweets})),
-        retweets=float(total_retweets),
-        replies=float(total_replies),
-        spreadability=total_retweets / mentions,
-        debatability=total_retweets / total_replies if total_replies else 0.0,
-        reply_ratio=total_replies / mentions,
-        is_reply_to_ratio=sum(t.is_reply_to for t in tweets) / mentions,
-        replied_to_ratio=sum(t.is_replied_to for t in tweets) / mentions,
-        likes_ratio=total_likes / mentions,
-        strong_negative=float(buckets[SentimentBucket.STRONG_NEGATIVE]),
-        weak_negative=float(buckets[SentimentBucket.WEAK_NEGATIVE]),
-        neutral=float(buckets[SentimentBucket.NEUTRAL]),
-        weak_positive=float(buckets[SentimentBucket.WEAK_POSITIVE]),
-        strong_positive=float(buckets[SentimentBucket.STRONG_POSITIVE]),
-        avg_polarity=polarity_sum / mentions,
-    )
-
-
-def assemble_profile(
-    org: OrganizationRecord,
-    technical: TechnicalBlock,
-    social: SocialBlock,
-    label: int,
-    latent_label: int | None = None,
-) -> FeatureVector:
-    if technical.org_id != org.org_id or social.org_id != org.org_id:
-        raise RecordError(f"feature blocks do not belong to org {org.org_id!r}")
-    return FeatureVector(
-        org_id=org.org_id,
-        technical=technical,
-        social=social,
-        sector=org.sector,
-        org_size=org.org_size,
-        label=label,
-        latent_label=latent_label,
-    )
+    return {
+        "mentions": float(mentions),
+        "unique_accounts": float(len({t.account for t in tweets})),
+        "retweets": float(total_retweets),
+        "replies": float(total_replies),
+        "spreadability": total_retweets / mentions,
+        "debatability": total_retweets / total_replies if total_replies else 0.0,
+        "reply_ratio": total_replies / mentions,
+        "is_reply_to_ratio": sum(t.is_reply_to for t in tweets) / mentions,
+        "replied_to_ratio": sum(t.is_replied_to for t in tweets) / mentions,
+        "likes_ratio": total_likes / mentions,
+        "strong_negative": float(buckets[SentimentBucket.STRONG_NEGATIVE]),
+        "weak_negative": float(buckets[SentimentBucket.WEAK_NEGATIVE]),
+        "neutral": float(buckets[SentimentBucket.NEUTRAL]),
+        "weak_positive": float(buckets[SentimentBucket.WEAK_POSITIVE]),
+        "strong_positive": float(buckets[SentimentBucket.STRONG_POSITIVE]),
+        "avg_polarity": polarity_sum / mentions,
+    }
 
 
 def _dedupe_tweets(tweets: Iterable[TweetRecord]) -> list[TweetRecord]:
@@ -339,24 +267,24 @@ def featurize_corpus(
                 raise RecordError(f"ground truth references unknown org {org_id!r}")
     profiles: list[FeatureVector] = []
     for org in organizations:
-        technical = compute_technical_features(org, obs_by_org[org.org_id])
-        social = compute_social_features(org, tweets_by_org[org.org_id], polarity_fn)
-        latent = None if latent_labels is None else latent_labels[org.org_id]
+        features = compute_technical_features(org, obs_by_org[org.org_id])
+        features.update(
+            compute_social_features(org, tweets_by_org[org.org_id], polarity_fn)
+        )
         profiles.append(
-            assemble_profile(
-                org,
-                technical,
-                social,
+            FeatureVector(
+                org_id=org.org_id,
+                values=tuple(features[name] for name in FEATURES),
+                sector=org.sector,
+                org_size=org.org_size,
                 label=int(org.org_id in victims),
-                latent_label=latent,
+                latent_label=None if latent_labels is None else latent_labels[org.org_id],
             )
         )
     return profiles
 
 
-CSV_COLUMNS: tuple[str, ...] = (
-    ("org_id",) + TECHNICAL_FEATURES + SOCIAL_FEATURES + ("sector", "org_size", "label")
-)
+CSV_COLUMNS: tuple[str, ...] = ("org_id",) + FEATURES + ("sector", "org_size", "label")
 
 
 def write_features_csv(path: str | Path, profiles: Sequence[FeatureVector]) -> None:
@@ -375,35 +303,28 @@ def write_features_csv(path: str | Path, profiles: Sequence[FeatureVector]) -> N
         writer.writerow(columns)
         for profile in profiles:
             row = [profile.org_id]
-            row.extend(repr(v) for v in profile.numeric_values())
+            row.extend(map(repr, profile.values))
             row.extend([profile.sector, str(profile.org_size), str(profile.label)])
             if with_latent:
                 row.append("" if profile.latent_label is None else str(profile.latent_label))
             writer.writerow(row)
 
 
-def _profile_from_row(row: list[str], with_latent: bool) -> FeatureVector:
-    org_id = row[0]
-    tech_values = [float(v) for v in row[1:11]]
-    social_values = [float(v) for v in row[11:27]]
-    finite = list(map(math.isfinite, tech_values + social_values))
-    if not all(finite):
-        cell = 1 + finite.index(False)
+def _profile_from_row(row: list[str]) -> FeatureVector:
+    """One profile from a row of CSV_COLUMNS, then an optional latent label."""
+    end = 1 + len(FEATURES)
+    values = tuple(map(float, row[1:end]))
+    if not all(map(math.isfinite, values)):
+        cell = 1 + list(map(math.isfinite, values)).index(False)
         raise ValueError(f"non-finite {CSV_COLUMNS[cell]}: {row[cell]!r}")
-    sector, org_size, label = row[27], int(row[28]), int(row[29])
-    latent: int | None = None
-    if with_latent and row[30] != "":
-        latent = int(row[30])
-    technical = TechnicalBlock(org_id, **dict(zip(TECHNICAL_FEATURES, tech_values)))
-    social = SocialBlock(org_id, **dict(zip(SOCIAL_FEATURES, social_values)))
+    sector, org_size, label, *latent = row[end:]
     return FeatureVector(
-        org_id=org_id,
-        technical=technical,
-        social=social,
+        org_id=row[0],
+        values=values,
         sector=sector,
-        org_size=org_size,
-        label=label,
-        latent_label=latent,
+        org_size=int(org_size),
+        label=int(label),
+        latent_label=int(latent[0]) if latent and latent[0] != "" else None,
     )
 
 
@@ -419,12 +340,12 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
         with_latent = header == list(CSV_COLUMNS + ("latent_label",))
         if not with_latent and header != list(CSV_COLUMNS):
             raise RecordError(f"{path}: unexpected feature columns {header!r}")
+        expected = len(CSV_COLUMNS) + (1 if with_latent else 0)
         for line_number, row in enumerate(reader, start=2):
-            expected = len(CSV_COLUMNS) + (1 if with_latent else 0)
             if len(row) != expected:
                 raise RecordError(f"{path}:{line_number}: expected {expected} fields")
             try:
-                profiles.append(_profile_from_row(row, with_latent))
+                profiles.append(_profile_from_row(row))
             except ValueError as exc:
                 raise RecordError(f"{path}:{line_number}: {exc}") from exc
     return profiles

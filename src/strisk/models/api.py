@@ -221,18 +221,17 @@ def train_matrix(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> TrainedModel:
 
 
 def train(dataset: Sequence[FeatureVector], spec: ModelSpec) -> TrainedModel:
-    X = encode_profiles(dataset, default_schema())
+    X = encode_profiles(dataset)
     return train_matrix(X, encode_labels(dataset), spec)
 
 
 def encode_for(model: Model, dataset: Sequence[FeatureVector]) -> np.ndarray:
     """Encode profiles for ``model``, refusing a model trained on another layout."""
-    schema = default_schema()
-    if model.schema.fingerprint != schema.fingerprint:
+    if model.schema.fingerprint != default_schema().fingerprint:
         raise ValueError(
             "schema mismatch: model was trained against a different feature layout"
         )
-    return encode_profiles(dataset, schema)
+    return encode_profiles(dataset)
 
 
 def predict_proba_many(model: Model, dataset: Sequence[FeatureVector]) -> np.ndarray:

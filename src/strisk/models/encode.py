@@ -1,6 +1,6 @@
 """Profile-to-matrix encoding shared by every model family.
 
-The column layout is fixed: technical features, social features,
+The column layout is fixed: the profile values in FEATURES order,
 org_size, then one sector indicator per known sector in registry order.
 A sha256 fingerprint of that layout travels with every serialized model
 so a model never scores vectors laid out differently.
@@ -14,12 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..features import SOCIAL_FEATURES, TECHNICAL_FEATURES, FeatureVector
+from ..features import FEATURES, FeatureVector
 from ..records import SECTORS
 
 SCHEMA_VERSION = 1
 
-NUMERIC_COLUMNS: tuple[str, ...] = TECHNICAL_FEATURES + SOCIAL_FEATURES + ("org_size",)
+NUMERIC_COLUMNS: tuple[str, ...] = FEATURES + ("org_size",)
 SECTOR_COLUMNS: tuple[str, ...] = tuple(f"sector={name}" for name in SECTORS)
 
 
@@ -57,26 +57,22 @@ def default_schema() -> FeatureSchema:
     return FeatureSchema(columns=NUMERIC_COLUMNS + SECTOR_COLUMNS)
 
 
-def encode_profiles(
-    profiles: Sequence[FeatureVector], schema: FeatureSchema | None = None
-) -> np.ndarray:
-    """Encode profiles as a float64 matrix in schema column order.
+def encode_profiles(profiles: Sequence[FeatureVector]) -> np.ndarray:
+    """Encode profiles as a float64 matrix in default_schema column order.
 
     Unknown sectors and non-finite feature values are hard errors: a
     silently zeroed row would score as a real organization.
     """
-    schema = schema or default_schema()
-    if schema.columns != NUMERIC_COLUMNS + SECTOR_COLUMNS:
-        raise ValueError("unsupported schema layout")
     sector_index = {name: i for i, name in enumerate(SECTORS)}
-    n_numeric = len(NUMERIC_COLUMNS)
-    matrix = np.zeros((len(profiles), len(schema.columns)), dtype=np.float64)
-    for row, profile in enumerate(profiles):
-        values = profile.numeric_values() + (float(profile.org_size),)
-        matrix[row, :n_numeric] = values
-        if profile.sector not in sector_index:
-            raise ValueError(f"unknown sector {profile.sector!r}")
-        matrix[row, n_numeric + sector_index[profile.sector]] = 1.0
+    try:
+        codes = [sector_index[p.sector] for p in profiles]
+    except KeyError as exc:
+        raise ValueError(f"unknown sector {exc.args[0]!r}") from None
+    n_rows, n_features = len(profiles), len(FEATURES)
+    matrix = np.zeros((n_rows, len(NUMERIC_COLUMNS) + len(SECTOR_COLUMNS)), dtype=np.float64)
+    matrix[:, :n_features] = np.reshape([p.values for p in profiles], (n_rows, n_features))
+    matrix[:, n_features] = [p.org_size for p in profiles]
+    matrix[np.arange(n_rows), len(NUMERIC_COLUMNS) + np.array(codes, dtype=np.intp)] = 1.0
     if not np.isfinite(matrix).all():
         raise ValueError("non-finite feature")
     return matrix

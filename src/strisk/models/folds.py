@@ -12,7 +12,7 @@ import numpy as np
 
 from ..features import FeatureVector
 from .api import ModelSpec, train_matrix
-from .encode import default_schema, encode_labels, encode_profiles
+from .encode import encode_labels, encode_profiles
 
 
 def stratified_fold_assignments(
@@ -48,7 +48,7 @@ def out_of_fold_probabilities(
     assignments: np.ndarray | None = None,
 ) -> np.ndarray:
     """Probability of class 1 for every example from fold-excluded models."""
-    X = encode_profiles(dataset, default_schema())
+    X = encode_profiles(dataset)
     y = encode_labels(dataset)
     if assignments is None:
         assignments = stratified_fold_assignments(y, folds, seed)

@@ -13,13 +13,13 @@ from typing import Sequence
 import numpy as np
 
 from ..evaluation import roc_auc
-from ..features import SOCIAL_FEATURES, TECHNICAL_FEATURES, FeatureVector
+from ..features import FEATURES, SOCIAL_FEATURES, TECHNICAL_FEATURES, FeatureVector
 from .api import Model, encode_for
 from .encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels
 
 IMPORTANCE_CATEGORIES: tuple[str, ...] = ("technical", "twitter", "sector", "org_size")
 
-_FEATURE_NAMES: tuple[str, ...] = TECHNICAL_FEATURES + SOCIAL_FEATURES + ("org_size", "sector")
+_FEATURE_NAMES: tuple[str, ...] = FEATURES + ("org_size", "sector")
 
 
 @dataclass(frozen=True, slots=True)

@@ -59,6 +59,8 @@ class MatchConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> MatchConfig:
+        if not isinstance(data, dict):
+            raise TypeError("match config must be a JSON object")
         kwargs = dict(data)
         if "suffix_stoplist" in kwargs:
             kwargs["suffix_stoplist"] = frozenset(kwargs["suffix_stoplist"])

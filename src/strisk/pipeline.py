@@ -9,6 +9,7 @@ floats, making identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -49,16 +50,24 @@ NOISY_LABEL_POLICY = "training on noisy labels"
 CORRECTED_LABEL_POLICY = "noise-corrected labels"
 
 
-class DataError(Exception):
-    """Malformed or inconsistent input data."""
-
-
 class StageFailure(Exception):
     """A pipeline stage failed; carries the stage name for the exit message."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
+
+
+@contextmanager
+def stage_guard(name: str):
+    """Turn a ValueError raised in stage ``name`` into a StageFailure (exit
+    code 3); a RecordError is bad input data (exit code 2) and passes."""
+    try:
+        yield
+    except RecordError:
+        raise
+    except ValueError as exc:
+        raise StageFailure(name, str(exc)) from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,6 +112,9 @@ class PipelineConfig:
             ModelSpec.from_dict(spec) for spec in denoise.get("models", [])
         ] or models
         stack = data.get("stack")
+        skip = data.get("skip", [])
+        if not isinstance(skip, list):
+            raise ValueError(f"skip must be a list of stage names, got {skip!r}")
         return cls(
             workdir=Path(workdir or data["workdir"]),
             seed=int(data.get("seed", 0)),
@@ -121,7 +133,7 @@ class PipelineConfig:
             importance_repeats=(
                 int(data["importance"]["repeats"]) if data.get("importance") else None
             ),
-            skip=tuple(data.get("skip", [])),
+            skip=tuple(skip),
         )
 
     @classmethod
@@ -147,11 +159,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     input_paths: dict[str, Path]
     ground_truth_path: Path | None = config.ground_truth
     if config.simulate is not None and "simulate" not in skip:
-        try:
+        with stage_guard("simulate"):
             bundle = generate_corpus(config.simulate)
             paths = write_corpus(bundle, workdir / "corpus")
-        except (ValueError, RecordError) as exc:
-            raise StageFailure("simulate", str(exc)) from exc
         input_paths = {k: paths[k] for k in ("organizations", "observations", "tweets", "incidents")}
         ground_truth_path = paths["ground_truth"]
         artifacts.update(paths)
@@ -165,28 +175,24 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         observations = load_observations(input_paths["observations"])
         tweets = load_tweets(input_paths["tweets"])
         incidents = load_incidents(input_paths["incidents"])
-    except RecordError as exc:
-        raise DataError(str(exc)) from exc
     except KeyError as exc:
-        raise DataError(f"missing input path for {exc.args[0]!r}") from exc
+        raise RecordError(f"missing input path for {exc.args[0]!r}") from exc
 
     match_summary: dict[str, int] = {}
     if "match" not in skip:
-        try:
+        with stage_guard("match"):
             candidates = match_names(
                 [incident.name for incident in incidents],
                 [org.name for org in organizations],
                 config.match,
             )
-        except ValueError as exc:
-            raise StageFailure("match", str(exc)) from exc
         matches_path = workdir / "matches.jsonl"
         write_jsonl(matches_path, (c.to_dict() for c in candidates))
         artifacts["matches"] = matches_path
         for candidate in candidates:
             match_summary[candidate.verdict] = match_summary.get(candidate.verdict, 0) + 1
 
-    try:
+    with stage_guard("featurize"):
         window = parse_window(config.window) if config.window else None
         latent = load_ground_truth(ground_truth_path) if ground_truth_path else None
         profiles = featurize_corpus(
@@ -197,17 +203,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             window=window,
             latent_labels=latent,
         )
-    except RecordError as exc:
-        raise DataError(str(exc)) from exc
-    except ValueError as exc:
-        raise StageFailure("featurize", str(exc)) from exc
     features_path = workdir / "features.csv"
     write_features_csv(features_path, profiles)
     artifacts["features"] = features_path
 
     noise_report: NoiseReport | None = None
     if "denoise" not in skip:
-        try:
+        with stage_guard("denoise"):
             profiles, noise_report = correct_labels(
                 profiles,
                 config.denoise_models,
@@ -215,8 +217,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 k=config.denoise_folds,
                 seed=config.seed,
             )
-        except ValueError as exc:
-            raise StageFailure("denoise", str(exc)) from exc
         denoised_path = workdir / "features_denoised.csv"
         write_features_csv(denoised_path, profiles)
         noise_path = workdir / "noise_report.json"
@@ -224,12 +224,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         artifacts["features_denoised"] = denoised_path
         artifacts["noise_report"] = noise_path
 
-    try:
+    with stage_guard("split"):
         train_set, test_set = split_train_test(
             profiles, config.split_fraction, seed=config.seed
         )
-    except ValueError as exc:
-        raise StageFailure("split", str(exc)) from exc
     train_path = workdir / "train.csv"
     test_path = workdir / "test.csv"
     write_features_csv(train_path, train_set)
@@ -239,7 +237,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     # Bases first, then the stacked model over them: importance scores the last.
     # A stacked model's bases are the single models, so they are fitted once.
-    try:
+    with stage_guard("train"):
         if config.stack_folds and len(config.models) >= 2:
             stacked = train_stacked(
                 train_set, config.models, folds=config.stack_folds, seed=config.seed
@@ -247,8 +245,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             trained = [(base.name, base) for base in stacked.bases] + [("stacked", stacked)]
         else:
             trained = [(spec.family, train(train_set, spec)) for spec in config.models]
-    except ValueError as exc:
-        raise StageFailure("train", str(exc)) from exc
     for key, model in trained:
         path = workdir / "models" / f"{key}.json"
         save_model(model, path)
@@ -256,7 +252,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     evaluations: list[EvaluationReport] = []
     importance: ImportanceReport | None = None
-    try:
+    with stage_guard("evaluate"):
         test_labels = [p.label for p in test_set]
         for _, model in trained:
             scores = predict_proba_many(model, test_set).tolist()
@@ -267,8 +263,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             importance = permutation_importance(
                 trained[-1][1], test_set, repeats=config.importance_repeats, seed=config.seed
             )
-    except ValueError as exc:
-        raise StageFailure("evaluate", str(exc)) from exc
     evaluations_path = workdir / "evaluations.json"
     write_json(
         evaluations_path,

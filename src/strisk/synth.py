@@ -158,6 +158,8 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> GeneratorConfig:
+        if not isinstance(data, dict):
+            raise TypeError("generator config must be a JSON object")
         kwargs = dict(data)
         if "sector_mix" in kwargs:
             kwargs["sector_mix"] = tuple(kwargs["sector_mix"])

@@ -4,14 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from strisk.features import (
-    SOCIAL_FEATURES,
-    TECHNICAL_FEATURES,
-    FeatureVector,
-    SocialBlock,
-    TechnicalBlock,
-    featurize_corpus,
-)
+from strisk.features import FEATURES, FeatureVector, featurize_corpus
 from strisk.records import SECTORS
 from strisk.synth import GeneratorConfig, generate_corpus
 
@@ -31,16 +24,13 @@ def make_profile(
     sector: str = SECTORS[0],
     org_size: int = 50,
 ) -> FeatureVector:
-    values = rng.random(26) if rng is not None else np.zeros(26)
-    tech = dict(zip(TECHNICAL_FEATURES, values[:10].tolist()))
-    social = dict(zip(SOCIAL_FEATURES, values[10:].tolist()))
+    drawn = rng.random(len(FEATURES)) if rng is not None else np.zeros(len(FEATURES))
+    values = dict(zip(FEATURES, drawn.tolist()))
     for name in shift_fields:
-        block = tech if name in tech else social
-        block[name] += shift
+        values[name] += shift
     return FeatureVector(
         org_id=org_id,
-        technical=TechnicalBlock(org_id=org_id, **tech),
-        social=SocialBlock(org_id=org_id, **social),
+        values=tuple(values[name] for name in FEATURES),
         sector=sector,
         org_size=org_size,
         label=label,

@@ -348,3 +348,23 @@ def noise_transition_matrix_reference(counts, label_counts=None):
         undefined_columns=tuple(undefined_columns),
         undefined_rows=tuple(undefined_rows),
     )
+
+
+def encode_profiles_reference(profiles) -> np.ndarray:
+    """The per-row encoder: each row gets its values and org_size, then
+    its sector indicator (an unknown sector raises at that row); cells are
+    checked for non-finite values once, after the last row."""
+    from strisk.models.encode import NUMERIC_COLUMNS, SECTOR_COLUMNS
+    from strisk.records import SECTORS
+
+    sector_index = {name: i for i, name in enumerate(SECTORS)}
+    n_numeric = len(NUMERIC_COLUMNS)
+    matrix = np.zeros((len(profiles), n_numeric + len(SECTOR_COLUMNS)), dtype=np.float64)
+    for row, profile in enumerate(profiles):
+        matrix[row, :n_numeric] = profile.values + (float(profile.org_size),)
+        if profile.sector not in sector_index:
+            raise ValueError(f"unknown sector {profile.sector!r}")
+        matrix[row, n_numeric + sector_index[profile.sector]] = 1.0
+    if not np.isfinite(matrix).all():
+        raise ValueError("non-finite feature")
+    return matrix

@@ -538,3 +538,95 @@ class TestExitCodes:
         gen = write_json(tmp_path / "gen.json", {"n_orgs": 30, "seed": 1})
         assert main(["--quiet", "simulate", "--config", str(gen), "--out-dir", str(tmp_path / "c")]) == 0
         assert capsys.readouterr().out == ""
+
+
+def _run_config(tmp_path: Path, **changes) -> dict:
+    config = {
+        "workdir": str(tmp_path / "work"),
+        "simulate": {"n_orgs": 60},
+        "models": [{"family": "naive_bayes"}],
+    }
+    config.update(changes)
+    return config
+
+
+def _assert_exit(code: int, expected: int, capsys, *phrases: str) -> None:
+    assert code == expected
+    err = capsys.readouterr().err
+    for phrase in phrases:
+        assert phrase in err
+    assert "Traceback" not in err
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("split", None),
+            ("denoise", "cm"),
+            ("evaluate", []),
+            ("inputs", ["a"]),
+            ("window", 5),
+        ],
+    )
+    def test_bad_run_config_is_usage_error(self, tmp_path, capsys, key, value):
+        config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path, **{key: value}))
+        code = main(["run", "--config", str(config)])
+        _assert_exit(code, 1, capsys, "usage error: bad pipeline config")
+
+    def test_skip_string_is_not_read_per_character(self, tmp_path, capsys):
+        config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path, skip="denoise"))
+        code = main(["run", "--config", str(config), "--skip", "match"])
+        _assert_exit(code, 1, capsys, "skip must be a list of stage names")
+        assert not (tmp_path / "work").exists()
+
+    def test_run_config_list_is_usage_error(self, tmp_path, capsys):
+        config = write_json(tmp_path / "pipeline.json", [_run_config(tmp_path)])
+        code = main(["run", "--config", str(config)])
+        _assert_exit(code, 1, capsys, "usage error: bad pipeline config")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"threshold": 0.5}, [["jw_threshold", 0.9]], {"jw_threshold": "high"}],
+    )
+    def test_bad_match_config_is_usage_error(self, tmp_path, capsys, payload):
+        names = tmp_path / "names.jsonl"
+        names.write_text('{"name": "Acme"}\n')
+        config = write_json(tmp_path / "match.json", payload)
+        code = main(
+            [
+                "match",
+                "--incidents", str(names),
+                "--registry", str(names),
+                "--config", str(config),
+                "--out", str(tmp_path / "m.jsonl"),
+            ]
+        )
+        _assert_exit(code, 1, capsys, "usage error: bad match config")
+        assert not (tmp_path / "m.jsonl").exists()
+
+    @pytest.mark.parametrize("payload", [{"n_orgs": 30, "signal": [1]}, [["n_orgs", 30]]])
+    def test_bad_generator_config_is_usage_error(self, tmp_path, capsys, payload):
+        config = write_json(tmp_path / "gen.json", payload)
+        code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "c")])
+        _assert_exit(code, 1, capsys, "usage error: bad generator config")
+
+    def test_bad_stacked_folds_is_usage_error(self, workspace, tmp_path, capsys):
+        _, _, features, _ = workspace
+        spec = write_json(
+            tmp_path / "spec.json",
+            {"bases": [{"family": "naive_bayes"}, {"family": "logistic_regression"}], "folds": "x"},
+        )
+        code = main(["train", "--features", str(features), "--spec", str(spec), "--out", str(tmp_path / "m.json")])
+        _assert_exit(code, 1, capsys, "usage error: bad model config")
+
+    @pytest.mark.parametrize("damage", ["list", "no_corpus"])
+    def test_file_that_is_not_a_report_exit_data_error(self, run_workdir, tmp_path, capsys, damage):
+        data = json.loads((run_workdir / "report.json").read_text())
+        if damage == "list":
+            data = [data]
+        else:
+            del data["corpus"]
+        report = write_json(tmp_path / "report.json", data)
+        code = main(["report", "--report", str(report)])
+        _assert_exit(code, 2, capsys, "data error:", "is not a report")

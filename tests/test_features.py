@@ -1,11 +1,18 @@
 """Feature extraction, profile assembly, and the CSV format."""
 from __future__ import annotations
 
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, make_profile
 from strisk.features import (
     CSV_COLUMNS,
+    FEATURES,
     SOCIAL_FEATURES,
     TECHNICAL_FEATURES,
     FeatureVector,
@@ -18,6 +25,7 @@ from strisk.features import (
     write_features_csv,
 )
 from strisk.records import (
+    SECTORS,
     IncidentRecord,
     ObservationRecord,
     OrganizationRecord,
@@ -68,29 +76,29 @@ class TestTechnicalFeatures:
                 obs("blacklist_ip", "10.0.0.2"),
             ],
         )
-        assert block.blacklist_count == 2.0
-        assert block.blacklist_ratio == 2 / 4
+        assert block["blacklist_count"] == 2.0
+        assert block["blacklist_ratio"] == 2 / 4
 
     def test_ip_ratio_uses_address_count(self):
         block = compute_technical_features(org(), [obs("open_port", "10.0.0.3")])
-        assert block.open_port_count == 1.0
-        assert block.open_port_ratio == 1 / 4
+        assert block["open_port_count"] == 1.0
+        assert block["open_port_ratio"] == 1 / 4
 
     def test_spam_ratio_uses_domain_count(self):
         block = compute_technical_features(org(), [obs("spam_domain", "x.example.com")])
-        assert block.spam_domain_count == 1.0
-        assert block.spam_domain_ratio == 1 / 2
+        assert block["spam_domain_count"] == 1.0
+        assert block["spam_domain_ratio"] == 1 / 2
 
     def test_unobserved_kinds_are_zero(self):
         block = compute_technical_features(org(), [])
-        assert block.as_tuple() == (0.0,) * len(TECHNICAL_FEATURES)
+        assert block == dict.fromkeys(TECHNICAL_FEATURES, 0.0)
 
     def test_spam_with_no_domains_has_zero_ratio(self):
         block = compute_technical_features(
             org(domains=()), [obs("spam_domain", "x.example.com")]
         )
-        assert block.spam_domain_count == 1.0
-        assert block.spam_domain_ratio == 0.0
+        assert block["spam_domain_count"] == 1.0
+        assert block["spam_domain_ratio"] == 0.0
 
     def test_ip_observation_without_addresses_is_an_error(self):
         with pytest.raises(RecordError, match="no addresses"):
@@ -114,38 +122,38 @@ class TestSocialFeatures:
 
     def test_engagement_ratios(self):
         block = compute_social_features(org(), self.fixture_tweets(), lambda t: 0.0)
-        assert block.mentions == 4.0
-        assert block.unique_accounts == 3.0
-        assert block.retweets == 6.0
-        assert block.replies == 2.0
-        assert block.spreadability == 1.5
-        assert block.debatability == 3.0
-        assert block.likes_ratio == 2.0
-        assert block.reply_ratio == 0.5
-        assert block.is_reply_to_ratio == 0.5
-        assert block.replied_to_ratio == 0.25
+        assert block["mentions"] == 4.0
+        assert block["unique_accounts"] == 3.0
+        assert block["retweets"] == 6.0
+        assert block["replies"] == 2.0
+        assert block["spreadability"] == 1.5
+        assert block["debatability"] == 3.0
+        assert block["likes_ratio"] == 2.0
+        assert block["reply_ratio"] == 0.5
+        assert block["is_reply_to_ratio"] == 0.5
+        assert block["replied_to_ratio"] == 0.25
 
     def test_sentiment_buckets_and_average(self):
         polarities = iter([-0.8, -0.2, 0.0, 0.6])
         block = compute_social_features(
             org(), self.fixture_tweets(), lambda t: next(polarities)
         )
-        assert block.strong_negative == 1.0
-        assert block.weak_negative == 1.0
-        assert block.neutral == 1.0
-        assert block.weak_positive == 0.0
-        assert block.strong_positive == 1.0
-        assert block.avg_polarity == pytest.approx((-0.8 - 0.2 + 0.0 + 0.6) / 4)
+        assert block["strong_negative"] == 1.0
+        assert block["weak_negative"] == 1.0
+        assert block["neutral"] == 1.0
+        assert block["weak_positive"] == 0.0
+        assert block["strong_positive"] == 1.0
+        assert block["avg_polarity"] == pytest.approx((-0.8 - 0.2 + 0.0 + 0.6) / 4)
 
     def test_no_tweets_is_all_zero(self):
         block = compute_social_features(org(), [])
-        assert block.as_tuple() == (0.0,) * len(SOCIAL_FEATURES)
+        assert block == dict.fromkeys(SOCIAL_FEATURES, 0.0)
 
     def test_zero_replies_collapses_debatability(self):
         block = compute_social_features(
             org(), [tweet(retweets=3), tweet(retweets=1)], lambda t: 0.0
         )
-        assert block.debatability == 0.0
+        assert block["debatability"] == 0.0
 
     def test_foreign_tweet_rejected(self):
         with pytest.raises(RecordError, match="foreign tweet"):
@@ -207,19 +215,19 @@ class TestFeaturizeCorpus:
         profiles = featurize_corpus(
             orgs, observations, [], incidents, window=parse_window("2019-01-01:2019-12-31")
         )
-        assert profiles[0].technical.blacklist_count == 1.0
+        assert profiles[0].values[FEATURES.index("blacklist_count")] == 1.0
 
     def test_duplicate_tweets_collapse(self):
         orgs, observations, _, incidents = self.corpus()
         twice = [tweet(org_id="o2", likes=5), tweet(org_id="o2", likes=5)]
         profiles = featurize_corpus(orgs, observations, twice, incidents)
-        assert profiles[1].social.mentions == 1.0
+        assert profiles[1].values[FEATURES.index("mentions")] == 1.0
 
     def test_same_text_different_account_kept(self):
         orgs, observations, _, incidents = self.corpus()
         pair = [tweet(org_id="o2", account="u1"), tweet(org_id="o2", account="u2")]
         profiles = featurize_corpus(orgs, observations, pair, incidents)
-        assert profiles[1].social.mentions == 2.0
+        assert profiles[1].values[FEATURES.index("mentions")] == 2.0
 
     def test_unknown_references_rejected(self):
         orgs, observations, tweets, incidents = self.corpus()
@@ -241,27 +249,32 @@ class TestFeaturizeCorpus:
 
 
 class TestFeatureVector:
-    def test_numeric_values_order(self):
-        profile = make_profile("o1", org_size=42)
-        values = profile.numeric_values()
-        assert len(values) == len(TECHNICAL_FEATURES) + len(SOCIAL_FEATURES)
-        assert values == profile.technical.as_tuple() + profile.social.as_tuple()
+    def test_values_follow_features_order(self):
+        orgs, observations, tweets, incidents = TestFeaturizeCorpus().corpus()
+        profiles = featurize_corpus(orgs, observations, tweets, incidents)
+        assert FEATURES == TECHNICAL_FEATURES + SOCIAL_FEATURES
+        for record, profile in zip(orgs, profiles):
+            technical = compute_technical_features(
+                record, [o for o in observations if o.org_id == record.org_id]
+            )
+            social = compute_social_features(
+                record, [t for t in tweets if t.org_id == record.org_id]
+            )
+            assert len(profile.values) == len(TECHNICAL_FEATURES) + len(SOCIAL_FEATURES)
+            assert profile.values == tuple(technical[n] for n in TECHNICAL_FEATURES) + tuple(
+                social[n] for n in SOCIAL_FEATURES
+            )
 
     def test_label_validated(self):
         with pytest.raises(ValueError):
             make_profile("o1", label=2)
 
-    def test_block_org_ids_must_agree(self):
-        good = make_profile("o1")
-        with pytest.raises(ValueError):
-            FeatureVector(
-                org_id="other",
-                technical=good.technical,
-                social=good.social,
-                sector=good.sector,
-                org_size=good.org_size,
-                label=0,
-            )
+    def test_values_of_wrong_length_rejected(self):
+        for width in (0, len(FEATURES) - 1, len(FEATURES) + 1):
+            with pytest.raises(ValueError, match=f"values must hold {len(FEATURES)} features"):
+                FeatureVector(
+                    org_id="o1", values=(0.0,) * width, sector="finance", org_size=5, label=0
+                )
 
     def test_with_label_keeps_everything_else(self):
         profile = make_profile("o1", label=0, latent_label=1)
@@ -269,10 +282,45 @@ class TestFeatureVector:
         assert flipped.label == 1
         assert flipped.org_id == profile.org_id
         assert flipped.latent_label == profile.latent_label
-        assert flipped.numeric_values() == profile.numeric_values()
+        assert flipped.values == profile.values
+
+
+# Signed zeros, subnormals, the largest finite magnitudes and neighbouring floats.
+csv_value = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+         1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+         1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.1, math.nextafter(0.1, 1.0)]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+csv_profile = st.builds(
+    FeatureVector,
+    org_id=st.text("abcxyz-_019", min_size=1, max_size=8),
+    values=st.lists(csv_value, min_size=len(FEATURES), max_size=len(FEATURES)).map(tuple),
+    sector=st.sampled_from(SECTORS),
+    org_size=st.integers(1, 10**12),
+    label=st.integers(0, 1),
+    latent_label=st.sampled_from([None, 0, 1]),
+)
 
 
 class TestCsvRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(csv_profile, min_size=1, max_size=5))
+    def test_drawn_values_survive_bit_for_bit(self, profiles):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            write_features_csv(path, profiles)
+            loaded = read_features_csv(path)
+            assert loaded == profiles
+            for before, after in zip(profiles, loaded):
+                assert [v.hex() for v in after.values] == [v.hex() for v in before.values]
+            again = Path(tmp) / "again.csv"
+            write_features_csv(again, loaded)
+            assert again.read_bytes() == path.read_bytes()
+
     def test_floats_survive_exactly(self, tmp_path):
         profiles = make_dataset(6, 6, seed=3)
         path = tmp_path / "features.csv"
@@ -284,7 +332,7 @@ class TestCsvRoundTrip:
             assert after.label == before.label
             assert after.sector == before.sector
             assert after.org_size == before.org_size
-            assert after.numeric_values() == before.numeric_values()
+            assert after.values == before.values
 
     def test_latent_column_only_when_present(self, tmp_path):
         plain = tmp_path / "plain.csv"

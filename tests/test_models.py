@@ -1,12 +1,18 @@
 """Encoding schema, the model zoo, folds, stacking, and importance."""
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, make_profile
-from oracles import permutation_importance_reference
+from oracles import encode_profiles_reference, permutation_importance_reference
 from strisk.evaluation import roc_auc, split_train_test
+from strisk.features import FEATURES, FeatureVector
 from strisk.models import (
     MODEL_FAMILIES,
     FeatureSchema,
@@ -29,6 +35,7 @@ from strisk.models.encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels
 from strisk.models.linear import logistic_loss_gradient
 from strisk.models.stacking import predict_stacked_many
 from strisk.models.trees import RegressionTree
+from strisk.records import SECTORS
 
 # Small overrides keep the ensemble families fast without changing behavior.
 FAST_HYPERPARAMETERS = {
@@ -83,18 +90,39 @@ class TestSchema:
         assert all(column.startswith("sector=") for column in SECTOR_COLUMNS)
 
 
+# Signed zeros, subnormals, the largest finite magnitudes and neighbouring floats.
+feature_value = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+         1.7976931348623157e308, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def encodable_profiles(draw):
+    return FeatureVector(
+        org_id="o",
+        values=tuple(draw(st.lists(feature_value, min_size=len(FEATURES), max_size=len(FEATURES)))),
+        sector=draw(st.sampled_from(SECTORS)),
+        org_size=draw(st.integers(1, 10**12)),
+        label=draw(st.integers(0, 1)),
+    )
+
+
 class TestEncoding:
     def test_matrix_shape_and_order(self):
         profiles = make_dataset(3, 2, seed=1)
-        X = encode_profiles(profiles, default_schema())
+        X = encode_profiles(profiles)
         assert X.shape == (5, len(NUMERIC_COLUMNS) + len(SECTOR_COLUMNS))
         assert X.dtype == np.float64
-        numeric = np.array([p.numeric_values() + (p.org_size,) for p in profiles])
+        numeric = np.array([p.values + (p.org_size,) for p in profiles])
         assert np.array_equal(X[:, : len(NUMERIC_COLUMNS)], numeric)
 
     def test_sector_one_hot(self):
         profile = make_profile("o1", sector="finance")
-        X = encode_profiles([profile], default_schema())
+        X = encode_profiles([profile])
         block = X[0, len(NUMERIC_COLUMNS):]
         assert block.sum() == 1.0
         assert block[SECTOR_COLUMNS.index("sector=finance")] == 1.0
@@ -103,13 +131,42 @@ class TestEncoding:
         profile = make_profile("o1")
         object.__setattr__(profile, "sector", "astrology")
         with pytest.raises(ValueError, match="sector"):
-            encode_profiles([profile], default_schema())
+            encode_profiles([profile])
 
     def test_non_finite_rejected(self):
         profile = make_profile("o1")
         object.__setattr__(profile, "org_size", float("nan"))
         with pytest.raises(ValueError, match="non-finite feature"):
-            encode_profiles([profile], default_schema())
+            encode_profiles([profile])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_row_reference(self, data):
+        profiles = data.draw(st.lists(encodable_profiles(), max_size=6))
+        if profiles and data.draw(st.booleans()):
+            row = data.draw(st.integers(0, len(profiles) - 1))
+            profiles[row] = replace(profiles[row], sector="astrology")
+        if profiles and data.draw(st.booleans()):
+            row = data.draw(st.integers(0, len(profiles) - 1))
+            cell = data.draw(st.integers(0, len(FEATURES)))
+            bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            if cell == len(FEATURES):
+                profiles[row] = replace(profiles[row], org_size=bad)
+            else:
+                values = list(profiles[row].values)
+                values[cell] = bad
+                profiles[row] = replace(profiles[row], values=tuple(values))
+        try:
+            expected = encode_profiles_reference(profiles)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                encode_profiles(profiles)
+            assert str(raised.value) == str(exc)
+            return
+        X = encode_profiles(profiles)
+        assert X.dtype == expected.dtype
+        assert X.shape == expected.shape
+        assert X.tobytes() == expected.tobytes()
 
     def test_labels_encoded(self):
         labels = encode_labels(make_dataset(2, 3, seed=0))

@@ -295,7 +295,7 @@ class TestFlipLabels:
         dataset = make_dataset(5, 3, seed=2)
         target = dataset[0].org_id
         corrected, _ = flip_labels(dataset, [target])
-        assert corrected[0].numeric_values() == dataset[0].numeric_values()
+        assert corrected[0].values == dataset[0].values
         assert corrected[0].label == 1
         assert [p.label for p in corrected[1:]] == [p.label for p in dataset[1:]]
 

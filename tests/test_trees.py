@@ -181,6 +181,35 @@ def test_boosted_trees_match_reference_on_residuals(make_matrix, seed):
         scores += model.learning_rate * np.array(reference["value"])[leaves]
 
 
+# A residual-like target (a 0/1 label minus a probability in tenths) on a
+# tied 96 x 2 matrix, found by search: summing tied rows in any order but
+# the stable one moves a last-bit SSE near-tie, so an unstable argsort of
+# the rank codes grows a different tree here than the reference does.
+TIE_ORDER_X = (
+    "2133122310030310302310331022011120001120002333103310232103102030"
+    "2230102303000113322303021100313200302123131132210031012132330101"
+    "2132323020232013313021102221300103133120013232113310133330012321"
+)
+TIE_ORDER_LABELS = (
+    "1000001010010111000000101110101001101110110111100101001000111100"
+    "01010001000000010111010101110100"
+)
+TIE_ORDER_TENTHS = (
+    6, 2, 6, 9, 6, 6, 10, 9, 2, 10, 10, 10, 2, 3, 5, 1, 2, 8, 2, 8, 6, 4, 4, 3, 7,
+    1, 3, 9, 1, 5, 8, 4, 2, 1, 5, 4, 8, 6, 3, 8, 2, 4, 0, 4, 7, 9, 6, 4, 7, 1, 5, 9,
+    6, 7, 9, 1, 8, 5, 3, 3, 3, 8, 9, 0, 6, 6, 8, 9, 7, 4, 9, 5, 0, 8, 10, 8, 2, 4,
+    1, 10, 3, 6, 2, 7, 5, 2, 9, 7, 9, 9, 1, 10, 7, 5, 10, 3,
+)
+
+
+def test_tied_rows_are_summed_in_stable_order():
+    X = np.array([int(c) for c in TIE_ORDER_X], dtype=np.float64).reshape(-1, 2)
+    labels = np.array([int(c) for c in TIE_ORDER_LABELS], dtype=np.float64)
+    y = labels - np.array(TIE_ORDER_TENTHS) / 10
+    tree = RegressionTree(max_depth=4, min_samples_leaf=1).fit(X, y)
+    assert node_lists(tree) == grow_tree_reference(X, y, 4, 1)
+
+
 def test_nan_rows_route_right():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     tree = RegressionTree(max_depth=1, min_samples_leaf=1).fit(X, np.array([0.0, 0.0, 1.0, 1.0]))
