@@ -22,6 +22,7 @@ from .records import (
     OrganizationRecord,
     RecordError,
     TweetRecord,
+    check_org_size,
 )
 from .text import SentimentBucket, bucket_sentiment, clean_tweet_text, default_polarity
 
@@ -322,7 +323,7 @@ def _profile_from_row(row: list[str]) -> FeatureVector:
         org_id=row[0],
         values=values,
         sector=sector,
-        org_size=int(org_size),
+        org_size=check_org_size(int(org_size)),
         label=int(label),
         latent_label=int(latent[0]) if latent and latent[0] != "" else None,
     )

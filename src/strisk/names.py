@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -195,22 +196,45 @@ def match_names(
     to review, as does a tie between distinct top candidates (ties among
     zero-score candidates mean no evidence at all and stay rejected).
     Ties are broken lexicographically by normalized name for determinism.
+
+    Only registry names that share a normalized token with the incident
+    can score above 0, so an inverted token index picks those out and
+    only they are scored. An incident that shares no token with any
+    registry name scores 0 against all of them; its candidate is the
+    lexicographically first normalized registry name, computed once.
     """
     config = config or MatchConfig()
     if not registry_names:
         raise ValueError("empty registry")
     registry = [normalize_name(name, config) for name in registry_names]
+    sizes = [len(set(entry.tokens)) for entry in registry]
+    index: dict[str, list[int]] = {}
+    for position, entry in enumerate(registry):
+        for token in set(entry.tokens):
+            index.setdefault(token, []).append(position)
+    no_overlap = (0.0, min(registry, key=lambda entry: entry.normalized), False)
     results: list[MatchCandidate] = []
     for raw in incident_names:
         incident = normalize_name(raw, config)
-        scored = [(jaccard_similarity(incident, entry), entry) for entry in registry]
-        best_score = max(score for score, _ in scored)
-        contenders = [
-            entry for score, entry in scored if best_score - score <= _SCORE_TIE
-        ]
-        best = min(contenders, key=lambda entry: entry.normalized)
-        distinct = {entry.normalized for entry in contenders}
-        ambiguous = best_score > 0.0 and len(distinct) > 1
+        tokens = set(incident.tokens)
+        shared = Counter(
+            position for token in tokens for position in index.get(token, ())
+        )
+        if not shared:
+            best_score, best, ambiguous = no_overlap
+        else:
+            # A shared token gives Jaccard >= 1/(|A|+|B|), far above
+            # _SCORE_TIE, so the unscored zero-score names never contend.
+            scored = [
+                (count / (len(tokens) + sizes[position] - count), registry[position])
+                for position, count in sorted(shared.items())
+            ]
+            best_score = max(score for score, _ in scored)
+            contenders = [
+                entry for score, entry in scored if best_score - score <= _SCORE_TIE
+            ]
+            best = min(contenders, key=lambda entry: entry.normalized)
+            ambiguous = len({entry.normalized for entry in contenders}) > 1
         jw = jaro_winkler_similarity(incident.normalized, best.normalized, config)
         jaccard_ok = best_score >= config.jaccard_threshold
         jw_ok = jw >= config.jw_threshold

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -87,7 +88,16 @@ def _strings(data: dict, key: str) -> tuple[str, ...]:
     return tuple(values)
 
 
+# A dotted-quad IPv4 address in ASCII digits, each octet 0-255 without a
+# leading zero: only strings ipaddress accepts as IPv4. fullmatch, not $,
+# which would also accept a trailing newline.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+
+
 def _is_ip(subject: str) -> bool:
+    if _IPV4.fullmatch(subject):
+        return True
     try:
         ipaddress.ip_address(subject)
     except ValueError:
@@ -95,9 +105,26 @@ def _is_ip(subject: str) -> bool:
     return True
 
 
+def check_org_size(value: int) -> int:
+    """``value`` if it is an organization size: an integer >= 1 that
+    converts to a finite float, since models read sizes as floats."""
+    if value < 1:
+        raise RecordError("org_size must be a positive integer")
+    try:
+        float(value)
+    except OverflowError:
+        raise RecordError("org_size must convert to a finite float") from None
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class OrganizationRecord:
-    """One organization: identity, sector, size, and network footprint."""
+    """One organization: identity, sector, size, and network footprint.
+
+    host_count, the total addresses across all allocated ranges, is
+    summed while the ranges are validated; it is not an argument and
+    takes no part in equality or repr.
+    """
 
     org_id: str
     name: str
@@ -105,29 +132,23 @@ class OrganizationRecord:
     org_size: int
     ip_ranges: tuple[str, ...] = ()
     domains: tuple[str, ...] = ()
+    host_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.org_id:
             raise RecordError("organization requires an org_id")
         if self.sector not in SECTORS:
             raise RecordError(f"unknown sector {self.sector!r}")
-        if self.org_size < 1:
-            raise RecordError("org_size must be a positive integer")
+        check_org_size(self.org_size)
         object.__setattr__(self, "ip_ranges", tuple(self.ip_ranges))
         object.__setattr__(self, "domains", tuple(self.domains))
+        host_count = 0
         for block in self.ip_ranges:
             try:
-                ipaddress.ip_network(block, strict=False)
+                host_count += ipaddress.ip_network(block, strict=False).num_addresses
             except ValueError as exc:
                 raise RecordError(f"invalid CIDR block {block!r}") from exc
-
-    @property
-    def host_count(self) -> int:
-        """Total addresses across all allocated ranges."""
-        return sum(
-            ipaddress.ip_network(block, strict=False).num_addresses
-            for block in self.ip_ranges
-        )
+        object.__setattr__(self, "host_count", host_count)
 
     def to_dict(self) -> dict:
         return {
@@ -190,7 +211,7 @@ class ObservationRecord:
             org_id=_field(data, "org_id", str),
             kind=_field(data, "kind", str),
             subject=_field(data, "subject", str),
-            timestamp=_parse_timestamp(_field(data, "timestamp", str)),
+            timestamp=_field(data, "timestamp", str),
             detail=_field(data, "detail", str, ""),
         )
 
@@ -238,7 +259,7 @@ class TweetRecord:
             account=_field(data, "account", str),
             is_reply_to=_field(data, "is_reply_to", bool),
             is_replied_to=_field(data, "is_replied_to", bool),
-            timestamp=_parse_timestamp(_field(data, "timestamp", str)),
+            timestamp=_field(data, "timestamp", str),
         )
 
 
@@ -306,9 +327,10 @@ def read_names(path: str | Path) -> list[str]:
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
+            handle.write(encode(record))
             handle.write("\n")
 
 

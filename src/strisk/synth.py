@@ -15,7 +15,6 @@ alter what "baseline" means.
 """
 from __future__ import annotations
 
-import ipaddress
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -70,6 +69,7 @@ PHRASE_WEIGHTS = (0.45, 0.35, 0.20)
 
 YEAR_START = datetime(2019, 1, 1, tzinfo=timezone.utc)
 YEAR_SECONDS = 365 * 24 * 3600
+_YEAR_START_S = int(YEAR_START.timestamp())
 
 _ADJECTIVES = (
     "apex", "atlas", "beacon", "blue", "bright", "cedar", "crest", "delta",
@@ -175,8 +175,9 @@ class CorpusBundle:
     ground_truth: dict[str, int]
 
 
-def _address_block(index: int) -> str:
-    """The index-th synthetic /27 block, the first of 10.x.y.0/24.
+def _block_prefix(index: int) -> str:
+    """The "10.x.y." prefix of the index-th synthetic /27 block, the first
+    of 10.x.y.0/24.
 
     There are 65,536 such blocks; past them ValueError, because wrapping
     around would give two organizations the same addresses.
@@ -184,14 +185,24 @@ def _address_block(index: int) -> str:
     high, low = divmod(index, 256)
     if not 0 <= high < 256:
         raise ValueError(f"synthetic address block {index} is past the 65,536 in 10.0.0.0/8")
-    return f"10.{high}.{low}.0/27"
+    return f"10.{high}.{low}."
+
+
+def _address_block(index: int) -> str:
+    """The index-th synthetic /27 block in CIDR notation."""
+    return f"{_block_prefix(index)}0/27"
+
+
+def _block_hosts(index: int) -> list[str]:
+    """The 30 host addresses of the index-th block, .1 to .30 (a /27 less
+    its network and broadcast addresses), in ascending order."""
+    prefix = _block_prefix(index)
+    return [f"{prefix}{host}" for host in range(1, 31)]
 
 
 def _timestamp(rng: np.random.Generator) -> datetime:
     offset = int(rng.integers(0, YEAR_SECONDS))
-    return datetime.fromtimestamp(
-        int(YEAR_START.timestamp()) + offset, tz=timezone.utc
-    )
+    return datetime.fromtimestamp(_YEAR_START_S + offset, tz=timezone.utc)
 
 
 def _org_name(rng: np.random.Generator) -> str:
@@ -260,7 +271,7 @@ def generate_corpus(config: GeneratorConfig) -> CorpusBundle:
         size_shift = 0.8 * s_size if is_victim else 0.0
         org_size = max(1, round(median * math.exp(rng.normal(size_shift, 0.75))))
         n_blocks = int(rng.integers(1, 3))
-        blocks = [_address_block(block_cursor + b) for b in range(n_blocks)]
+        block_ids = range(block_cursor, block_cursor + n_blocks)
         block_cursor += n_blocks
         n_domains = int(rng.integers(1, 4))
         slug = name.lower().replace(" ", "-")
@@ -270,20 +281,17 @@ def generate_corpus(config: GeneratorConfig) -> CorpusBundle:
             name=name,
             sector=SECTORS[sector_id],
             org_size=org_size,
-            ip_ranges=tuple(blocks),
+            ip_ranges=tuple(_address_block(b) for b in block_ids),
             domains=domains,
         )
         organizations.append(org)
         ground_truth[org_id] = int(is_victim)
 
         tech_multiplier = 1.0 + (TECHNICAL_BOOST * s_tech if is_victim else 0.0)
-        address_pool = [
-            str(host)
-            for block in blocks
-            for host in ipaddress.ip_network(block).hosts()
-        ]
+        address_pool = [host for b in block_ids for host in _block_hosts(b)]
+        host_count = org.host_count
         for kind, rate in OBSERVATION_RATES.items():
-            count = int(rng.poisson(org.host_count * rate * tech_multiplier))
+            count = int(rng.poisson(host_count * rate * tech_multiplier))
             count = min(count, len(address_pool))
             if count == 0:
                 continue

@@ -77,6 +77,8 @@ _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#(\w+)")
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9\s]")
 _WHITESPACE_RE = re.compile(r"\s+")
+# Text that is already clean: every step below leaves it unchanged.
+_CLEAN_RE = re.compile(r"[a-z0-9]+(?: [a-z0-9]+)*")
 
 
 def clean_tweet_text(text: str) -> str:
@@ -86,6 +88,8 @@ def clean_tweet_text(text: str) -> str:
     hashtags keep their word. The result is single-space separated with
     no leading or trailing whitespace.
     """
+    if _CLEAN_RE.fullmatch(text):
+        return text
     text = text.lower()
     text = _CONTRACTION_RE.sub(lambda m: CONTRACTIONS[m.group(1)], text)
     text = _URL_RE.sub(" ", text)

@@ -368,3 +368,77 @@ def encode_profiles_reference(profiles) -> np.ndarray:
     if not np.isfinite(matrix).all():
         raise ValueError("non-finite feature")
     return matrix
+
+
+def match_names_reference(incident_names, registry_names, config=None):
+    """The all-pairs matcher: every incident scored against every registry
+    name."""
+    from strisk.names import (
+        _SCORE_TIE,
+        ACCEPTED,
+        NEEDS_REVIEW,
+        REJECTED,
+        MatchCandidate,
+        MatchConfig,
+        jaccard_similarity,
+        jaro_winkler_similarity,
+        normalize_name,
+    )
+
+    config = config or MatchConfig()
+    if not registry_names:
+        raise ValueError("empty registry")
+    registry = [normalize_name(name, config) for name in registry_names]
+    results = []
+    for raw in incident_names:
+        incident = normalize_name(raw, config)
+        scored = [(jaccard_similarity(incident, entry), entry) for entry in registry]
+        best_score = max(score for score, _ in scored)
+        contenders = [
+            entry for score, entry in scored if best_score - score <= _SCORE_TIE
+        ]
+        best = min(contenders, key=lambda entry: entry.normalized)
+        distinct = {entry.normalized for entry in contenders}
+        ambiguous = best_score > 0.0 and len(distinct) > 1
+        jw = jaro_winkler_similarity(incident.normalized, best.normalized, config)
+        jaccard_ok = best_score >= config.jaccard_threshold
+        jw_ok = jw >= config.jw_threshold
+        if ambiguous:
+            verdict = NEEDS_REVIEW
+        elif jaccard_ok and jw_ok:
+            verdict = ACCEPTED
+        elif jaccard_ok or jw_ok:
+            verdict = NEEDS_REVIEW
+        else:
+            verdict = REJECTED
+        results.append(
+            MatchCandidate(
+                incident_name=incident,
+                registry_name=best,
+                jaccard=best_score,
+                jaro_winkler=jw,
+                verdict=verdict,
+            )
+        )
+    return results
+
+
+def clean_tweet_text_reference(text: str) -> str:
+    """The tweet cleaner with every step applied to every text."""
+    from strisk.text import (
+        _CONTRACTION_RE,
+        _HASHTAG_RE,
+        _MENTION_RE,
+        _NON_ALNUM_RE,
+        _URL_RE,
+        _WHITESPACE_RE,
+        CONTRACTIONS,
+    )
+
+    text = text.lower()
+    text = _CONTRACTION_RE.sub(lambda m: CONTRACTIONS[m.group(1)], text)
+    text = _URL_RE.sub(" ", text)
+    text = _MENTION_RE.sub(" ", text)
+    text = _HASHTAG_RE.sub(r"\1", text)
+    text = _NON_ALNUM_RE.sub(" ", text)
+    return _WHITESPACE_RE.sub(" ", text).strip()

@@ -410,6 +410,9 @@ class TestExitCodes:
         [
             ("blacklist_count", "abc"),
             ("org_size", "1.5"),
+            pytest.param("org_size", "9" * 401, id="org_size-401-digits"),
+            ("org_size", "-5"),
+            ("org_size", "0"),
             ("label", "2"),
             ("blacklist_count", "nan"),
             ("mentions", "inf"),
@@ -448,6 +451,7 @@ class TestExitCodes:
             ("ground_truth", "latent_label", 7),
             ("ground_truth", "org_id", 7),
             ("ground_truth", None, ["org-1", 1]),
+            pytest.param("organizations", "org_size", int("9" * 401), id="organizations-org_size-401-digits"),
         ],
     )
     def test_incomplete_record_exit_data_error(self, workspace, tmp_path, capsys, role, field, value):
@@ -510,6 +514,38 @@ class TestExitCodes:
         assert repr(org_id) in err
         assert "Traceback" not in err
         assert not (tmp_path / "f.csv").exists()
+
+    def test_org_size_past_float_range_stops_featurize_and_run(self, workspace, tmp_path, capsys):
+        _, corpus, _, _ = workspace
+        roles = ("organizations", "observations", "tweets", "incidents")
+        paths = {role: corpus / f"{role}.jsonl" for role in roles}
+        lines = paths["organizations"].read_text().splitlines()
+        record = json.loads(lines[1])
+        record["org_size"] = int("9" * 401)
+        lines[1] = json.dumps(record)
+        paths["organizations"] = tmp_path / "organizations.jsonl"
+        paths["organizations"].write_text("\n".join(lines) + "\n")
+        where = f"{paths['organizations']}:2"
+        code = main(
+            [
+                "featurize",
+                "--orgs", str(paths["organizations"]),
+                "--observations", str(paths["observations"]),
+                "--tweets", str(paths["tweets"]),
+                "--incidents", str(paths["incidents"]),
+                "--out", str(tmp_path / "f.csv"),
+            ]
+        )
+        _assert_exit(code, 2, capsys, where, "org_size")
+        config = write_json(
+            tmp_path / "pipeline.json",
+            _run_config(
+                tmp_path,
+                simulate=None,
+                inputs={role: str(path) for role, path in paths.items()},
+            ),
+        )
+        _assert_exit(main(["--quiet", "run", "--config", str(config)]), 2, capsys, where, "org_size")
 
     def test_malformed_jsonl_exit_data_error(self, workspace, tmp_path):
         _, corpus, _, _ = workspace

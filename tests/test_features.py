@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ from strisk.records import (
     RecordError,
     TweetRecord,
 )
+from strisk.synth import GeneratorConfig, generate_corpus
+from strisk.text import clean_tweet_text
 
 TS = "2019-03-01T00:00:00+00:00"
 
@@ -159,6 +162,18 @@ class TestSocialFeatures:
         with pytest.raises(RecordError, match="foreign tweet"):
             compute_social_features(org(), [tweet(org_id="o2")])
 
+    def test_polarity_fn_receives_cleaned_text(self):
+        raw = ["Great SERVICE!! http://x.co @bob", "It's #hacked...", "Great SERVICE!! http://x.co @bob"]
+        seen = []
+
+        def spy(text):
+            seen.append(text)
+            return 0.0
+
+        compute_social_features(org(), [tweet(text=t, account=str(i)) for i, t in enumerate(raw)], spy)
+        assert seen == [clean_tweet_text(t) for t in raw]
+        assert seen[:2] == ["great service", "it is hacked"]
+
 
 class TestTimeWindow:
     def test_parse_and_contains(self):
@@ -246,6 +261,27 @@ class TestFeaturizeCorpus:
     def test_duplicate_org_ids_rejected(self):
         with pytest.raises(RecordError, match="duplicate org_id"):
             featurize_corpus([org("o1"), org("o1")], [], [], [])
+
+    def test_custom_polarity_matches_scoring_every_tweet(self):
+        def lengthy(text):
+            return (len(text) % 9 - 4) / 4
+
+        bundle = generate_corpus(GeneratorConfig(n_orgs=40, seed=3))
+        # Synthetic phrases are already clean; dress every other one up.
+        tweets = [
+            replace(t, text=f"@{t.account} {t.text.upper()}!! http://x.co") if i % 2 else t
+            for i, t in enumerate(bundle.tweets)
+        ]
+        profiles = featurize_corpus(
+            bundle.organizations, bundle.observations, tweets, bundle.incidents,
+            polarity_fn=lengthy,
+        )
+        for org_record, profile in zip(bundle.organizations, profiles):
+            own = [t for t in tweets if t.org_id == org_record.org_id]
+            expected = compute_social_features(org_record, own, lengthy)
+            assert profile.values[len(TECHNICAL_FEATURES):] == tuple(
+                expected[name] for name in SOCIAL_FEATURES
+            )
 
 
 class TestFeatureVector:

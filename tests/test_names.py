@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jaro_reference
+from oracles import jaro_reference, match_names_reference
 from strisk.names import (
     ACCEPTED,
     NEEDS_REVIEW,
@@ -226,3 +226,35 @@ class TestMatchNames:
         relaxed = MatchConfig(jaccard_threshold=0.3, jw_threshold=0.3)
         [result] = match_names(["alpha omega"], ["omega alpha"], relaxed)
         assert result.verdict == ACCEPTED
+
+
+# Few tokens, so drawn names share words, tie exactly and repeat a
+# normalized name under another spelling; suffixes and punctuation alone
+# normalize to nothing, and "zulu"/"yankee" appear only in incidents.
+registry_token = st.sampled_from(
+    ["acme", "Acme", "ACME,", "east", "East.", "west", "bolt", "freight", "Inc", "co", "&"]
+)
+incident_token = st.one_of(registry_token, st.sampled_from(["zulu", "yankee"]))
+registry_names = st.lists(
+    st.lists(registry_token, max_size=4).map(" ".join), min_size=1, max_size=8
+)
+incident_names = st.lists(st.lists(incident_token, max_size=4).map(" ".join), max_size=6)
+
+
+class TestMatchNamesAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(incident_names, registry_names)
+    def test_rows_equal_all_pairs_reference(self, incidents, registry):
+        assert [c.to_dict() for c in match_names(incidents, registry)] == [
+            c.to_dict() for c in match_names_reference(incidents, registry)
+        ]
+
+    def test_duplicate_normalized_names_keep_the_first_original(self):
+        [result] = match_names(["acme"], ["ACME, Inc.", "Acme", "acme co"])
+        assert result.registry_name.original == "ACME, Inc."
+        assert result.verdict == ACCEPTED
+
+    def test_no_overlap_takes_the_first_normalized_name(self):
+        [result] = match_names(["zulu"], ["bolt", "Acme West", "acme east", "ACME EAST"])
+        assert result.registry_name.original == "acme east"
+        assert (result.jaccard, result.verdict) == (0.0, REJECTED)

@@ -18,6 +18,7 @@ from strisk.records import (
 from strisk.synth import (
     GeneratorConfig,
     _address_block,
+    _block_hosts,
     generate_corpus,
     inject_label_noise,
     load_ground_truth,
@@ -143,6 +144,11 @@ class TestGenerateCorpus:
         for index in (256 * 256, 256 * 256 + 1, -1):
             with pytest.raises(ValueError, match="65,536"):
                 _address_block(index)
+
+    @pytest.mark.parametrize("index", [0, 255, 256, 65_535])
+    def test_block_hosts_are_the_ipaddress_hosts(self, index):
+        hosts = ipaddress.ip_network(_address_block(index)).hosts()
+        assert _block_hosts(index) == [str(host) for host in hosts]
 
     def test_observations_point_at_owned_addresses(self):
         bundle = generate_corpus(GeneratorConfig(n_orgs=40, seed=5))

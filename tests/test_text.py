@@ -4,9 +4,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import clean_tweet_text_reference
 from strisk.text import (
     CONTRACTIONS,
     NEGATIVE_WORDS,
@@ -56,6 +57,31 @@ class TestCleanTweetText:
     def test_idempotent(self, raw):
         once = clean_tweet_text(raw)
         assert clean_tweet_text(once) == once
+
+    # Near-clean words: a stray capital, apostrophe, "www." or "://", a
+    # mention or hashtag marker, a non-ASCII digit or a double space must
+    # each send the text through the full pipeline.
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["acme", "down", "it", "s", "don't", "www", "www.x", "http", "://",
+                 "@a", "#b", "A", "7", "\u0663", "é", "", " ", "\n", "!"]
+            ),
+            max_size=6,
+        ).map(" ".join)
+    )
+    @example("acme down")
+    @example("Acme")
+    @example("acme  down")
+    @example("acme down ")
+    @example("acme\n")
+    @example("www.x")
+    @example("http ://")
+    @example("don't")
+    @example("@a #b")
+    @example("\u0663")
+    def test_already_clean_shortcut_matches_full_pipeline(self, raw):
+        assert clean_tweet_text(raw) == clean_tweet_text_reference(raw)
 
     @given(tweet_text)
     def test_output_is_single_spaced_alnum(self, raw):
