@@ -34,12 +34,23 @@ def split_train_test(
     return train, test
 
 
-def _check_aligned(scores: Sequence[float], labels: Sequence[int]) -> None:
+def _check_aligned(scores: Sequence[float], labels: Sequence[int]) -> np.ndarray:
+    """labels as an array, after checking there is one per score and each is 0 or 1."""
     if len(scores) != len(labels):
         raise ValueError(f"length mismatch: {len(scores)} scores vs {len(labels)} labels")
-    for label in labels:
-        if label not in (0, 1):
-            raise ValueError(f"labels must be 0 or 1: {label!r}")
+    try:
+        array = np.asarray(labels)
+    except ValueError:  # ragged: some labels are sequences
+        array = np.asarray(labels, dtype=object)
+    if array.ndim == 1 and array.dtype.kind in "biuf":
+        bad = np.flatnonzero((array != 0) & (array != 1))
+        offending = [labels[bad[0]]] if len(bad) else []
+    else:
+        # Strings, objects and ragged input: Python's own comparison decides.
+        offending = [label for label in labels if label not in (0, 1)][:1]
+    if offending:
+        raise ValueError(f"labels must be 0 or 1: {offending[0]!r}")
+    return array
 
 
 def tpr_fpr_f1_at(
@@ -78,8 +89,8 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     Computed from the rank sum of positives with midranks for ties, which
     equals pairwise counting without the quadratic loop.
     """
-    _check_aligned(scores, labels)
-    n_pos = int(sum(labels))
+    positive = _check_aligned(scores, labels) == 1
+    n_pos = int(np.count_nonzero(positive))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
@@ -93,7 +104,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     ranks = np.empty(len(ordered))
     ranks[order] = np.repeat((starts + ends - 1) / 2 + 1, ends - starts)
     # Ranks are multiples of 1/2, so this sum is exact in any order.
-    rank_sum = float(ranks[np.asarray(labels) == 1].sum())
+    rank_sum = float(ranks[positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 

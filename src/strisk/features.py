@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -311,14 +312,29 @@ def write_features_csv(path: str | Path, profiles: Sequence[FeatureVector]) -> N
             writer.writerow(row)
 
 
+# Characters of a number cell: signs, ASCII digits, points and letters
+# (exponents, nan, inf). int() and float() also read underscores,
+# surrounding whitespace and non-ASCII digits, which no written cell holds.
+_NUMERAL = re.compile(r"[-+.0-9A-Za-z]*")
+_NUMBER_COLUMNS: tuple[str, ...] = FEATURES + ("org_size", "label", "latent_label")
+
+
 def _profile_from_row(row: list[str]) -> FeatureVector:
     """One profile from a row of CSV_COLUMNS, then an optional latent label."""
     end = 1 + len(FEATURES)
-    values = tuple(map(float, row[1:end]))
-    if not all(map(math.isfinite, values)):
+    numbers = row[1:end]
+    sector, org_size, label, *latent = row[end:]
+    # One match of the joined cells per row; a failure names the first bad cell.
+    numerals = (*numbers, org_size, label, *latent)
+    if not _NUMERAL.fullmatch("".join(numerals)):
+        cell = next(i for i, text in enumerate(numerals) if not _NUMERAL.fullmatch(text))
+        raise ValueError(f"{_NUMBER_COLUMNS[cell]} is not a plain number: {numerals[cell]!r}")
+    values = tuple(map(float, numbers))
+    # A sum of finite values is finite unless it overflows, so the values
+    # are tested one by one only when the sum is not.
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         cell = 1 + list(map(math.isfinite, values)).index(False)
         raise ValueError(f"non-finite {CSV_COLUMNS[cell]}: {row[cell]!r}")
-    sector, org_size, label, *latent = row[end:]
     return FeatureVector(
         org_id=row[0],
         values=values,

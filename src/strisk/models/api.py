@@ -27,7 +27,8 @@ from .linear import LinearSvmPlatt, LogisticRegression
 MODEL_FORMAT_VERSION = 1
 
 # proba(shuffled, columns) -> probabilities for a matrix that equals the
-# X given to permuted_proba outside columns.
+# X given to permuted_proba outside columns. permuted_proba keeps what it
+# needs of X, so a caller may shuffle X itself and pass it as shuffled.
 PermutedProba = Callable[[np.ndarray, Sequence[int]], np.ndarray]
 
 # Family -> (implementation class, default hyperparameters). The
@@ -120,12 +121,9 @@ class TrainedModel:
     def permuted_proba(self, X: np.ndarray) -> PermutedProba:
         """proba(shuffled, columns): predict_matrix of a matrix equal to X
         outside ``columns``. Tree ensembles re-route only the rows a
-        shuffle can move; other families rescore every row."""
-        proba = (
-            self.impl.permuted_proba(X)
-            if hasattr(self.impl, "permuted_proba")
-            else lambda shuffled, columns: self.impl.predict_proba(shuffled)
-        )
+        shuffle can move; naive Bayes and the linear families recompute
+        only the shuffled columns' cells."""
+        proba = self.impl.permuted_proba(X)
         return lambda shuffled, columns: np.clip(proba(shuffled, columns), 0.0, 1.0)
 
     def to_dict(self) -> dict:

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .encode import param_array
+from .encode import param_array, with_columns
 
 
 @dataclass
@@ -36,14 +37,42 @@ class GaussianNaiveBayes:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        joint = np.empty((len(X), 2))
-        for c in (0, 1):
-            diff = X - self.means[c]
-            log_like = -0.5 * np.sum(
-                np.log(2.0 * np.pi * self.variances[c]) + diff * diff / self.variances[c],
-                axis=1,
+        return self._proba([np.sum(self._terms(X, c), axis=1) for c in (0, 1)])
+
+    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+        """proba(shuffled, columns): predict_proba of a matrix equal to X
+        outside ``columns``, recomputing only those columns' terms."""
+        terms = [self._terms(X, c) for c in (0, 1)]
+
+        def proba(shuffled: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+            return self._proba(
+                [
+                    with_columns(
+                        terms[c],
+                        columns,
+                        self._terms(shuffled[:, columns], c, columns),
+                        lambda patched: np.sum(patched, axis=1),
+                    )
+                    for c in (0, 1)
+                ]
             )
-            joint[:, c] = self.log_prior[c] + log_like
+
+        return proba
+
+    def _terms(self, X: np.ndarray, c: int, columns: Sequence[int] | slice = slice(None)) -> np.ndarray:
+        """Per-cell class-c terms log(2 pi var) + (x - mean)^2 / var of X,
+        whose columns are ``columns`` of the encoded layout."""
+        # The log runs over the full row either way, so a column's term
+        # does not depend on which other columns are computed with it.
+        log_norm = np.log(2.0 * np.pi * self.variances[c])
+        diff = X - self.means[c, columns]
+        return log_norm[columns] + diff * diff / self.variances[c, columns]
+
+    def _proba(self, sums: list[np.ndarray]) -> np.ndarray:
+        """Class-1 posteriors from each class's row sums of its terms."""
+        joint = np.empty((len(sums[0]), 2))
+        for c in (0, 1):
+            joint[:, c] = self.log_prior[c] + -0.5 * sums[c]
         shifted = joint - joint.max(axis=1, keepdims=True)
         likes = np.exp(shifted)
         return likes[:, 1] / likes.sum(axis=1)

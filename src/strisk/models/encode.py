@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,3 +105,24 @@ def standardize_apply(
     matrix: np.ndarray, mean: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
     return (matrix - mean) / scale
+
+
+def with_columns(
+    matrix: np.ndarray,
+    columns: Sequence[int],
+    values: np.ndarray,
+    score: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """score(matrix) with matrix[:, columns] set to ``values``; the
+    columns are put back afterwards, so matrix is unchanged on return.
+
+    Permuted scorers cache a per-cell matrix of the unshuffled input and
+    patch only the shuffled columns: the reduction in ``score`` then sees
+    the matrix a full rescore would build, so its result is bit-equal.
+    """
+    saved = matrix[:, columns]
+    matrix[:, columns] = values
+    try:
+        return score(matrix)
+    finally:
+        matrix[:, columns] = saved

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .trees import RegressionTree, rank_columns
+from .trees import NodeTable, RegressionTree, rank_columns
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -51,19 +51,24 @@ def _permuted_values(
     Only rows whose leaf for X lies under a split on one of ``columns``
     are routed again; every other row keeps its leaf. Which rows those
     are depends on the columns alone, so they are kept for the latest
-    column set, which the repeats of one feature share.
+    column set, which the repeats of one feature share. The moved
+    (tree, row) pairs of all trees route together through one NodeTable.
     """
     width = X.shape[1]
     unshuffled = [_compact(tree.apply(X), len(tree.value)) for tree in trees]
     # Bit-packed, a node's path columns take one byte per eight columns.
     paths = [np.packbits(tree.path_columns(width), axis=1) for tree in trees]
-    movable: dict[tuple[int, ...], list[np.ndarray]] = {}
+    table = NodeTable(trees)
+    tree_ids = _compact(np.arange(len(trees)), len(trees))
+    # Per column set: every tree's moved rows, tree after tree, the tree of
+    # each, and where each tree's rows start and end.
+    movable: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def values(shuffled: np.ndarray, columns: Sequence[int]) -> Iterator[np.ndarray]:
+    def moved_pairs(columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         key = tuple(columns)
         if key not in movable:
             movable.clear()
-            movable[key] = [
+            rows = [
                 _compact(
                     np.flatnonzero(
                         np.unpackbits(path, axis=1, count=width)[:, columns]
@@ -74,10 +79,16 @@ def _permuted_values(
                 )
                 for path, leaf_ids in zip(paths, unshuffled)
             ]
-        for tree, leaf_ids, moved in zip(trees, unshuffled, movable[key]):
+            counts = [len(tree_rows) for tree_rows in rows]
+            movable[key] = (np.concatenate(rows), np.repeat(tree_ids, counts), np.cumsum([0] + counts))
+        return movable[key]
+
+    def values(shuffled: np.ndarray, columns: Sequence[int]) -> Iterator[np.ndarray]:
+        rows, owners, bounds = moved_pairs(columns)
+        leaves = table.apply(shuffled, owners, rows)
+        for tree, leaf_ids, low, high in zip(trees, unshuffled, bounds[:-1], bounds[1:]):
             tree_values = tree.value.take(leaf_ids)
-            if len(moved):
-                tree_values[moved] = tree.predict(shuffled, moved)
+            tree_values[rows[low:high]] = table.value.take(leaves[low:high])
             yield tree_values
 
     return values

@@ -73,21 +73,22 @@ def permutation_importance(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     X = encode_for(model, dataset)
-    labels = encode_labels(dataset).tolist()
+    labels = encode_labels(dataset)
     proba = model.permuted_proba(X)
     # No column shuffled: every row keeps its leaf, so nothing is re-routed.
     baseline = roc_auc(proba(X, []), labels)
     rng = np.random.default_rng(seed)
     per_feature: dict[str, float] = {}
-    shuffled = X.copy()
+    # proba keeps what it needs of X, so X itself is shuffled in place and
+    # each feature's columns are put back after its repeats.
     for feature in _FEATURE_NAMES:
         columns = _columns_for(feature)
+        unshuffled = X[:, columns]
         drops = []
         for _ in range(repeats):
-            permutation = rng.permutation(len(dataset))
-            shuffled[:, columns] = X[np.ix_(permutation, columns)]
-            drops.append(baseline - roc_auc(proba(shuffled, columns), labels))
-        shuffled[:, columns] = X[:, columns]
+            X[:, columns] = unshuffled[rng.permutation(len(dataset))]
+            drops.append(baseline - roc_auc(proba(X, columns), labels))
+        X[:, columns] = unshuffled
         per_feature[feature] = max(0.0, float(np.mean(drops)))
     sums = {
         "technical": sum(per_feature[name] for name in TECHNICAL_FEATURES),

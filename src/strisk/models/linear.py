@@ -8,11 +8,12 @@ function so it can be audited against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .encode import param_array, standardize_apply, standardize_fit
+from .encode import param_array, standardize_apply, standardize_fit, with_columns
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -37,6 +38,24 @@ def logistic_loss_gradient(
     grad_w = X.T @ residual / len(y) + l2 * weights
     grad_b = float(residual.mean())
     return loss, np.append(grad_w, grad_b)
+
+
+def _margins(model: LogisticRegression | LinearSvmPlatt, X_std: np.ndarray) -> np.ndarray:
+    return X_std @ model.weights + model.bias
+
+
+def _permuted_margins(
+    model: LogisticRegression | LinearSvmPlatt, X: np.ndarray
+) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+    """margins(shuffled, columns): the model's margins for a matrix equal
+    to X outside ``columns``, from X standardized once and patched."""
+    X_std = standardize_apply(X, model.mean, model.scale)
+
+    def margins(shuffled: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+        patch = standardize_apply(shuffled[:, columns], model.mean[columns], model.scale[columns])
+        return with_columns(X_std, columns, patch, lambda patched: _margins(model, patched))
+
+    return margins
 
 
 @dataclass
@@ -66,11 +85,16 @@ class LogisticRegression:
         return self
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        X_std = standardize_apply(X, self.mean, self.scale)
-        return X_std @ self.weights + self.bias
+        return _margins(self, standardize_apply(X, self.mean, self.scale))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision(X))
+
+    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+        """proba(shuffled, columns): predict_proba of a matrix equal to X
+        outside ``columns``, standardizing only those columns again."""
+        margins = _permuted_margins(self, X)
+        return lambda shuffled, columns: _sigmoid(margins(shuffled, columns))
 
     def to_params(self) -> dict:
         return {
@@ -163,8 +187,15 @@ class LinearSvmPlatt:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X_std = standardize_apply(X, self.mean, self.scale)
-        margins = X_std @ self.weights + self.bias
+        return self._platt(_margins(self, standardize_apply(X, self.mean, self.scale)))
+
+    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+        """proba(shuffled, columns): predict_proba of a matrix equal to X
+        outside ``columns``, standardizing only those columns again."""
+        margins = _permuted_margins(self, X)
+        return lambda shuffled, columns: self._platt(margins(shuffled, columns))
+
+    def _platt(self, margins: np.ndarray) -> np.ndarray:
         return _sigmoid(self.platt_a * margins + self.platt_b)
 
     def to_params(self) -> dict:

@@ -11,10 +11,13 @@ threshold is read back from the two adjacent feature values, so trees
 are the ones a float sort would grow. A tree is five numpy node arrays
 in which leaves route to themselves, so prediction moves all rows down
 one level per step and is done after as many steps as the tree is deep.
+A NodeTable holds several trees' arrays end to end, so that chosen
+(tree, row) pairs of all of them take those steps together.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +41,27 @@ def rank_columns(X: np.ndarray) -> np.ndarray:
     return np.array(inverses, dtype=np.min_scalar_type(top)).reshape(X.shape[::-1])
 
 
+def step(
+    cells: np.ndarray,
+    row_start: np.ndarray,
+    node: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    routes: np.ndarray,
+) -> np.ndarray:
+    """Move each (row, node) pair down one level; return the nodes reached.
+
+    ``cells`` is a C-ordered float64 matrix raveled, ``row_start`` the
+    flat offset of each pair's row. ``routes`` holds (right, left) child
+    pairs, so a node's next node is at flat index 2 * node + goes_left.
+    A row goes left when its value is <= the threshold, so NaN goes
+    right; a leaf's +inf threshold sends its rows back to itself.
+    """
+    # Leaves read column -1; their +inf threshold makes it moot.
+    goes_left = cells.take(row_start + feature.take(node)) <= threshold.take(node)
+    return routes.take(2 * node + goes_left)
+
+
 @dataclass
 class RegressionTree:
     """CART-style tree; fit() and from_params() fill the node arrays.
@@ -56,6 +80,8 @@ class RegressionTree:
     threshold: np.ndarray = field(init=False, repr=False)
     left: np.ndarray = field(init=False, repr=False)
     right: np.ndarray = field(init=False, repr=False)
+    # (nodes, 2) children as step() reads them; left and right are views.
+    routes: np.ndarray = field(init=False, repr=False)
     value: np.ndarray = field(init=False, repr=False)
     # Longest root-to-leaf path; apply() takes this many routing steps.
     depth: int = field(init=False, default=0)
@@ -133,11 +159,10 @@ class RegressionTree:
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.value = np.asarray(value, dtype=np.float64)
-        # Row i holds (right, left) children of node i, so apply() finds a
-        # row's next node at flat index 2i + goes_left; left and right are
-        # views of it.
-        self._routes = np.column_stack([right, left]).astype(np.int64)
-        self.right, self.left = self._routes[:, 0], self._routes[:, 1]
+        # Row i holds (right, left) children of node i, so step() finds a
+        # row's next node at flat index 2i + goes_left.
+        self.routes = np.column_stack([right, left]).astype(np.int64)
+        self.right, self.left = self.routes[:, 0], self.routes[:, 1]
 
     def _best_split(
         self,
@@ -189,23 +214,19 @@ class RegressionTree:
             cut = low_value
         return feature, float(cut), codes[column] <= ranked[column, pos]
 
-    def apply(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Leaf node index for each row of X, or for each of ``rows`` only.
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node index for each row of X.
 
-        All routed rows start at the root and move down one level per
-        step. A row goes left when its value is <= the threshold, so NaN
-        goes right; a leaf's +inf threshold sends its rows back to itself.
+        All rows start at the root and take one step() per level, as many
+        steps as the tree is deep. NodeTable routes chosen rows of
+        several trees.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         cells = X.ravel()
-        if rows is None:
-            rows = np.arange(len(X))
-        row_start = np.asarray(rows, dtype=np.int64) * X.shape[1]
-        node = np.zeros(len(row_start), dtype=np.int64)
+        row_start = np.arange(len(X), dtype=np.int64) * X.shape[1]
+        node = np.zeros(len(X), dtype=np.int64)
         for _ in range(self.depth):
-            # Leaves read column -1; their +inf threshold makes it moot.
-            goes_left = cells.take(row_start + self.feature.take(node)) <= self.threshold.take(node)
-            node = self._routes.take(2 * node + goes_left)
+            node = step(cells, row_start, node, self.feature, self.threshold, self.routes)
         return node
 
     def path_columns(self, width: int) -> np.ndarray:
@@ -224,8 +245,8 @@ class RegressionTree:
             level = np.concatenate([self.left[level], self.right[level]])
         return paths
 
-    def predict(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        return self.value[self.apply(X, rows)]
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.value[self.apply(X)]
 
     def set_leaf_values(self, leaf_ids: np.ndarray, values: np.ndarray) -> None:
         """Overwrite leaf outputs (boosting recomputes them after growth)."""
@@ -301,6 +322,44 @@ class RegressionTree:
             feature, threshold, np.where(inner, left, ids), np.where(inner, right, ids), value
         )
         return tree
+
+
+# (tree, row) pairs a NodeTable routes together: enough to spread each
+# numpy call's overhead, few enough to keep the temporaries small.
+_BLOCK = 1 << 14
+
+
+class NodeTable:
+    """Several trees' nodes in one set of arrays, so that (tree, row) pairs
+    of all of them route together through step().
+
+    Tree t's node i is table node roots[t] + i; child ids are shifted
+    the same way, so a leaf still routes to itself.
+    """
+
+    def __init__(self, trees: Sequence[RegressionTree]) -> None:
+        self.roots = np.cumsum([0] + [len(tree.value) for tree in trees[:-1]])
+        self.feature = np.concatenate([tree.feature for tree in trees])
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.routes = np.concatenate([tree.routes + root for tree, root in zip(trees, self.roots)])
+        self.value = np.concatenate([tree.value for tree in trees])
+        self.depth = max(tree.depth for tree in trees)
+
+    def apply(self, X: np.ndarray, tree_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Table leaf id of each pair (tree_ids[k], rows[k]) of X, in the
+        narrowest unsigned type. Pairs go _BLOCK at a time, each block as
+        many steps as the deepest tree."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        cells, width = X.ravel(), X.shape[1]
+        leaves = np.empty(len(rows), dtype=np.min_scalar_type(len(self.value) - 1))
+        for start in range(0, len(rows), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            row_start = np.multiply(rows[block], width, dtype=np.int64)
+            node = self.roots.take(tree_ids[block])
+            for _ in range(self.depth):
+                node = step(cells, row_start, node, self.feature, self.threshold, self.routes)
+            leaves[block] = node
+        return leaves
 
 
 def _positive_int(raw, name: str) -> int:

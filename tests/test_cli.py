@@ -417,6 +417,10 @@ class TestExitCodes:
             ("blacklist_count", "nan"),
             ("mentions", "inf"),
             ("spreadability", "-inf"),
+            ("org_size", "1_000"),
+            pytest.param("label", " 1 ", id="label-spaced-1"),
+            ("blacklist_count", "1_0.5"),
+            pytest.param("org_size", "\u0663", id="org_size-arabic-indic-3"),
         ],
     )
     def test_bad_feature_cell_exit_data_error(self, model_path, workspace, tmp_path, capsys, column, value):

@@ -143,6 +143,27 @@ class TestRocAuc:
         assert abs(auc - pairwise_auc(scores, labels)) <= 1e-12
         assert auc == midrank_auc_reference(scores, labels)
 
+    @pytest.mark.parametrize("wrap", [list, np.array])
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+    def test_bad_label_rejected_from_list_and_array(self, wrap, bad):
+        labels = wrap([1, 0, bad, 0, 7])
+        # The message names the first bad label as the caller holds it.
+        with pytest.raises(ValueError) as info:
+            roc_auc([0.9, 0.1, 0.5, 0.2, 0.3], labels)
+        assert str(info.value) == f"labels must be 0 or 1: {labels[2]!r}"
+
+    @pytest.mark.parametrize("bad", ["1", None, [1], (0,)])
+    def test_non_numeric_label_rejected(self, bad):
+        with pytest.raises(ValueError) as info:
+            roc_auc([0.9, 0.1, 0.5], [1, 0, bad])
+        assert str(info.value) == f"labels must be 0 or 1: {bad!r}"
+
+    def test_boolean_and_float_labels_count_as_numbers(self):
+        scores = [0.8, 0.5, 0.5, 0.2]
+        expected = roc_auc(scores, [1, 1, 0, 0])
+        assert roc_auc(scores, [True, True, False, False]) == expected
+        assert roc_auc(scores, np.array([1.0, 1.0, 0.0, -0.0])) == expected
+
     def test_accepts_arrays(self):
         scores = np.array([0.8, 0.5, 0.5, 0.2])
         assert roc_auc(scores, np.array([1, 1, 0, 0])) == roc_auc(scores.tolist(), [1, 1, 0, 0])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -356,6 +357,54 @@ class TestCsvRoundTrip:
             again = Path(tmp) / "again.csv"
             write_features_csv(again, loaded)
             assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                replace,
+                csv_profile,
+                org_size=st.one_of(
+                    st.integers(1, 10**12),
+                    st.sampled_from([1, 10**308, 2**1023, int(sys.float_info.max)]),
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_every_written_cell_reads_back(self, profiles):
+        # Exponents, signed zeros, subnormals and 309-digit sizes are all
+        # plain numerals to the reader.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            write_features_csv(path, profiles)
+            assert read_features_csv(path) == profiles
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("org_size", "1_000"),
+            ("org_size", "\u0663"),
+            ("label", " 1 "),
+            ("label", "1\t"),
+            ("blacklist_count", "1_0.5"),
+            ("spreadability", "\u0661.5"),
+            ("mentions", "\uff11"),
+            ("latent_label", "\u00a01"),
+        ],
+    )
+    def test_cell_that_is_not_a_plain_numeral_rejected(self, tmp_path, column, cell):
+        path = tmp_path / "features.csv"
+        profiles = [make_profile("o1", latent_label=0), make_profile("o2", latent_label=1)]
+        write_features_csv(path, profiles)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match=rf"features\.csv:3: {column} is not a plain number"):
+            read_features_csv(path)
 
     def test_floats_survive_exactly(self, tmp_path):
         profiles = make_dataset(6, 6, seed=3)

@@ -63,6 +63,15 @@ def weak_signal_split():
 
 
 @pytest.fixture(scope="module")
+def weak_family_models(weak_signal_split):
+    """One model per family on the weak-signal training half, and the
+    encoded test half they score."""
+    train_set, test_set = weak_signal_split
+    models = {family: train(train_set, fast_spec(family, seed=5)) for family in MODEL_FAMILIES}
+    return {**models, "X": encode_profiles(test_set)}
+
+
+@pytest.fixture(scope="module")
 def single_signal_split():
     # all separation lives in one technical field, so shuffling it must hurt
     dataset = make_dataset(120, 60, seed=21, shift=1.5, shift_fields=("blacklist_count",))
@@ -454,16 +463,38 @@ class TestPermutationImportance:
         assert report.model == "stacked(logistic_regression+naive_bayes)"
         assert sum(report.category_shares.values()) == pytest.approx(100.0)
 
-    @pytest.mark.parametrize(
-        "family",
-        ["random_forest", "bagged_trees", "gradient_boosted_trees", "logistic_regression"],
-    )
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_equals_full_rescore(self, weak_signal_split, family):
         train_set, test_set = weak_signal_split
         model = train(train_set, fast_spec(family, seed=3))
         report = permutation_importance(model, test_set, repeats=3, seed=8)
         assert report.to_dict() == permutation_importance_reference(model, test_set, 3, 8)
         assert any(value > 0.0 for value in report.per_feature.values())
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_permuted_proba_is_bit_equal_to_predict_proba(self, weak_family_models, family, data):
+        impl, X = weak_family_models[family].impl, weak_family_models["X"]
+        sector = list(range(len(NUMERIC_COLUMNS), X.shape[1]))
+        column_sets = st.one_of(
+            st.just([]),
+            st.just(sector),
+            st.lists(st.integers(0, X.shape[1] - 1), min_size=1, max_size=4, unique=True),
+        )
+        matrix = X.copy()
+        proba = impl.permuted_proba(matrix)
+        # Column sets alternate and repeat, and the matrix is shuffled in
+        # place as importance does: each call must match a fresh full
+        # rescore whatever calls came before it.
+        for columns in data.draw(st.lists(column_sets, min_size=1, max_size=6)):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            permutation = rng.permutation(len(X))
+            matrix[:, columns] = X[np.ix_(permutation, columns)]
+            expected = impl.predict_proba(matrix.copy())
+            assert proba(matrix, columns).tobytes() == expected.tobytes()
+            matrix[:, columns] = X[:, columns]
+        assert proba(matrix, []).tobytes() == impl.predict_proba(X).tobytes()
 
     def test_stacked_equals_full_rescore(self, weak_signal_split):
         train_set, test_set = weak_signal_split

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import apply_tree_reference, grow_tree_reference, path_columns_reference
+from strisk.models import trees as trees_module
 from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
-from strisk.models.trees import RegressionTree, rank_columns
+from strisk.models.trees import NodeTable, RegressionTree, rank_columns
 
 NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
@@ -71,8 +72,44 @@ def test_fit_and_apply_match_reference(make_matrix, min_samples_leaf, seed):
         assert tree.predict(rows).tolist() == [reference["value"][leaf] for leaf in leaves]
         # A row subset, in any order and with repeats, lands where the full matrix does.
         subset = rng.integers(0, len(rows), size=int(rng.integers(0, len(rows) + 1)))
-        assert tree.apply(rows, subset).tolist() == [leaves[row] for row in subset]
+        routed = NodeTable([tree]).apply(rows, np.zeros(len(subset), dtype=np.int64), subset)
+        assert routed.tolist() == [leaves[row] for row in subset]
     assert tree.path_columns(width).tolist() == path_columns_reference(reference, width)
+
+
+@pytest.mark.parametrize("make_matrix", MATRICES)
+@pytest.mark.parametrize("seed", range(3))
+def test_node_table_routes_like_each_tree(make_matrix, seed, monkeypatch):
+    # A small block, so pairs of one tree straddle block boundaries.
+    monkeypatch.setattr(trees_module, "_BLOCK", 7)
+    rng = np.random.default_rng(seed + 20)
+    n, width = int(rng.integers(30, 90)), int(rng.integers(2, 5))
+    X = make_matrix(rng, n, width)
+    y = np.resize([0, 1], n)
+    rng.shuffle(y)
+    # Trees of unequal depth, a single leaf among them, then a boosted ensemble's.
+    trees = [RegressionTree(max_depth=depth).fit(X, y.astype(np.float64)) for depth in (1, 3, 6)]
+    trees.append(RegressionTree(max_depth=4).fit(X, np.ones(n)))
+    assert trees[-1].depth == 0
+    trees += GradientBoostedTrees(n_estimators=5, max_depth=3, seed=seed).fit(X, y).trees
+    assert len({tree.depth for tree in trees}) >= 3
+    table = NodeTable(trees)
+    for matrix in (X, with_nan_rows(rng, make_matrix(rng, 50, width))):
+        references = [apply_tree_reference(node_lists(tree), matrix) for tree in trees]
+        per_tree = [tree.apply(matrix) for tree in trees]
+        # Pairs in any order, with repeats, as well as every pair tree after tree.
+        tree_ids = rng.integers(0, len(trees), size=200)
+        rows = rng.integers(0, len(matrix), size=200)
+        every_tree = np.repeat(np.arange(len(trees)), len(matrix))
+        every_row = np.tile(np.arange(len(matrix)), len(trees))
+        for owners, pair_rows in ((tree_ids, rows), (every_tree, every_row)):
+            leaves = table.apply(matrix, owners, pair_rows)
+            local = (leaves - table.roots[owners]).tolist()
+            assert local == [references[t][r] for t, r in zip(owners, pair_rows)]
+            assert local == [per_tree[t][r] for t, r in zip(owners, pair_rows)]
+            assert table.value[leaves].tolist() == [
+                trees[t].value[leaf] for t, leaf in zip(owners, local)
+            ]
 
 
 # Few values, signed zeros and neighbouring floats, so ties and near-ties are common.
@@ -220,14 +257,16 @@ def test_unsplit_root_routes_every_row_to_itself():
     tree = RegressionTree(max_depth=3).fit(np.zeros((5, 2)), np.ones(5))
     assert tree.depth == 0
     assert tree.apply(np.full((3, 2), np.nan)).tolist() == [0, 0, 0]
-    assert tree.apply(np.full((3, 2), np.nan), np.array([2])).tolist() == [0]
+    table = NodeTable([tree])
+    assert table.apply(np.full((3, 2), np.nan), np.array([0]), np.array([2])).tolist() == [0]
     assert tree.path_columns(2).tolist() == [[False, False]]
 
 
 def test_apply_on_no_rows_is_empty():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     tree = RegressionTree(max_depth=1, min_samples_leaf=1).fit(X, np.array([0.0, 0.0, 1.0, 1.0]))
-    assert tree.apply(X, np.array([], dtype=np.int64)).tolist() == []
+    none = np.array([], dtype=np.int64)
+    assert NodeTable([tree]).apply(X, none, none).tolist() == []
 
 
 def test_boosted_predictions_follow_set_leaf_values():
