@@ -54,11 +54,11 @@ def _permuted_values(
     column set, which the repeats of one feature share. The moved
     (tree, row) pairs of all trees route together through one NodeTable.
     """
-    width = X.shape[1]
     unshuffled = [_compact(tree.apply(X), len(tree.value)) for tree in trees]
-    # Bit-packed, a node's path columns take one byte per eight columns.
-    paths = [np.packbits(tree.path_columns(width), axis=1) for tree in trees]
     table = NodeTable(trees)
+    # Table node -> the columns its path splits on, for every tree at once.
+    paths = np.concatenate([tree.path_columns(X.shape[1]) for tree in trees])
+    ends = np.append(table.roots[1:], len(paths))
     tree_ids = _compact(np.arange(len(trees)), len(trees))
     # Per column set: every tree's moved rows, tree after tree, the tree of
     # each, and where each tree's rows start and end.
@@ -68,16 +68,10 @@ def _permuted_values(
         key = tuple(columns)
         if key not in movable:
             movable.clear()
+            hit = paths[:, columns].any(axis=1)
             rows = [
-                _compact(
-                    np.flatnonzero(
-                        np.unpackbits(path, axis=1, count=width)[:, columns]
-                        .any(axis=1)
-                        .take(leaf_ids)
-                    ),
-                    len(X),
-                )
-                for path, leaf_ids in zip(paths, unshuffled)
+                _compact(np.flatnonzero(hit[root:end].take(leaf_ids)), len(X))
+                for root, end, leaf_ids in zip(table.roots, ends, unshuffled)
             ]
             counts = [len(tree_rows) for tree_rows in rows]
             movable[key] = (np.concatenate(rows), np.repeat(tree_ids, counts), np.cumsum([0] + counts))
@@ -206,7 +200,7 @@ class GradientBoostedTrees:
                 mask = assignments == leaf
                 values[i] = residual[mask].sum() / (hessian[mask].sum() + self.l2_leaf)
             tree.set_leaf_values(leaves, values)
-            scores += self.learning_rate * tree.predict(X)
+            scores += self.learning_rate * tree.value[assignments]
             self.trees.append(tree)
         return self
 

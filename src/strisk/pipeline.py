@@ -228,6 +228,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         train_set, test_set = split_train_test(
             profiles, config.split_fraction, seed=config.seed
         )
+        # The split is unstratified; a half without both classes can be
+        # neither trained on nor scored by AUC, so say which one it is.
+        for half, rows in (("train", train_set), ("test", test_set)):
+            positive = sum(p.label for p in rows)
+            if positive in (0, len(rows)):
+                raise ValueError(
+                    f"the {half} half holds one class ({len(rows)} rows: {positive} positive, "
+                    f"{len(rows) - positive} negative); both are needed, so use more "
+                    "organizations or another train_fraction"
+                )
     train_path = workdir / "train.csv"
     test_path = workdir / "test.csv"
     write_features_csv(train_path, train_set)

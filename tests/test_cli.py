@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import strisk
 from conftest import make_dataset
 from strisk.cli import main
 from strisk.features import read_features_csv, write_features_csv
@@ -670,3 +674,38 @@ class TestMalformedConfig:
         report = write_json(tmp_path / "report.json", data)
         code = main(["report", "--report", str(report)])
         _assert_exit(code, 2, capsys, "data error:", "is not a report")
+
+
+class TestOneClassSplit:
+    @pytest.mark.parametrize(
+        "fraction, message",
+        [
+            (0.1, "the train half holds one class (2 rows: 2 positive, 0 negative)"),
+            (0.9, "the test half holds one class (2 rows: 0 positive, 2 negative)"),
+        ],
+    )
+    def test_one_class_half_is_named(self, tmp_path, capsys, fraction, message):
+        config = _run_config(
+            tmp_path,
+            seed=2,
+            simulate={"n_orgs": 20, "seed": 2},
+            skip=["denoise"],
+            split={"train_fraction": fraction},
+        )
+        code = main(["run", "--config", str(write_json(tmp_path / "pipeline.json", config))])
+        _assert_exit(code, 3, capsys, f"error: stage split: {message}")
+        assert not (tmp_path / "work" / "models").exists()
+
+
+def test_import_loads_no_scipy():
+    # Every strisk process pays for what importing the CLI loads.
+    src = Path(strisk.__file__).resolve().parent.parent
+    probe = "import strisk.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -31,8 +31,15 @@ from strisk.models import (
     train,
     train_stacked,
 )
-from strisk.models.encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels
-from strisk.models.linear import logistic_loss_gradient
+from strisk.models import linear
+from strisk.models.encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels, standardize_apply
+from strisk.models.linear import (
+    LinearSvmPlatt,
+    LogisticRegression,
+    _platt_loss_gradient,
+    _squared_hinge_loss_gradient,
+    logistic_loss_gradient,
+)
 from strisk.models.stacking import predict_stacked_many
 from strisk.models.trees import RegressionTree
 from strisk.records import SECTORS
@@ -321,6 +328,88 @@ class TestLogisticGradient:
         # trained model should beat the constant 0.5 baseline handily
         baseline = np.full_like(scores, 0.5)
         assert np.mean((scores - labels) ** 2) < np.mean((baseline - labels) ** 2)
+
+
+def _awkward_matrix(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A constant column, a duplicated column and labels a hyperplane
+    nearly separates."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(200, 6))
+    X[:, 2] = 4.0
+    X[:, 5] = X[:, 1]
+    y = (X[:, 0] + 0.5 * X[:, 1] + 0.05 * rng.normal(size=200) > 0).astype(np.int64)
+    return X, y
+
+
+@pytest.fixture(scope="module", params=["quickstart", "awkward-0", "awkward-1", "awkward-2"])
+def linear_problem(request, strong_corpus):
+    if request.param == "quickstart":
+        _, profiles = strong_corpus
+        return encode_profiles(profiles), encode_labels(profiles)
+    return _awkward_matrix(int(request.param.split("-")[1]))
+
+
+def _solved(model, X: np.ndarray, y: np.ndarray) -> list[tuple]:
+    """(loss_gradient, fitted params, args) of every problem model.fit solved."""
+    X_std = standardize_apply(X, model.mean, model.scale)
+    fitted = np.append(model.weights, model.bias)
+    if isinstance(model, LogisticRegression):
+        return [(logistic_loss_gradient, fitted, (X_std, y.astype(np.float64), model.l2))]
+    n_pos, n_neg = float(np.sum(y == 1)), float(np.sum(y == 0))
+    targets = np.where(y == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    margins = X_std @ model.weights + model.bias
+    return [
+        (_squared_hinge_loss_gradient, fitted, (X_std, 2.0 * y - 1.0, 1.0 / model.c)),
+        (_platt_loss_gradient, np.array([model.platt_a, model.platt_b]), (margins, targets)),
+    ]
+
+
+LINEAR_FAMILIES = (LogisticRegression, LinearSvmPlatt)
+
+
+class TestNewtonSolvers:
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    def test_gradient_vanishes_at_the_fit(self, family, linear_problem):
+        X, y = linear_problem
+        model = family().fit(X, y)
+        for loss_gradient, params, args in _solved(model, X, y):
+            _, grad = loss_gradient(params, *args)
+            assert np.max(np.abs(grad)) <= 1e-8
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    def test_no_nearby_point_is_lower(self, family, linear_problem):
+        X, y = linear_problem
+        model = family().fit(X, y)
+        rng = np.random.default_rng(3)
+        for loss_gradient, params, args in _solved(model, X, y):
+            loss, _ = loss_gradient(params, *args)
+            for _ in range(20):
+                nearby, _ = loss_gradient(params + rng.normal(scale=1e-3, size=len(params)), *args)
+                assert loss <= nearby
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    def test_one_iteration_takes_one_newton_step(self, family, linear_problem, monkeypatch):
+        X, y = linear_problem
+        steps = []
+        for name in ("_logistic_hessian", "_squared_hinge_hessian", "_platt_hessian"):
+            hessian = getattr(linear, name)
+            monkeypatch.setattr(
+                linear, name, lambda *args, name=name, hessian=hessian: steps.append(name) or hessian(*args)
+            )
+        model = family(max_iter=1).fit(X, y)
+        if family is LogisticRegression:
+            assert steps == ["_logistic_hessian"]
+        else:
+            assert steps == ["_squared_hinge_hessian", "_platt_hessian"]
+            assert math.isfinite(model.platt_a) and math.isfinite(model.platt_b)
+        assert np.isfinite(model.weights).all() and math.isfinite(model.bias)
+        assert np.any(model.weights != 0.0)
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    def test_fits_are_bit_equal(self, family, linear_problem):
+        X, y = linear_problem
+        first, second = family().fit(X, y), family().fit(X, y)
+        assert first.to_params() == second.to_params()
 
 
 class TestRegressionTree:

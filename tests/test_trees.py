@@ -218,6 +218,38 @@ def test_boosted_trees_match_reference_on_residuals(make_matrix, seed):
         scores += model.learning_rate * np.array(reference["value"])[leaves]
 
 
+def test_boosting_routes_the_training_rows_once_per_round(monkeypatch):
+    rng = np.random.default_rng(4)
+    X = rounded_matrix(rng, 120, 4)
+    y = np.resize([0.0, 1.0, 1.0], 120)
+    rng.shuffle(y)
+    # Two passes per round: apply() for the leaf values, then predict() for the scores.
+    scores = np.full(len(y), math.log(y.mean() / (1.0 - y.mean())))
+    two_pass = []
+    for _ in range(20):
+        prob = sigmoid(scores)
+        residual = y - prob
+        tree = RegressionTree(max_depth=3, min_samples_leaf=2).fit(X, residual)
+        assignments = tree.apply(X)
+        leaves = tree.leaf_ids()
+        tree.set_leaf_values(
+            leaves,
+            [
+                residual[assignments == leaf].sum()
+                / ((prob * (1.0 - prob))[assignments == leaf].sum() + 1.0)
+                for leaf in leaves
+            ],
+        )
+        scores += 0.1 * tree.predict(X)
+        two_pass.append(tree.to_params())
+    calls = []
+    apply = RegressionTree.apply
+    monkeypatch.setattr(RegressionTree, "apply", lambda tree, X: calls.append(1) or apply(tree, X))
+    model = GradientBoostedTrees(n_estimators=20, max_depth=3, min_samples_leaf=2).fit(X, y)
+    assert len(calls) == 20
+    assert [tree.to_params() for tree in model.trees] == two_pass
+
+
 # A residual-like target (a 0/1 label minus a probability in tenths) on a
 # tied 96 x 2 matrix, found by search: summing tied rows in any order but
 # the stable one moves a last-bit SSE near-tie, so an unstable argsort of
