@@ -20,7 +20,14 @@ from .features import featurize_corpus, parse_window, read_features_csv, write_f
 from .models import ModelSpec, load_model, predict_proba_many, save_model, train, train_stacked
 from .names import MatchConfig, match_names
 from .noise import CONFIDENT_JOINT, CONFUSION_MATRIX, correct_labels, noise_detection_experiment
-from .pipeline import PipelineConfig, StageFailure, render_report_text, run_pipeline, stage_guard
+from .pipeline import (
+    PipelineConfig,
+    StageFailure,
+    render_report_text,
+    require_both_classes,
+    run_pipeline,
+    stage_guard,
+)
 from .records import (
     RecordError,
     load_incidents,
@@ -158,6 +165,7 @@ def denoise(ctx, features_path, models_path, method, folds, seed, out_path, repo
     specs = _model_specs_from_file(models_path)
     profiles = _load_features(features_path)
     with stage_guard("denoise"):
+        require_both_classes(profiles, features_path)
         corrected, report = correct_labels(profiles, specs, method, k=folds, seed=seed)
     write_features_csv(out_path, corrected)
     write_json(report_path, report.to_dict())
@@ -184,6 +192,7 @@ def train_cmd(ctx, features_path, spec_path, out_path) -> None:
     fit = _parse_config(spec_path, "model", trainer)
     profiles = _load_features(features_path)
     with stage_guard("train"):
+        require_both_classes(profiles, features_path)
         model = fit(profiles)
     save_model(model, out_path)
     _echo(ctx, f"trained -> {out_path}")
@@ -232,6 +241,7 @@ def evaluate(ctx, model_path, features_path, threshold, out_path) -> None:
     model = _load_model(model_path)
     profiles = _load_features(features_path)
     with stage_guard("evaluate"):
+        require_both_classes(profiles, features_path)
         scores = predict_proba_many(model, profiles).tolist()
         labels = [p.label for p in profiles]
         report = evaluate_scores(model.name, scores, labels, threshold)

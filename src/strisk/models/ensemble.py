@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .trees import NodeTable, RegressionTree, rank_columns
+from .trees import NodeTable, RegressionTree, grow_trees, rank_columns
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -111,19 +111,18 @@ class BaggedTrees:
             raise ValueError("n_estimators must be >= 1")
         rng = np.random.default_rng(self.seed)
         subset = _resolve_max_features(self.max_features, X.shape[1])
-        y = y.astype(np.float64)
-        ranks = rank_columns(X)
-        self.trees = []
-        for _ in range(self.n_estimators):
-            rows = rng.integers(0, len(y), size=len(y))
-            tree = RegressionTree(
+        # Every tree's bootstrap rows first, then the feature draws of
+        # all trees together, depth by depth.
+        samples = np.array([rng.integers(0, len(y), size=len(y)) for _ in range(self.n_estimators)])
+        self.trees = [
+            RegressionTree(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=subset,
             )
-            # take() along the rows keeps each column's codes contiguous.
-            tree.fit(X[rows], y[rows], rng=rng, ranks=ranks.take(rows, axis=1))
-            self.trees.append(tree)
+            for _ in range(self.n_estimators)
+        ]
+        grow_trees(self.trees, X, y.astype(np.float64), samples, rng)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

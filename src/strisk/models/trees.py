@@ -4,15 +4,22 @@ Targets are arbitrary reals (0/1 class labels for bagging, gradient
 residuals for boosting); splits minimize within-node squared error via
 prefix sums, which for binary targets is the classic impurity criterion.
 Split search never sorts floats: rank_columns turns each column into
-integer codes once per ensemble, and a node stable-sorts its rows' codes
-(a radix sort for 8- and 16-bit codes), takes target prefix sums in that
-order and scores only the cuts between two different codes. The
-threshold is read back from the two adjacent feature values, so trees
-are the ones a float sort would grow. A tree is five numpy node arrays
-in which leaves route to themselves, so prediction moves all rows down
-one level per step and is done after as many steps as the tree is deep.
-A NodeTable holds several trees' arrays end to end, so that chosen
-(tree, row) pairs of all of them take those steps together.
+integer codes once per ensemble. grow_trees grows all the trees of an
+ensemble together, one depth at a time, as XGBoost does (Chen & Guestrin,
+KDD 2016): each depth searches every splittable node of every tree at
+once, one row of codes per (node, candidate column). One stable radix
+argsort orders all the rows of a block, target prefix sums are taken in
+that order, and only the cuts between two different codes are scored.
+The threshold is read back from the two adjacent feature values, so
+trees are the ones a per-node float sort would grow. A random forest
+draws the feature subsets of a whole depth at once; any draw order gives
+each node a uniform subset (Breiman, "Random Forests", 2001).
+
+A tree is five numpy node arrays in which leaves route to themselves, so
+prediction moves all rows down one level per step and is done after as
+many steps as the tree is deep. A NodeTable holds several trees' arrays
+end to end, so that chosen (tree, row) pairs of all of them take those
+steps together.
 """
 from __future__ import annotations
 
@@ -93,67 +100,15 @@ class RegressionTree:
         rng: np.random.Generator | None = None,
         ranks: np.ndarray | None = None,
     ) -> RegressionTree:
-        """Grow the tree on X's rows and targets y.
+        """Grow the tree on X's rows and targets y: grow_trees for a forest of one.
 
         ``ranks`` holds rank_columns codes for X's rows: (width, len(y)),
         column j ordered like X[:, j], equal codes exactly where values
-        are equal. Ensembles rank their matrix once and pass each tree the
-        codes of its rows; without them fit ranks X itself.
+        are equal. Ensembles rank their matrix once and pass the codes;
+        without them fit ranks X itself.
         """
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if ranks is None:
-            ranks = rank_columns(X)
-        if not np.isfinite(y).all():
-            raise ValueError("tree fitting needs finite targets")
-        nodes: list[tuple[int, float, int, int, float]] = []
-        self.depth = 0
-        self._grow(X, ranks, y, np.arange(len(y)), 0, rng, nodes)
-        feature, threshold, left, right, value = zip(*nodes)
-        self._set_nodes(feature, threshold, left, right, value)
+        grow_trees([self], X, y, np.arange(len(y))[None], rng, ranks)
         return self
-
-    def _grow(
-        self,
-        X: np.ndarray,
-        ranks: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        depth: int,
-        rng: np.random.Generator | None,
-        nodes: list[tuple[int, float, int, int, float]],
-    ) -> int:
-        """Append the subtree over rows idx to nodes in pre-order; return its root."""
-        node = len(nodes)
-        self.depth = max(self.depth, depth)
-        target = y[idx]
-        # The sum over the count is np.mean's own arithmetic, minus its overhead.
-        nodes.append((_LEAF, np.inf, node, node, float(target.sum() / len(idx))))
-        if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
-            return node
-        if target.min() == target.max():
-            return node
-        n_features = X.shape[1]
-        if self.max_features is not None and self.max_features < n_features:
-            if rng is None:
-                raise ValueError("feature subsampling needs an rng")
-            candidates = np.sort(
-                rng.choice(n_features, size=self.max_features, replace=False)
-            )
-            codes = ranks.take(candidates, axis=0).take(idx, axis=1)
-        else:
-            candidates = np.arange(n_features)
-            codes = ranks.take(idx, axis=1)
-        best = self._best_split(X, codes, target, idx, candidates)
-        if best is None:
-            return node
-        feature_id, cut, goes_left = best
-        left = self._grow(X, ranks, y, idx[goes_left], depth + 1, rng, nodes)
-        right = self._grow(X, ranks, y, idx[~goes_left], depth + 1, rng, nodes)
-        nodes[node] = (feature_id, cut, left, right, nodes[node][4])
-        return node
 
     def _set_nodes(self, feature, threshold, left, right, value) -> None:
         self.feature = np.asarray(feature, dtype=np.int64)
@@ -163,56 +118,6 @@ class RegressionTree:
         # row's next node at flat index 2i + goes_left.
         self.routes = np.column_stack([right, left]).astype(np.int64)
         self.right, self.left = self.routes[:, 0], self.routes[:, 1]
-
-    def _best_split(
-        self,
-        X: np.ndarray,
-        codes: np.ndarray,
-        target: np.ndarray,
-        idx: np.ndarray,
-        candidates: np.ndarray,
-    ) -> tuple[int, float, np.ndarray] | None:
-        """Lowest-SSE cut over the node's (candidates, rows) codes, or None.
-
-        Returns the feature, the threshold and which of the node's rows
-        go left. Rows are summed in stable code order, which is stable
-        value order, so the sums match a float sort bit for bit.
-        """
-        n = len(idx)
-        min_leaf = self.min_samples_leaf
-        order = np.argsort(codes, axis=1, kind="stable")
-        # Flat take()s gather several times faster than 2-D fancy indexing.
-        ranked = codes.take(order + np.arange(0, codes.size, n)[:, None])
-        ys = target.take(order)
-        prefix = np.cumsum(ys, axis=1)
-        prefix_sq = np.cumsum(ys * ys, axis=1)
-        # A cut after sorted position p leaves p + 1 rows on the left; only
-        # value boundaries with min_leaf rows on both sides are scored.
-        low, high = min_leaf - 1, n - min_leaf
-        column, pos = np.nonzero(ranked[:, low:high] != ranked[:, low + 1 : high + 1])
-        if not len(column):
-            return None
-        pos += low
-        sizes = pos + 1
-        at = column * n + pos
-        left_sum, left_sq = prefix.take(at), prefix_sq.take(at)
-        sse_left = left_sq - left_sum * left_sum / sizes
-        right_sum = prefix[:, -1].take(column) - left_sum
-        right_sq = prefix_sq[:, -1].take(column) - left_sq
-        sse_right = right_sq - right_sum * right_sum / (n - sizes)
-        # Cuts are listed column by column, lowest first, so the first
-        # minimum is the earliest column's lowest cut.
-        best = int(np.argmin(sse_left + sse_right))
-        column, pos = int(column[best]), int(pos[best])
-        feature = int(candidates[column])
-        low_value = X[idx[order[column, pos]], feature]
-        high_value = X[idx[order[column, pos + 1]], feature]
-        cut = (low_value + high_value) / 2.0
-        # Adjacent floats can round the midpoint up onto high_value,
-        # which would route every row left; pin to the lower value.
-        if cut >= high_value:
-            cut = low_value
-        return feature, float(cut), codes[column] <= ranked[column, pos]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node index for each row of X.
@@ -322,6 +227,285 @@ class RegressionTree:
             feature, threshold, np.where(inner, left, ids), np.where(inner, right, ids), value
         )
         return tree
+
+
+# Split-search cells one block handles: (node, candidate column) rows
+# times their padded width. Enough to spread each numpy call's overhead
+# over many nodes, few enough to keep the temporaries small.
+_GROW_BLOCK = 1 << 16
+
+
+def grow_trees(
+    trees: Sequence[RegressionTree],
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: np.ndarray,
+    rng: np.random.Generator | None,
+    ranks: np.ndarray | None = None,
+) -> None:
+    """Grow every tree of ``trees`` together, one depth at a time.
+
+    The trees share the first one's max_depth, min_samples_leaf and
+    max_features. Tree t grows on rows samples[t] of X and y, in that
+    order (a bootstrap sample, say). ``ranks`` are rank_columns codes of
+    X, made here when not given.
+
+    Each depth searches the splits of every splittable node of every
+    tree at once (see _search_block). With feature subsampling it first
+    draws rng.random((nodes, width)) for those nodes, ordered by tree and
+    then left to right, and a node searches the max_features columns
+    with the smallest keys. A node's value is its targets' sum, in row
+    order, over its row count.
+    """
+    spec = trees[0]
+    if spec.max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if spec.min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be >= 1")
+    if ranks is None:
+        ranks = rank_columns(X)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise ValueError("tree fitting needs finite targets")
+    width = X.shape[1]
+    subset = spec.max_features
+    if subset is not None and subset < width:
+        if rng is None:
+            raise ValueError("feature subsampling needs an rng")
+    else:
+        subset = None
+    min_leaf = spec.min_samples_leaf
+    cells = X.ravel()
+    search = _Search(
+        X,
+        # A last column of the largest code and a zero target: the pad row.
+        np.concatenate([ranks, np.full((width, 1), np.iinfo(ranks.dtype).max, ranks.dtype)], axis=1),
+        np.append(y, 0.0),
+        min_leaf,
+        bool(((y == 0.0) | (y == 1.0)).all()),
+    )
+    # The live nodes of the current depth, tree by tree and left to right:
+    # each one's tree and row count, and their rows, node after node.
+    owner = np.arange(len(trees))
+    counts = np.full(len(trees), samples.shape[1], dtype=np.int64)
+    rows = samples.ravel()
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    for depth in range(spec.max_depth + 1):
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        targets = y.take(rows)
+        # The sum over the count is np.mean's own arithmetic, minus its overhead.
+        sums = np.fromiter(
+            (targets[a:b].sum() for a, b in zip(starts.tolist(), ends.tolist())),
+            np.float64,
+            len(counts),
+        )
+        value = sums / counts
+        feature = np.full(len(counts), _LEAF, dtype=np.int64)
+        threshold = np.full(len(counts), np.inf)
+        if depth < spec.max_depth and len(rows):
+            varied = np.minimum.reduceat(targets, starts) != np.maximum.reduceat(targets, starts)
+            live = np.flatnonzero(varied & (counts >= 2 * min_leaf))
+            if subset is None:
+                candidates = np.broadcast_to(np.arange(width), (len(live), width))
+            else:
+                keys = rng.random((len(live), width))
+                candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :subset], axis=1)
+            feature[live], threshold[live] = _best_splits(
+                search, np.append(rows, len(y)), starts.take(live), counts.take(live), candidates
+            )
+        levels.append((owner, value, feature, threshold))
+        split = feature != _LEAF
+        if not split.any():
+            break
+        # Stable partition: each split node's rows become its left child's
+        # rows and then its right child's, both in their old order.
+        node = np.repeat(np.arange(len(counts)), counts)
+        kept = np.flatnonzero(split.take(node))
+        node, rows = node.take(kept), rows.take(kept)
+        goes_right = cells.take(rows * width + feature.take(node)) > threshold.take(node)
+        child = 2 * (np.cumsum(split) - 1).take(node) + goes_right
+        rows = rows.take(np.argsort(child, kind="stable"))
+        counts = np.bincount(child, minlength=2 * int(split.sum()))
+        owner = np.repeat(owner[split], 2)
+    _number_in_preorder(trees, levels)
+
+
+@dataclass(frozen=True)
+class _Search:
+    """What every split search of one grow_trees call reads: X; its rank
+    codes and the targets, both with a last pad row whose codes are the
+    largest and whose target is zero; min_samples_leaf; and whether every
+    target is 0 or 1, and so its own square."""
+
+    X: np.ndarray
+    ranks: np.ndarray
+    y: np.ndarray
+    min_leaf: int
+    binary: bool
+
+
+def _best_splits(
+    search: _Search,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    candidates: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's split feature and threshold, or _LEAF and +inf where
+    it has no cut.
+
+    Node i holds rows[starts[i]:starts[i] + counts[i]] and searches the
+    columns candidates[i]; the last entry of rows is the pad row. Nodes
+    go largest first, in blocks of at most _GROW_BLOCK cells padded to
+    the block's first row count; a block takes only nodes that fill
+    more than half of it.
+    """
+    width = candidates.shape[1]
+    feature = np.full(len(counts), _LEAF, dtype=np.int64)
+    threshold = np.full(len(counts), np.inf)
+    by_size = np.argsort(-counts, kind="stable")
+    descending = counts.take(by_size)
+    halves = np.searchsorted(-descending, -(descending // 2)).tolist()
+    first = 0
+    while first < len(by_size):
+        padded = int(descending[first])
+        last = min(first + max(1, _GROW_BLOCK // (width * padded)), halves[first])
+        block = by_size[first:last]
+        node, chosen, cut = _search_block(
+            search, rows, starts.take(block), counts.take(block), candidates[block], padded
+        )
+        split = block.take(node)
+        feature[split], threshold[split] = chosen, cut
+        first = last
+    return feature, threshold
+
+
+def _search_block(
+    search: _Search,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    candidates: np.ndarray,
+    padded: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest-SSE cut of each node of one block: the nodes that have a
+    cut, and each one's feature and threshold.
+
+    Each (node, candidate) pair is one row of codes: the node's rows in
+    order, then pad rows up to ``padded``. One stable argsort orders
+    every row. Rows stay in stable code order, which is stable value
+    order, and the pads stay last. Prefix sums of the targets in that
+    order match a float sort bit for bit, and only cuts between two
+    different codes with min_leaf rows on both sides are scored. Ties
+    resolve to the earliest candidate column and the lowest cut, and the
+    threshold is read back from the two adjacent feature values.
+    """
+    X, ranks, y, min_leaf = search.X, search.ranks, search.y, search.min_leaf
+    n_nodes, width = candidates.shape
+    span = np.arange(padded)
+    node_rows = rows.take(np.where(span < counts[:, None], starts[:, None] + span, len(rows) - 1))
+    codes = ranks.take((candidates * ranks.shape[1])[:, :, None] + node_rows[:, None, :])
+    codes = codes.reshape(-1, padded)
+    order = np.argsort(codes, axis=1, kind="stable")
+    # Flat take()s gather several times faster than 2-D fancy indexing.
+    order += np.arange(0, codes.size, padded)[:, None]
+    ranked = codes.take(order)
+    ys = np.repeat(y.take(node_rows), width, axis=0).take(order)
+    prefix = np.cumsum(ys, axis=1)
+    prefix_sq = prefix if search.binary else np.cumsum(ys * ys, axis=1)
+    # A cut after sorted position p leaves p + 1 rows on the left; only
+    # value boundaries with min_leaf rows on both sides are scored.
+    low = min_leaf - 1
+    n = np.repeat(counts, width)
+    scored = ranked[:, low + 1 :] != ranked[:, low:-1]
+    scored &= span[min_leaf:] < (n - low)[:, None]
+    cells = np.flatnonzero(scored)
+    row, pos = np.divmod(cells, scored.shape[1])
+    pos += low
+    sizes = pos + 1
+    rest = n.take(row) - sizes
+    left = row * padded + pos
+    last = left + rest
+    left_sum, left_sq = prefix.take(left), prefix_sq.take(left)
+    sse_left = left_sq - left_sum * left_sum / sizes
+    right_sum = prefix.take(last) - left_sum
+    right_sq = prefix_sq.take(last) - left_sq
+    sse = np.full(scored.shape, np.inf)
+    sse.put(cells, sse_left + (right_sq - right_sum * right_sum / rest))
+    # A node's cells run column by column, lowest cut first, so its first
+    # minimum is its earliest column's lowest cut; unscored cells are +inf.
+    sse = sse.reshape(n_nodes, -1)
+    best = np.argmin(sse, axis=1)
+    node = np.flatnonzero(sse[np.arange(n_nodes), best] < np.inf)
+    column, pos = np.divmod(best.take(node), scored.shape[1])
+    feature = candidates[node, column]
+    # The values on either side of the cut, read through the sort order.
+    row = node * width + column
+    at = (row * padded + pos + low)[:, None] + (0, 1)
+    sides = X[node_rows.take(order.take(at) + ((node - row) * padded)[:, None]), feature[:, None]]
+    low_value, high_value = sides[:, 0], sides[:, 1]
+    cut = (low_value + high_value) / 2.0
+    # Adjacent floats can round the midpoint up onto high_value, which
+    # would route every row left; pin to the lower value.
+    cut = np.where(cut >= high_value, low_value, cut)
+    return node, feature, cut
+
+
+def _number_in_preorder(
+    trees: Sequence[RegressionTree],
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> None:
+    """Fill each tree's node arrays from the nodes grown depth by depth.
+
+    levels[d] holds the tree, value, feature and threshold of every node
+    at depth d, tree by tree and left to right; the i-th split node's
+    children are nodes 2i and 2i + 1 of depth d + 1. Nodes are renumbered
+    in pre-order within each tree.
+    """
+    # Subtree sizes, deepest level first; the last level has no splits.
+    sizes = [np.ones(len(levels[-1][0]), dtype=np.int64)]
+    for _, _, feature, _ in reversed(levels[:-1]):
+        size = np.ones(len(feature), dtype=np.int64)
+        below = sizes[-1]
+        size[feature != _LEAF] += below[0::2] + below[1::2]
+        sizes.append(size)
+    sizes.reverse()
+    # Pre-order ids within each tree, top level first: a left child comes
+    # right after its parent, a right child after the left subtree.
+    preorder = [np.zeros(len(trees), dtype=np.int64)]
+    for (_, _, feature, _), size in zip(levels[:-1], sizes[1:]):
+        parent = preorder[-1][feature != _LEAF]
+        ids = np.empty(len(size), dtype=np.int64)
+        ids[0::2] = parent + 1
+        ids[1::2] = parent + 1 + size[0::2]
+        preorder.append(ids)
+    tree_sizes = sizes[0]
+    base = np.cumsum(tree_sizes) - tree_sizes
+    total = int(tree_sizes.sum())
+    feature_all = np.empty(total, dtype=np.int64)
+    threshold_all = np.empty(total)
+    value_all = np.empty(total)
+    children = np.empty((total, 2), dtype=np.int64)
+    depth_all = np.empty(total, dtype=np.int64)
+    for depth, ((owner, value, feature, threshold), ids) in enumerate(zip(levels, preorder)):
+        at = base.take(owner) + ids
+        feature_all[at], threshold_all[at], value_all[at], depth_all[at] = (
+            feature, threshold, value, depth
+        )
+        # Leaves route to themselves.
+        children[at] = ids[:, None]
+        if depth + 1 < len(levels):
+            split = np.flatnonzero(feature != _LEAF)
+            children[at.take(split)] = preorder[depth + 1].reshape(-1, 2)
+    for tree, low, size in zip(trees, base.tolist(), tree_sizes.tolist()):
+        nodes = slice(low, low + size)
+        tree._set_nodes(
+            feature_all[nodes], threshold_all[nodes], children[nodes, 0], children[nodes, 1],
+            value_all[nodes],
+        )
+        tree.depth = int(depth_all[nodes].max())
 
 
 # (tree, row) pairs a NodeTable routes together: enough to spread each

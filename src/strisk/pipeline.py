@@ -70,6 +70,17 @@ def stage_guard(name: str):
         raise StageFailure(name, str(exc)) from exc
 
 
+def require_both_classes(rows: Sequence[FeatureVector], what: str, advice: str = "") -> None:
+    """Raise ValueError naming ``what`` and its class counts unless
+    ``rows`` hold both classes, which training and AUC need."""
+    positive = sum(p.label for p in rows)
+    if positive in (0, len(rows)):
+        raise ValueError(
+            f"{what} holds one class ({len(rows)} rows: {positive} positive, "
+            f"{len(rows) - positive} negative); both are needed{advice}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
     """Paths, stage settings, and seeds for one pipeline run."""
@@ -156,27 +167,28 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     artifacts: dict[str, Path] = {}
     skip = set(config.skip)
 
-    input_paths: dict[str, Path]
-    ground_truth_path: Path | None = config.ground_truth
+    # A simulated corpus is featurized as generated; its files are written
+    # for inspection and for the standalone commands.
+    latent: dict[str, int] | None = None
     if config.simulate is not None and "simulate" not in skip:
         with stage_guard("simulate"):
             bundle = generate_corpus(config.simulate)
-            paths = write_corpus(bundle, workdir / "corpus")
-        input_paths = {k: paths[k] for k in ("organizations", "observations", "tweets", "incidents")}
-        ground_truth_path = paths["ground_truth"]
-        artifacts.update(paths)
+            artifacts.update(write_corpus(bundle, workdir / "corpus"))
+        organizations, observations = bundle.organizations, bundle.observations
+        tweets, incidents = bundle.tweets, bundle.incidents
+        latent = bundle.ground_truth
     elif config.inputs:
-        input_paths = dict(config.inputs)
+        try:
+            organizations = load_organizations(config.inputs["organizations"])
+            observations = load_observations(config.inputs["observations"])
+            tweets = load_tweets(config.inputs["tweets"])
+            incidents = load_incidents(config.inputs["incidents"])
+        except KeyError as exc:
+            raise RecordError(f"missing input path for {exc.args[0]!r}") from exc
+        if config.ground_truth:
+            latent = load_ground_truth(config.ground_truth)
     else:
         raise StageFailure("simulate", "stage skipped but no input paths configured")
-
-    try:
-        organizations = load_organizations(input_paths["organizations"])
-        observations = load_observations(input_paths["observations"])
-        tweets = load_tweets(input_paths["tweets"])
-        incidents = load_incidents(input_paths["incidents"])
-    except KeyError as exc:
-        raise RecordError(f"missing input path for {exc.args[0]!r}") from exc
 
     match_summary: dict[str, int] = {}
     if "match" not in skip:
@@ -194,7 +206,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     with stage_guard("featurize"):
         window = parse_window(config.window) if config.window else None
-        latent = load_ground_truth(ground_truth_path) if ground_truth_path else None
         profiles = featurize_corpus(
             organizations,
             observations,
@@ -231,13 +242,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         # The split is unstratified; a half without both classes can be
         # neither trained on nor scored by AUC, so say which one it is.
         for half, rows in (("train", train_set), ("test", test_set)):
-            positive = sum(p.label for p in rows)
-            if positive in (0, len(rows)):
-                raise ValueError(
-                    f"the {half} half holds one class ({len(rows)} rows: {positive} positive, "
-                    f"{len(rows) - positive} negative); both are needed, so use more "
-                    "organizations or another train_fraction"
-                )
+            require_both_classes(
+                rows, f"the {half} half", ", so use more organizations or another train_fraction"
+            )
     train_path = workdir / "train.csv"
     test_path = workdir / "test.csv"
     write_features_csv(train_path, train_set)

@@ -118,19 +118,13 @@ def best_split_reference(
 
 
 def grow_tree_reference(
-    X: np.ndarray,
-    y: np.ndarray,
-    max_depth: int,
-    min_samples_leaf: int,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
+    X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_leaf: int
 ) -> dict[str, list]:
     """Pre-order recursive growth into the saved-tree layout.
 
     Leaves have feature -1, threshold 0.0 and children -1. Node means use
     numpy's mean, as the library does, since the summation order of a
-    mean is not what is under test. Feature subsampling draws from rng
-    exactly where the library does, so equal seeds give equal trees.
+    mean is not what is under test. Every node searches every column.
     """
     tree: dict[str, list] = {key: [] for key in ("feature", "threshold", "left", "right", "value")}
 
@@ -142,12 +136,7 @@ def grow_tree_reference(
         target = y[idx]
         if depth >= max_depth or len(idx) < 2 * min_samples_leaf or target.max() == target.min():
             return node
-        n_features = X.shape[1]
-        if max_features is not None and max_features < n_features:
-            candidates = sorted(rng.choice(n_features, size=max_features, replace=False))
-        else:
-            candidates = range(n_features)
-        best = best_split_reference(X, target, idx, candidates, min_samples_leaf)
+        best = best_split_reference(X, target, idx, range(X.shape[1]), min_samples_leaf)
         if best is None:
             return node
         feature, cut = best
@@ -160,6 +149,77 @@ def grow_tree_reference(
 
     grow(np.arange(len(y)), 0)
     return tree
+
+
+def grow_forest_reference(
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: Sequence[np.ndarray],
+    max_depth: int,
+    min_samples_leaf: int,
+    max_features: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> list[dict[str, list]]:
+    """Breadth-first growth of several trees together, one node at a time.
+
+    Tree t grows on rows samples[t] of X and y. Depth by depth, the nodes
+    that can split are listed tree by tree and left to right. With
+    feature subsampling, one rng.random((listed nodes, width)) draw gives
+    each listed node a key per column, and the node searches the
+    max_features columns with the smallest keys, in column order. Each
+    tree is then written out in pre-order, in the saved-tree layout.
+    """
+    width = X.shape[1]
+    subsample = max_features is not None and max_features < width
+
+    def new_node(rows: np.ndarray) -> dict:
+        return {"rows": rows, "value": float(np.mean(y[rows])), "split": None}
+
+    roots = [new_node(np.asarray(rows)) for rows in samples]
+    level = list(roots)
+    for _ in range(max_depth):
+        splittable = []
+        for node in level:
+            target = y[node["rows"]]
+            if len(target) >= 2 * min_samples_leaf and target.max() != target.min():
+                splittable.append(node)
+        keys = rng.random((len(splittable), width)) if subsample else None
+        level = []
+        for i, node in enumerate(splittable):
+            candidates = range(width)
+            if subsample:
+                by_key = sorted(range(width), key=lambda column: keys[i][column])
+                candidates = sorted(by_key[:max_features])
+            rows = node["rows"]
+            best = best_split_reference(X, y[rows], rows, candidates, min_samples_leaf)
+            if best is None:
+                continue
+            feature, cut = best
+            goes_left = np.array([X[row, feature] <= cut for row in rows], dtype=bool)
+            children = (new_node(rows[goes_left]), new_node(rows[~goes_left]))
+            node["split"] = (feature, cut, children)
+            level.extend(children)
+
+    def write(root: dict) -> dict[str, list]:
+        tree: dict[str, list] = {key: [] for key in ("feature", "threshold", "left", "right", "value")}
+
+        def visit(node: dict) -> int:
+            at = len(tree["feature"])
+            for key, initial in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+                tree[key].append(initial)
+            tree["value"].append(node["value"])
+            if node["split"] is not None:
+                feature, cut, (left, right) = node["split"]
+                tree["feature"][at] = feature
+                tree["threshold"][at] = cut
+                tree["left"][at] = visit(left)
+                tree["right"][at] = visit(right)
+            return at
+
+        visit(root)
+        return tree
+
+    return [write(root) for root in roots]
 
 
 def apply_tree_reference(tree: dict[str, list], X: np.ndarray) -> list[int]:

@@ -697,6 +697,30 @@ class TestOneClassSplit:
         assert not (tmp_path / "work" / "models").exists()
 
 
+class TestOneClassFile:
+    @pytest.mark.parametrize("command", ["evaluate", "train", "denoise"])
+    def test_one_class_file_is_named(self, model_path, workspace, tmp_path, capsys, command):
+        _, _, _, models = workspace
+        features = tmp_path / "all_negative.csv"
+        write_features_csv(features, make_dataset(12, 0, seed=0))
+        spec = write_json(tmp_path / "spec.json", {"family": "naive_bayes"})
+        out = tmp_path / "out.json"
+        options = {
+            "evaluate": ["--model", str(model_path), "--out", str(out)],
+            "train": ["--spec", str(spec), "--out", str(out)],
+            "denoise": ["--models", str(models), "--out", str(out), "--report", str(tmp_path / "r.json")],
+        }[command]
+        code = main([command, "--features", str(features), *options])
+        _assert_exit(
+            code,
+            3,
+            capsys,
+            f"error: stage {command}: {features} holds one class "
+            "(12 rows: 0 positive, 12 negative); both are needed",
+        )
+        assert not out.exists()
+
+
 def test_import_loads_no_scipy():
     # Every strisk process pays for what importing the CLI loads.
     src = Path(strisk.__file__).resolve().parent.parent

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import apply_tree_reference, grow_tree_reference, path_columns_reference
+from oracles import (
+    apply_tree_reference,
+    grow_forest_reference,
+    grow_tree_reference,
+    path_columns_reference,
+)
 from strisk.models import trees as trees_module
 from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
 from strisk.models.trees import NodeTable, RegressionTree, rank_columns
@@ -61,9 +66,14 @@ def test_fit_and_apply_match_reference(make_matrix, min_samples_leaf, seed):
     max_features = None if seed % 2 == 0 else max(1, width - 1)
     tree = RegressionTree(max_depth=5, min_samples_leaf=min_samples_leaf, max_features=max_features)
     tree.fit(X, y, rng=np.random.default_rng(seed + 100))
-    reference = grow_tree_reference(
-        X, y, 5, min_samples_leaf, max_features, rng=np.random.default_rng(seed + 100)
-    )
+    if max_features is None:
+        reference = grow_tree_reference(X, y, 5, min_samples_leaf)
+    else:
+        # A subsampling tree is a forest of one and draws as a forest does.
+        (reference,) = grow_forest_reference(
+            X, y, [np.arange(n)], 5, min_samples_leaf, max_features,
+            rng=np.random.default_rng(seed + 100),
+        )
     assert node_lists(tree) == reference
     X_new = with_nan_rows(rng, make_matrix(rng, 40, width))
     for rows in (X, X_new):
@@ -185,14 +195,18 @@ def test_bagged_trees_match_reference_on_bootstrap_rows(make_matrix, seed, max_f
     model = BaggedTrees(
         n_estimators=6, max_depth=4, min_samples_leaf=2, max_features=max_features, seed=seed
     ).fit(X, y)
-    # Replay the fit: the same bootstrap rows, and feature draws from the same rng.
+    # Replay the fit: every tree's bootstrap rows first, then the feature
+    # draws of all trees, depth by depth, from the same rng.
     replay = np.random.default_rng(seed)
-    for tree in model.trees:
-        rows = replay.integers(0, n, size=n)
-        reference = grow_tree_reference(
-            X[rows], y[rows].astype(np.float64), 4, 2, max_features, rng=replay
+    samples = [replay.integers(0, n, size=n) for _ in range(6)]
+    if max_features is None:
+        # Without subsampling each tree is the one grown alone, node by node.
+        references = [grow_tree_reference(X[rows], y[rows].astype(np.float64), 4, 2) for rows in samples]
+    else:
+        references = grow_forest_reference(
+            X, y.astype(np.float64), samples, 4, 2, max_features, rng=replay
         )
-        assert node_lists(tree) == reference
+    assert [node_lists(tree) for tree in model.trees] == references
 
 
 @pytest.mark.parametrize("make_matrix", MATRICES)
@@ -216,6 +230,25 @@ def test_boosted_trees_match_reference_on_residuals(make_matrix, seed):
             reference["value"][leaf] = residual[mask].sum() / (hessian[mask].sum() + model.l2_leaf)
         assert node_lists(tree) == reference
         scores += model.learning_rate * np.array(reference["value"])[leaves]
+
+
+@pytest.mark.parametrize("make_matrix", MATRICES)
+@pytest.mark.parametrize("cap", [1, 1 << 9])
+def test_block_cap_leaves_trees_unchanged(make_matrix, cap, monkeypatch):
+    rng = np.random.default_rng(30)
+    X = make_matrix(rng, 90, 5)
+    y = np.resize([0, 1, 1], 90)
+    rng.shuffle(y)
+    models = (
+        BaggedTrees(n_estimators=5, max_depth=6, min_samples_leaf=1, max_features=2, seed=3),
+        BaggedTrees(n_estimators=4, max_depth=6, seed=3),
+        GradientBoostedTrees(n_estimators=5, max_depth=3, seed=3),
+    )
+    expected = [model.fit(X, y).to_params() for model in models]
+    # The default cap puts every node that fills half a block into it,
+    # padded; a cap of 1 searches each node alone and 512 cells a few at a time.
+    monkeypatch.setattr(trees_module, "_GROW_BLOCK", cap)
+    assert [model.fit(X, y).to_params() for model in models] == expected
 
 
 def test_boosting_routes_the_training_rows_once_per_round(monkeypatch):
