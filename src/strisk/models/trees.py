@@ -277,14 +277,11 @@ def grow_trees(
         subset = None
     min_leaf = spec.min_samples_leaf
     cells = X.ravel()
-    search = _Search(
-        X,
-        # A last column of the largest code and a zero target: the pad row.
-        np.concatenate([ranks, np.full((width, 1), np.iinfo(ranks.dtype).max, ranks.dtype)], axis=1),
-        np.append(y, 0.0),
-        min_leaf,
-        bool(((y == 0.0) | (y == 1.0)).all()),
+    # A last column of the largest code and a zero target: the pad row.
+    padded_ranks = np.concatenate(
+        [ranks, np.full((width, 1), np.iinfo(ranks.dtype).max, ranks.dtype)], axis=1
     )
+    padded_y = np.append(y, 0.0)
     # The live nodes of the current depth, tree by tree and left to right:
     # each one's tree and row count, and their rows, node after node.
     owner = np.arange(len(trees))
@@ -313,7 +310,8 @@ def grow_trees(
                 keys = rng.random((len(live), width))
                 candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :subset], axis=1)
             feature[live], threshold[live] = _best_splits(
-                search, np.append(rows, len(y)), starts.take(live), counts.take(live), candidates
+                X, padded_ranks, padded_y, min_leaf,
+                np.append(rows, len(y)), starts.take(live), counts.take(live), candidates,
             )
         levels.append((owner, value, feature, threshold))
         split = feature != _LEAF
@@ -332,22 +330,11 @@ def grow_trees(
     _number_in_preorder(trees, levels)
 
 
-@dataclass(frozen=True)
-class _Search:
-    """What every split search of one grow_trees call reads: X; its rank
-    codes and the targets, both with a last pad row whose codes are the
-    largest and whose target is zero; min_samples_leaf; and whether every
-    target is 0 or 1, and so its own square."""
-
-    X: np.ndarray
-    ranks: np.ndarray
-    y: np.ndarray
-    min_leaf: int
-    binary: bool
-
-
 def _best_splits(
-    search: _Search,
+    X: np.ndarray,
+    ranks: np.ndarray,
+    y: np.ndarray,
+    min_leaf: int,
     rows: np.ndarray,
     starts: np.ndarray,
     counts: np.ndarray,
@@ -356,6 +343,8 @@ def _best_splits(
     """Each node's split feature and threshold, or _LEAF and +inf where
     it has no cut.
 
+    ``ranks`` and ``y`` are X's rank codes and the targets, each with a
+    last pad row whose codes are the largest and whose target is zero.
     Node i holds rows[starts[i]:starts[i] + counts[i]] and searches the
     columns candidates[i]; the last entry of rows is the pad row. Nodes
     go largest first, in blocks of at most _GROW_BLOCK cells padded to
@@ -374,7 +363,8 @@ def _best_splits(
         last = min(first + max(1, _GROW_BLOCK // (width * padded)), halves[first])
         block = by_size[first:last]
         node, chosen, cut = _search_block(
-            search, rows, starts.take(block), counts.take(block), candidates[block], padded
+            X, ranks, y, min_leaf,
+            rows, starts.take(block), counts.take(block), candidates[block], padded,
         )
         split = block.take(node)
         feature[split], threshold[split] = chosen, cut
@@ -383,7 +373,10 @@ def _best_splits(
 
 
 def _search_block(
-    search: _Search,
+    X: np.ndarray,
+    ranks: np.ndarray,
+    y: np.ndarray,
+    min_leaf: int,
     rows: np.ndarray,
     starts: np.ndarray,
     counts: np.ndarray,
@@ -402,7 +395,6 @@ def _search_block(
     resolve to the earliest candidate column and the lowest cut, and the
     threshold is read back from the two adjacent feature values.
     """
-    X, ranks, y, min_leaf = search.X, search.ranks, search.y, search.min_leaf
     n_nodes, width = candidates.shape
     span = np.arange(padded)
     node_rows = rows.take(np.where(span < counts[:, None], starts[:, None] + span, len(rows) - 1))
@@ -414,7 +406,7 @@ def _search_block(
     ranked = codes.take(order)
     ys = np.repeat(y.take(node_rows), width, axis=0).take(order)
     prefix = np.cumsum(ys, axis=1)
-    prefix_sq = prefix if search.binary else np.cumsum(ys * ys, axis=1)
+    prefix_sq = np.cumsum(ys * ys, axis=1)
     # A cut after sorted position p leaves p + 1 rows on the left; only
     # value boundaries with min_leaf rows on both sides are scored.
     low = min_leaf - 1
