@@ -42,7 +42,6 @@ from .noise import (
     ClassThresholds,
     JointMatrix,
     NoiseReport,
-    OOSProbabilities,
     TransitionEstimate,
     confident_joint,
     confusion_matrix_at_half,

@@ -322,7 +322,7 @@ def report(ctx, report_path, out_path) -> None:
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--workdir", type=click.Path(), default=None, help="Override the config workdir.")
-@click.option("--skip", "skips", multiple=True, help="Stage name to skip (repeatable).")
+@click.option("--skip", "skips", multiple=True, help="Stage to skip: simulate, match or denoise (repeatable).")
 @click.pass_context
 def run(ctx, config_path, workdir, skips) -> None:
     """Run the full pipeline from a single JSON config."""

@@ -146,10 +146,6 @@ class EvaluationReport:
             "brier": self.brier,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> EvaluationReport:
-        return cls(**data)
-
 
 def evaluate_scores(
     model: str,

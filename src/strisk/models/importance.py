@@ -39,16 +39,6 @@ class ImportanceReport:
             "category_shares": dict(self.category_shares),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> ImportanceReport:
-        return cls(
-            model=data["model"],
-            baseline_auc=data["baseline_auc"],
-            repeats=data["repeats"],
-            per_feature=dict(data["per_feature"]),
-            category_shares=dict(data["category_shares"]),
-        )
-
 
 def _columns_for(feature: str) -> list[int]:
     if feature == "sector":

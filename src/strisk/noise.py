@@ -18,29 +18,13 @@ import numpy as np
 
 from .features import FeatureVector
 from .models.api import ModelSpec
-from .models.folds import out_of_fold_probabilities, stratified_fold_assignments
+from .models.folds import out_of_fold_probabilities
 
 CONFIDENT_JOINT = "confident_joint"
 CONFUSION_MATRIX = "confusion_matrix"
 METHODS = (CONFIDENT_JOINT, CONFUSION_MATRIX)
 
 Matrix2x2 = tuple[tuple[float, float], tuple[float, float]]
-
-
-@dataclass(frozen=True, slots=True)
-class OOSProbabilities:
-    """Class-1 probabilities where no example was scored by its own model."""
-
-    probabilities: tuple[float, ...]
-    fold_assignments: tuple[int, ...]
-    model: str
-
-    def __post_init__(self) -> None:
-        if len(self.probabilities) != len(self.fold_assignments):
-            raise ValueError("probabilities and fold assignments differ in length")
-        for p in self.probabilities:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability out of [0, 1]: {p!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,20 +60,9 @@ class JointMatrix:
     def to_dict(self) -> dict:
         return {"counts": [list(row) for row in self.counts], "tag": self.tag}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> JointMatrix:
-        return cls(
-            counts=tuple(tuple(int(v) for v in row) for row in data["counts"]),
-            tag=data["tag"],
-        )
-
 
 def _matrix_to_lists(matrix: Matrix2x2) -> list[list[float | None]]:
     return [[None if math.isnan(v) else v for v in row] for row in matrix]
-
-
-def _matrix_from_lists(rows: list) -> Matrix2x2:
-    return tuple(tuple(math.nan if v is None else float(v) for v in row) for row in rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,17 +95,6 @@ class TransitionEstimate:
             "undefined_rows": list(self.undefined_rows),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> TransitionEstimate:
-        return cls(
-            conditional=_matrix_from_lists(data["conditional"]),
-            simple_conditional=_matrix_from_lists(data["simple_conditional"]),
-            row_normalized=_matrix_from_lists(data["row_normalized"]),
-            label_counts=tuple(int(v) for v in data["label_counts"]),
-            undefined_columns=tuple(int(v) for v in data["undefined_columns"]),
-            undefined_rows=tuple(int(v) for v in data["undefined_rows"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class NoiseReport:
@@ -155,48 +117,20 @@ class NoiseReport:
             "method": self.method,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> NoiseReport:
-        return cls(
-            joint=JointMatrix.from_dict(data["joint"]),
-            transition=TransitionEstimate.from_dict(data["transition"]),
-            flipped_ids=tuple(data["flipped_ids"]),
-            before_counts=tuple(int(v) for v in data["before_counts"]),
-            after_counts=tuple(int(v) for v in data["after_counts"]),
-            method=data["method"],
-        )
-
-
-def _probability_list(probs: OOSProbabilities | Sequence[float]) -> list[float]:
-    if isinstance(probs, OOSProbabilities):
-        return list(probs.probabilities)
-    return [float(p) for p in probs]
-
 
 def out_of_sample_probabilities(
     dataset: Sequence[FeatureVector],
     model_spec: ModelSpec,
     k: int = 5,
     seed: int = 0,
-) -> OOSProbabilities:
+) -> np.ndarray:
     """Stratified k-fold probabilities: each example scored out-of-fold."""
-    labels = [p.label for p in dataset]
-    assignments = stratified_fold_assignments(labels, k, seed)
-    probabilities = out_of_fold_probabilities(
-        dataset, model_spec, folds=k, seed=seed, assignments=assignments
-    )
-    return OOSProbabilities(
-        probabilities=tuple(float(p) for p in probabilities),
-        fold_assignments=tuple(int(a) for a in assignments),
-        model=model_spec.family,
-    )
+    return out_of_fold_probabilities(dataset, model_spec, folds=k, seed=seed)
 
 
-def self_confidence_thresholds(
-    probs: OOSProbabilities | Sequence[float], labels: Sequence[int]
-) -> ClassThresholds:
+def self_confidence_thresholds(probs: Sequence[float], labels: Sequence[int]) -> ClassThresholds:
     """t_j = mean predicted probability of class j over examples labeled j."""
-    p1 = _probability_list(probs)
+    p1 = [float(p) for p in probs]
     if len(p1) != len(labels):
         raise ValueError("probabilities and labels differ in length")
     class1 = [p for p, label in zip(p1, labels) if label == 1]
@@ -224,13 +158,13 @@ def _asserted(p1: np.ndarray, thresholds: ClassThresholds) -> np.ndarray:
 
 
 def confident_joint(
-    probs: OOSProbabilities | Sequence[float],
+    probs: Sequence[float],
     labels: Sequence[int],
     thresholds: ClassThresholds,
 ) -> JointMatrix:
     """Count (given, asserted) pairs under per-class confidence thresholds;
     an example that clears neither threshold is left uncounted."""
-    p1 = np.array(_probability_list(probs))
+    p1 = np.asarray(probs, dtype=np.float64)
     if len(p1) != len(labels):
         raise ValueError("probabilities and labels differ in length")
     asserted = _asserted(p1, thresholds)
@@ -242,9 +176,7 @@ def confident_joint(
     )
 
 
-def confusion_matrix_at_half(
-    probs: OOSProbabilities | Sequence[float], labels: Sequence[int]
-) -> JointMatrix:
+def confusion_matrix_at_half(probs: Sequence[float], labels: Sequence[int]) -> JointMatrix:
     """Plain confusion matrix: the confident joint at thresholds of 0.5,
     where every example is counted and asserts 1 exactly when p-hat(1) >= 0.5."""
     joint = confident_joint(probs, labels, _HALF)
@@ -292,7 +224,7 @@ def noise_transition_matrix(
 
 
 def discover_noisy_negatives(
-    prob_sets: Sequence[OOSProbabilities | Sequence[float]],
+    prob_sets: Sequence[Sequence[float]],
     labels: Sequence[int],
     method: str = CONFUSION_MATRIX,
     ids: Sequence[str] | None = None,
@@ -309,7 +241,7 @@ def discover_noisy_negatives(
         raise ValueError(f"method must be one of {METHODS}: {method!r}")
     if not prob_sets:
         raise ValueError("need at least one probability set")
-    lists = [_probability_list(p) for p in prob_sets]
+    lists = [[float(p) for p in probs] for probs in prob_sets]
     lengths = {len(p) for p in lists} | {len(labels)}
     if len(lengths) != 1:
         raise ValueError("misaligned probability sets")
@@ -416,12 +348,6 @@ class NoiseExperimentResult:
     flip_fraction: float
     repeats: int
     folds: int
-
-    def mean_accuracy(self, models: tuple[str, ...], method: str) -> float:
-        for row in self.rows:
-            if row.models == models and row.method == method:
-                return row.mean_accuracy
-        raise KeyError(f"no row for {models!r} with method {method!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .evaluation import EvaluationReport, evaluate_scores, split_train_test
 from .features import (
@@ -32,7 +32,7 @@ from .models import (
     train_stacked,
 )
 from .names import MatchConfig, match_names
-from .noise import NoiseReport, correct_labels
+from .noise import CONFUSION_MATRIX, METHODS, NoiseReport, correct_labels
 from .records import (
     RecordError,
     load_incidents,
@@ -45,6 +45,7 @@ from .records import (
 from .synth import GeneratorConfig, generate_corpus, load_ground_truth, write_corpus
 
 STAGES = ("simulate", "match", "featurize", "denoise", "split", "train", "evaluate", "report")
+SKIPPABLE_STAGES = ("simulate", "match", "denoise")
 
 NOISY_LABEL_POLICY = "training on noisy labels"
 CORRECTED_LABEL_POLICY = "noise-corrected labels"
@@ -83,7 +84,8 @@ def require_both_classes(rows: Sequence[FeatureVector], what: str, advice: str =
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
-    """Paths, stage settings, and seeds for one pipeline run."""
+    """Paths, stage settings, and seeds for one pipeline run; denoise_models
+    default to the training models."""
 
     workdir: Path
     seed: int = 0
@@ -92,65 +94,99 @@ class PipelineConfig:
     ground_truth: Path | None = None
     window: str | None = None
     match: MatchConfig = field(default_factory=MatchConfig)
-    denoise_method: str = "confusion_matrix"
+    denoise_method: str = CONFUSION_MATRIX
     denoise_folds: int = 5
     denoise_models: tuple[ModelSpec, ...] = ()
     split_fraction: float = 0.7
     models: tuple[ModelSpec, ...] = ()
-    stack_folds: int | None = 5
+    stack_folds: int | None = None
     threshold: float = 0.5
-    importance_repeats: int | None = 5
+    importance_repeats: int | None = None
     skip: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.simulate is None and not self.inputs:
             raise ValueError("config needs either a simulate section or input paths")
+        if "simulate" in self.skip and not self.inputs:
+            raise ValueError("skip lists simulate, so the config needs input paths")
         if not self.models:
             raise ValueError("config lists no models to train")
+        if not self.denoise_models:
+            object.__setattr__(self, "denoise_models", self.models)
+        if self.denoise_method not in METHODS:
+            raise ValueError(
+                f"unknown denoise method {self.denoise_method!r}; use one of {', '.join(METHODS)}"
+            )
         for stage in self.skip:
-            if stage not in STAGES:
-                raise ValueError(f"unknown stage in skip list: {stage!r}")
+            if stage not in SKIPPABLE_STAGES:
+                kind = "stage that cannot be skipped" if stage in STAGES else "unknown stage"
+                skippable = ", ".join(SKIPPABLE_STAGES)
+                raise ValueError(f"{kind} in skip list: {stage!r}; skippable: {skippable}")
         if self.window is not None:
             parse_window(self.window)
 
     @classmethod
     def from_dict(cls, data: dict, workdir: Path | None = None) -> PipelineConfig:
-        simulate = data.get("simulate")
-        inputs = data.get("inputs")
-        denoise = data.get("denoise", {}) or {}
-        models = [ModelSpec.from_dict(spec) for spec in data.get("models", [])]
-        denoise_models = [
-            ModelSpec.from_dict(spec) for spec in denoise.get("models", [])
-        ] or models
-        stack = data.get("stack")
-        skip = data.get("skip", [])
-        if not isinstance(skip, list):
-            raise ValueError(f"skip must be a list of stage names, got {skip!r}")
+        """Read a run config. A key it does not define is a ValueError
+        naming the key; a key left out keeps the field's default."""
+        _json_object(data, "config", _TOP_LEVEL_KEYS)
+        if not isinstance(data.get("skip", []), list):
+            raise ValueError(f"skip must be a list of stage names, got {data['skip']!r}")
+        kwargs = {}
+        for section, fields in [("", _TOP_LEVEL_FIELDS), *_SECTION_FIELDS.items()]:
+            values = _json_object(data.get(section, {}), section, fields) if section else data
+            kwargs.update((name, read(values[key])) for key, (name, read) in fields.items() if key in values)
+        inputs = _json_object(data.get("inputs", {}), "inputs", _INPUT_ROLES)
         return cls(
             workdir=Path(workdir or data["workdir"]),
-            seed=int(data.get("seed", 0)),
-            simulate=GeneratorConfig.from_dict(simulate) if simulate else None,
-            inputs={k: Path(v) for k, v in inputs.items()} if inputs else None,
-            ground_truth=Path(data["ground_truth"]) if data.get("ground_truth") else None,
-            window=data.get("window"),
-            match=MatchConfig.from_dict(data["match"]) if data.get("match") else MatchConfig(),
-            denoise_method=denoise.get("method", "confusion_matrix"),
-            denoise_folds=int(denoise.get("folds", 5)),
-            denoise_models=tuple(denoise_models),
-            split_fraction=float(data.get("split", {}).get("train_fraction", 0.7)),
-            models=tuple(models),
-            stack_folds=int(stack["folds"]) if stack else None,
-            threshold=float(data.get("evaluate", {}).get("threshold", 0.5)),
-            importance_repeats=(
-                int(data["importance"]["repeats"]) if data.get("importance") else None
-            ),
-            skip=tuple(skip),
+            inputs={role: Path(path) for role, path in inputs.items()} or None,
+            **kwargs,
         )
 
     @classmethod
     def from_file(cls, path: str | Path, workdir: Path | None = None) -> PipelineConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         return cls.from_dict(data, workdir=workdir)
+
+
+def _json_object(value: object, where: str, keys: Sequence[str]) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(keys)}")
+    return value
+
+
+def _model_specs(entries: list) -> tuple[ModelSpec, ...]:
+    return tuple(ModelSpec.from_dict(entry) for entry in entries)
+
+
+# The keys a run config may hold besides workdir and inputs: the
+# PipelineConfig field each one sets and how its JSON value is read.
+_TOP_LEVEL_FIELDS: dict[str, tuple[str, Callable]] = {
+    "seed": ("seed", int),
+    "simulate": ("simulate", lambda data: GeneratorConfig.from_dict(data) if data else None),
+    "ground_truth": ("ground_truth", lambda path: Path(path) if path else None),
+    "window": ("window", lambda spec: spec),
+    "match": ("match", lambda data: MatchConfig.from_dict(data) if data else MatchConfig()),
+    "models": ("models", _model_specs),
+    "skip": ("skip", tuple),
+}
+_SECTION_FIELDS: dict[str, dict[str, tuple[str, Callable]]] = {
+    "denoise": {
+        "method": ("denoise_method", lambda method: method),
+        "folds": ("denoise_folds", int),
+        "models": ("denoise_models", _model_specs),
+    },
+    "split": {"train_fraction": ("split_fraction", float)},
+    "stack": {"folds": ("stack_folds", int)},
+    "evaluate": {"threshold": ("threshold", float)},
+    "importance": {"repeats": ("importance_repeats", int)},
+}
+_INPUT_ROLES = ("organizations", "observations", "tweets", "incidents")
+_TOP_LEVEL_KEYS = ("workdir", "inputs", *_TOP_LEVEL_FIELDS, *_SECTION_FIELDS)
 
 
 @dataclass
@@ -177,7 +213,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         organizations, observations = bundle.organizations, bundle.observations
         tweets, incidents = bundle.tweets, bundle.incidents
         latent = bundle.ground_truth
-    elif config.inputs:
+    else:
         try:
             organizations = load_organizations(config.inputs["organizations"])
             observations = load_observations(config.inputs["observations"])
@@ -187,8 +223,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             raise RecordError(f"missing input path for {exc.args[0]!r}") from exc
         if config.ground_truth:
             latent = load_ground_truth(config.ground_truth)
-    else:
-        raise StageFailure("simulate", "stage skipped but no input paths configured")
 
     match_summary: dict[str, int] = {}
     if "match" not in skip:

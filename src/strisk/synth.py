@@ -146,16 +146,6 @@ class GeneratorConfig:
     def n_positive(self) -> int:
         return round(self.n_orgs / (1.0 + self.negative_ratio))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_orgs": self.n_orgs,
-            "negative_ratio": self.negative_ratio,
-            "signal": dict(self.signal),
-            "noise_fraction": self.noise_fraction,
-            "sector_mix": list(self.sector_mix),
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> GeneratorConfig:
         if not isinstance(data, dict):

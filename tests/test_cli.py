@@ -1,7 +1,9 @@
 """Command-line surface: happy paths and the exit-code contract."""
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import strisk
 from conftest import make_dataset
@@ -674,6 +678,71 @@ class TestMalformedConfig:
         report = write_json(tmp_path / "report.json", data)
         code = main(["report", "--report", str(report)])
         _assert_exit(code, 2, capsys, "data error:", "is not a report")
+
+    @pytest.mark.parametrize("stage", ["featurize", "split", "train", "evaluate", "report"])
+    def test_unskippable_stage_is_usage_error(self, tmp_path, capsys, stage):
+        config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path))
+        code = main(["run", "--config", str(config), "--skip", stage])
+        _assert_exit(code, 1, capsys, f"cannot be skipped in skip list: {stage!r}", "simulate, match, denoise")
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"denoise": {"fold": 3}}, "'fold' in denoise"),
+            ({"split": {"fraction": 0.5}}, "'fraction' in split"),
+            ({"importnace": {"repeats": 2}}, "'importnace' in config"),
+            ({"denoise": {"method": "median"}}, "denoise method 'median'"),
+            ({"skip": ["simulate"]}, "skip lists simulate, so the config needs input paths"),
+        ],
+    )
+    def test_config_mistake_stops_before_any_stage(self, tmp_path, capsys, changes, named):
+        config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path, **changes))
+        code = main(["run", "--config", str(config)])
+        _assert_exit(code, 1, capsys, "usage error: bad pipeline config", named)
+        assert not (tmp_path / "work").exists()
+
+
+# Every key a run config may hold, by section (None is the top level).
+RUN_CONFIG_KEYS = {
+    None: {
+        "workdir", "seed", "simulate", "inputs", "ground_truth", "window", "match",
+        "denoise", "split", "models", "stack", "evaluate", "importance", "skip",
+    },
+    "denoise": {"method", "folds", "models"},
+    "split": {"train_fraction"},
+    "stack": {"folds"},
+    "evaluate": {"threshold"},
+    "importance": {"repeats"},
+    "inputs": {"organizations", "observations", "tweets", "incidents"},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=40, deadline=None)
+@given(section=st.sampled_from(sorted(RUN_CONFIG_KEYS, key=str)), key=st.text(min_size=1, max_size=12))
+def test_unknown_run_config_key_is_named_usage_error(fuzz_dir, section, key):
+    assume(key not in RUN_CONFIG_KEYS[section])
+    config = _run_config(
+        fuzz_dir,
+        denoise={"method": "confident_joint"},
+        split={"train_fraction": 0.7},
+        stack={"folds": 3},
+        evaluate={"threshold": 0.5},
+        importance={"repeats": 2},
+        inputs={"organizations": "organizations.jsonl"},
+    )
+    (config if section is None else config[section])[key] = 1
+    path = write_json(fuzz_dir / "pipeline.json", config)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["run", "--config", str(path)]) == 1
+    assert f"unknown key {key!r} in " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not (fuzz_dir / "work").exists()
 
 
 class TestOneClassSplit:

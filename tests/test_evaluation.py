@@ -1,6 +1,8 @@
 """Splitting and the metric suite against independent oracles."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,4 +209,6 @@ class TestEvaluateScores:
             model="m", threshold=0.5, n_positive=0, n_negative=2,
             tpr=None, fpr=0.0, f1=None, auc=0.5, brier=0.1,
         )
-        assert EvaluationReport.from_dict(report.to_dict()) == report
+        data = report.to_dict()
+        assert (data["tpr"], data["f1"]) == (None, None)
+        assert json.loads(json.dumps(data, allow_nan=False)) == data

@@ -1,6 +1,7 @@
 """Confident-learning counting, transition views, and label correction."""
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -21,7 +22,6 @@ from strisk.noise import (
     METHODS,
     ClassThresholds,
     JointMatrix,
-    NoiseReport,
     confident_joint,
     confusion_matrix_at_half,
     discover_noisy_negatives,
@@ -117,10 +117,6 @@ class TestConfidentJoint:
         assert confident_joint(probs, labels, forced).counts == (
             confusion_matrix_at_half(probs, labels).counts
         )
-
-    def test_round_trip(self):
-        joint = JointMatrix(counts=((3, 1), (0, 2)), tag=CONFIDENT_JOINT)
-        assert JointMatrix.from_dict(joint.to_dict()) == joint
 
 
 class TestTransitionMatrix:
@@ -224,11 +220,10 @@ class TestTransitionMatrix:
     def test_round_trip_preserves_nan_as_none(self):
         joint = JointMatrix(counts=((0, 4), (0, 6)), tag=CONFUSION_MATRIX)
         estimate = noise_transition_matrix(joint)
-        data = estimate.to_dict()
+        assert math.isnan(estimate.simple_conditional[0][0])
+        data = json.loads(json.dumps(estimate.to_dict(), allow_nan=False))
         assert data["simple_conditional"][0][0] is None
-        restored = type(estimate).from_dict(data)
-        assert math.isnan(restored.simple_conditional[0][0])
-        assert restored.undefined_columns == estimate.undefined_columns
+        assert data["undefined_columns"] == list(estimate.undefined_columns) == [0]
 
 
 class TestDiscoverNoisyNegatives:
@@ -313,27 +308,16 @@ class TestFlipLabels:
         with pytest.raises(ValueError, match="duplicate ids"):
             flip_labels(dataset, [dataset[0].org_id, dataset[0].org_id])
 
-    def test_report_round_trip(self):
-        dataset = make_dataset(6, 2, seed=1)
-        _, report = flip_labels(dataset, [dataset[0].org_id])
-        restored = NoiseReport.from_dict(report.to_dict())
-        assert restored.joint == report.joint
-        assert restored.flipped_ids == report.flipped_ids
-        assert restored.before_counts == report.before_counts
-        assert restored.after_counts == report.after_counts
-
 
 class TestOutOfSampleProbabilities:
     def test_high_separation_recovers_labels(self):
         dataset = make_dataset(60, 30, seed=8, shift=2.5)
-        result = out_of_sample_probabilities(
+        probabilities = out_of_sample_probabilities(
             dataset, ModelSpec("logistic_regression"), k=4, seed=0
         )
-        assert len(result.probabilities) == len(dataset)
-        assert len(result.fold_assignments) == len(dataset)
-        assert result.model == "logistic_regression"
+        assert len(probabilities) == len(dataset)
         labels = [p.label for p in dataset]
-        assert roc_auc(list(result.probabilities), labels) > 0.95
+        assert roc_auc(probabilities, labels) > 0.95
 
 
 class TestNoiseDetectionExperiment:
@@ -363,13 +347,6 @@ class TestNoiseDetectionExperiment:
         result = self.experiment(method=CONFUSION_MATRIX)
         for row in result.rows:
             assert all(0.0 <= a <= 1.0 for a in row.accuracies)
-
-    def test_mean_accuracy_lookup(self):
-        result = self.experiment(method=CONFUSION_MATRIX)
-        combo = ("logistic_regression", "naive_bayes")
-        value = result.mean_accuracy(combo, CONFUSION_MATRIX)
-        row = next(r for r in result.rows if r.models == combo)
-        assert value == pytest.approx(sum(row.accuracies) / len(row.accuracies))
 
     def test_deterministic(self):
         assert self.experiment().to_dict() == self.experiment().to_dict()

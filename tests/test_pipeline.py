@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from strisk.models import ModelSpec
 from strisk.pipeline import (
     NOISY_LABEL_POLICY,
     STAGES,
@@ -14,6 +15,7 @@ from strisk.pipeline import (
     render_report_text,
     run_pipeline,
 )
+from strisk.synth import GeneratorConfig
 
 BASE_CONFIG = {
     "seed": 13,
@@ -63,6 +65,17 @@ class TestPipelineConfig:
             "logistic_regression",
             "naive_bayes",
         ]
+
+    def test_direct_construction_equals_from_dict(self):
+        direct = PipelineConfig(
+            workdir=Path("/tmp/x"),
+            simulate=GeneratorConfig(n_orgs=60),
+            models=(ModelSpec("naive_bayes"),),
+        )
+        data = {"workdir": "/tmp/x", "simulate": {"n_orgs": 60}, "models": [{"family": "naive_bayes"}]}
+        assert direct == PipelineConfig.from_dict(data)
+        assert direct.denoise_models == direct.models
+        assert (direct.stack_folds, direct.importance_repeats) == (None, None)
 
     def test_workdir_override(self, tmp_path):
         config = PipelineConfig.from_dict(

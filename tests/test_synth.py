@@ -86,9 +86,11 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError, match="invalid probability vector"):
             GeneratorConfig(n_orgs=100, sector_mix=uneven)
 
-    def test_round_trip(self):
-        config = GeneratorConfig(n_orgs=60, signal={"technical": 2.0}, seed=5)
-        assert GeneratorConfig.from_dict(config.to_dict()) == config
+    def test_from_dict_reads_json_object(self):
+        data = {"n_orgs": 60, "signal": {"technical": 2.0}, "sector_mix": [0.5, 0.5] + [0] * 8, "seed": 5}
+        assert GeneratorConfig.from_dict(data) == GeneratorConfig(
+            n_orgs=60, signal={"technical": 2.0}, sector_mix=(0.5, 0.5) + (0.0,) * 8, seed=5
+        )
 
 
 class TestGenerateCorpus:
