@@ -12,6 +12,8 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
+from .records import json_fields
+
 T = TypeVar("T")
 
 
@@ -133,18 +135,7 @@ class EvaluationReport:
     auc: float
     brier: float
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "threshold": self.threshold,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-            "tpr": self.tpr,
-            "fpr": self.fpr,
-            "f1": self.f1,
-            "auc": self.auc,
-            "brier": self.brier,
-        }
+    to_dict = json_fields
 
 
 def evaluate_scores(

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..features import FeatureVector
-from ..records import write_json
+from ..records import json_fields, write_json
 from .bayes import GaussianNaiveBayes
 from .encode import FeatureSchema, default_schema, encode_labels, encode_profiles
 from .ensemble import BaggedTrees, GradientBoostedTrees
@@ -88,12 +88,7 @@ class ModelSpec:
         merged.update(self.hyperparameters)
         return merged
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "hyperparameters": dict(self.hyperparameters),
-            "seed": self.seed,
-        }
+    to_dict = json_fields
 
     @classmethod
     def from_dict(cls, data: dict) -> ModelSpec:

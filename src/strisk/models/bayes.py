@@ -6,6 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..records import json_fields
 from .encode import param_array, with_columns
 
 
@@ -77,13 +78,7 @@ class GaussianNaiveBayes:
         likes = np.exp(shifted)
         return likes[:, 1] / likes.sum(axis=1)
 
-    def to_params(self) -> dict:
-        return {
-            "var_smoothing": self.var_smoothing,
-            "log_prior": self.log_prior.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
+    to_params = json_fields
 
     @classmethod
     def from_params(cls, data: dict, width: int) -> GaussianNaiveBayes:

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..evaluation import roc_auc
 from ..features import FEATURES, SOCIAL_FEATURES, TECHNICAL_FEATURES, FeatureVector
+from ..records import json_fields
 from .api import Model, encode_for
 from .encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels
 
@@ -30,14 +31,7 @@ class ImportanceReport:
     per_feature: dict[str, float]
     category_shares: dict[str, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "baseline_auc": self.baseline_auc,
-            "repeats": self.repeats,
-            "per_feature": dict(self.per_feature),
-            "category_shares": dict(self.category_shares),
-        }
+    to_dict = json_fields
 
 
 def _columns_for(feature: str) -> list[int]:

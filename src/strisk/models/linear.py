@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..records import json_fields
 from .encode import param_array, standardize_apply, standardize_fit, with_columns
 
 
@@ -169,15 +170,7 @@ class LogisticRegression:
         margins = _permuted_margins(self, X)
         return lambda shuffled, columns: _sigmoid(margins(shuffled, columns))
 
-    def to_params(self) -> dict:
-        return {
-            "l2": self.l2,
-            "max_iter": self.max_iter,
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-        }
+    to_params = json_fields
 
     @classmethod
     def from_params(cls, data: dict, width: int) -> LogisticRegression:
@@ -282,17 +275,7 @@ class LinearSvmPlatt:
     def _platt(self, margins: np.ndarray) -> np.ndarray:
         return _sigmoid(self.platt_a * margins + self.platt_b)
 
-    def to_params(self) -> dict:
-        return {
-            "c": self.c,
-            "max_iter": self.max_iter,
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "platt_a": self.platt_a,
-            "platt_b": self.platt_b,
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-        }
+    to_params = json_fields
 
     @classmethod
     def from_params(cls, data: dict, width: int) -> LinearSvmPlatt:

@@ -19,6 +19,7 @@ import numpy as np
 from .features import FeatureVector
 from .models.api import ModelSpec
 from .models.folds import out_of_fold_probabilities
+from .records import json_fields
 
 CONFIDENT_JOINT = "confident_joint"
 CONFUSION_MATRIX = "confusion_matrix"
@@ -334,12 +335,7 @@ class ExperimentRow:
         return sum(self.accuracies) / len(self.accuracies)
 
     def to_dict(self) -> dict:
-        return {
-            "models": list(self.models),
-            "method": self.method,
-            "accuracies": list(self.accuracies),
-            "mean_accuracy": self.mean_accuracy,
-        }
+        return {**json_fields(self), "mean_accuracy": self.mean_accuracy}
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,6 @@ from .features import (
     FeatureVector,
     featurize_corpus,
     parse_window,
-    read_features_csv,
     write_features_csv,
 )
 from .models import (
@@ -109,6 +108,12 @@ class PipelineConfig:
             raise ValueError("config needs either a simulate section or input paths")
         if "simulate" in self.skip and not self.inputs:
             raise ValueError("skip lists simulate, so the config needs input paths")
+        # Inputs are read only when nothing is simulated, so a config that
+        # simulates may carry a partial inputs section.
+        if self.simulate is None or "simulate" in self.skip:
+            missing = ", ".join(repr(role) for role in _INPUT_ROLES if role not in self.inputs)
+            if missing:
+                raise ValueError(f"inputs lacks {missing}, read when nothing is simulated")
         if not self.models:
             raise ValueError("config lists no models to train")
         if not self.denoise_models:
@@ -214,13 +219,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         tweets, incidents = bundle.tweets, bundle.incidents
         latent = bundle.ground_truth
     else:
-        try:
-            organizations = load_organizations(config.inputs["organizations"])
-            observations = load_observations(config.inputs["observations"])
-            tweets = load_tweets(config.inputs["tweets"])
-            incidents = load_incidents(config.inputs["incidents"])
-        except KeyError as exc:
-            raise RecordError(f"missing input path for {exc.args[0]!r}") from exc
+        organizations = load_organizations(config.inputs["organizations"])
+        observations = load_observations(config.inputs["observations"])
+        tweets = load_tweets(config.inputs["tweets"])
+        incidents = load_incidents(config.inputs["incidents"])
         if config.ground_truth:
             latent = load_ground_truth(config.ground_truth)
 

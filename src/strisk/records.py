@@ -5,13 +5,19 @@ line-oriented JSON (one record per line); timestamps are ISO-8601 UTC.
 """
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
+import operator
 import re
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 SECTORS = (
     "information_technology",
@@ -80,12 +86,72 @@ def _field(data: dict, key: str, kind: type, default=_REQUIRED):
     return value
 
 
-def _strings(data: dict, key: str) -> tuple[str, ...]:
-    """An optional list of strings, as a tuple."""
-    values = _field(data, key, list, [])
+def _strings(data: dict, key: str, default=_REQUIRED) -> tuple[str, ...]:
+    """A list of strings, as a tuple."""
+    values = _field(data, key, list, default)
     if not all(type(value) is str for value in values):
         raise RecordError(f"field {key!r} must be a list of strings")
     return tuple(values)
+
+
+def _base_type(hint: object) -> type:
+    """The class a field annotation names, without None and parameters:
+    ``tuple[str, ...]`` -> tuple, ``np.ndarray | None`` -> np.ndarray."""
+    if isinstance(hint, types.UnionType):
+        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    return typing.get_origin(hint) or hint
+
+
+@functools.cache
+def _init_fields(cls: type) -> tuple[tuple[str, type, object], ...]:
+    """(name, base type, default or _REQUIRED) of each init field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, _base_type(hints[f.name]), _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls)
+        if f.init
+    )
+
+
+# How a field's value is written to JSON, by its base type; others are written as they are.
+_TO_JSON: dict[type, Callable] = {
+    datetime: _format_timestamp,
+    tuple: list,
+    dict: dict,
+    np.ndarray: np.ndarray.tolist,
+}
+
+
+@functools.cache
+def _writer(cls: type) -> tuple[tuple[str, ...], Callable, tuple[tuple[int, Callable], ...]]:
+    spec = _init_fields(cls)
+    names = tuple(name for name, _, _ in spec)
+    converters = tuple((i, _TO_JSON[kind]) for i, (_, kind, _) in enumerate(spec) if kind in _TO_JSON)
+    return names, operator.attrgetter(*names), converters
+
+
+def json_fields(obj: object) -> dict:
+    """The init fields of a dataclass instance as a JSON object: a
+    datetime as ISO-8601 UTC text, a tuple as a list, a dict as a copy and
+    an array as nested lists."""
+    names, get, converters = _writer(type(obj))
+    values = list(get(obj)) if len(names) > 1 else [get(obj)]
+    for i, convert in converters:
+        values[i] = convert(values[i])
+    return dict(zip(names, values))
+
+
+def read_fields(cls: type[T], data: dict) -> T:
+    """A dataclass built from the JSON object ``data``: each init field is
+    read as the JSON type its annotation names (a datetime as text, a tuple
+    as a list of strings), and a field with a default may be left out."""
+    kwargs = {}
+    for name, kind, default in _init_fields(cls):
+        if kind is tuple:
+            kwargs[name] = _strings(data, name, default)
+        else:
+            kwargs[name] = _field(data, name, str if kind is datetime else kind, default)
+    return cls(**kwargs)
 
 
 # A dotted-quad IPv4 address in ASCII digits, each octet 0-255 without a
@@ -150,26 +216,8 @@ class OrganizationRecord:
                 raise RecordError(f"invalid CIDR block {block!r}") from exc
         object.__setattr__(self, "host_count", host_count)
 
-    def to_dict(self) -> dict:
-        return {
-            "org_id": self.org_id,
-            "name": self.name,
-            "sector": self.sector,
-            "org_size": self.org_size,
-            "ip_ranges": list(self.ip_ranges),
-            "domains": list(self.domains),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> OrganizationRecord:
-        return cls(
-            org_id=_field(data, "org_id", str),
-            name=_field(data, "name", str),
-            sector=_field(data, "sector", str),
-            org_size=_field(data, "org_size", int),
-            ip_ranges=_strings(data, "ip_ranges"),
-            domains=_strings(data, "domains"),
-        )
+    to_dict = json_fields
+    from_dict = classmethod(read_fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,24 +244,8 @@ class ObservationRecord:
             raise RecordError("spam_domain subject must be a domain, not an IP")
         object.__setattr__(self, "timestamp", _parse_timestamp(self.timestamp))
 
-    def to_dict(self) -> dict:
-        return {
-            "org_id": self.org_id,
-            "kind": self.kind,
-            "subject": self.subject,
-            "timestamp": _format_timestamp(self.timestamp),
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ObservationRecord:
-        return cls(
-            org_id=_field(data, "org_id", str),
-            kind=_field(data, "kind", str),
-            subject=_field(data, "subject", str),
-            timestamp=_field(data, "timestamp", str),
-            detail=_field(data, "detail", str, ""),
-        )
+    to_dict = json_fields
+    from_dict = classmethod(read_fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,37 +267,14 @@ class TweetRecord:
             raise RecordError("engagement counts must be non-negative")
         object.__setattr__(self, "timestamp", _parse_timestamp(self.timestamp))
 
-    def to_dict(self) -> dict:
-        return {
-            "org_id": self.org_id,
-            "text": self.text,
-            "likes": self.likes,
-            "retweets": self.retweets,
-            "replies": self.replies,
-            "account": self.account,
-            "is_reply_to": self.is_reply_to,
-            "is_replied_to": self.is_replied_to,
-            "timestamp": _format_timestamp(self.timestamp),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> TweetRecord:
-        return cls(
-            org_id=_field(data, "org_id", str),
-            text=_field(data, "text", str),
-            likes=_field(data, "likes", int),
-            retweets=_field(data, "retweets", int),
-            replies=_field(data, "replies", int),
-            account=_field(data, "account", str),
-            is_reply_to=_field(data, "is_reply_to", bool),
-            is_replied_to=_field(data, "is_replied_to", bool),
-            timestamp=_field(data, "timestamp", str),
-        )
+    to_dict = json_fields
+    from_dict = classmethod(read_fields)
 
 
 @dataclass(frozen=True, slots=True)
 class IncidentRecord:
-    """One reported hacking breach tied to an organization."""
+    """One reported hacking breach tied to an organization; the date is
+    kept as its YYYY-MM-DD text."""
 
     org_id: str
     name: str
@@ -276,25 +285,15 @@ class IncidentRecord:
     def __post_init__(self) -> None:
         if self.source not in INCIDENT_SOURCES:
             raise RecordError(f"unknown incident source {self.source!r}")
+        try:  # only YYYY-MM-DD text survives the round trip
+            valid = datetime.fromisoformat(self.date).date().isoformat() == self.date
+        except ValueError:
+            valid = False
+        if not valid:
+            raise RecordError(f"incident date must be a YYYY-MM-DD calendar date, got {self.date!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "org_id": self.org_id,
-            "name": self.name,
-            "date": self.date,
-            "source": self.source,
-            "breach_type": self.breach_type,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> IncidentRecord:
-        return cls(
-            org_id=_field(data, "org_id", str),
-            name=_field(data, "name", str),
-            date=_field(data, "date", str),
-            source=_field(data, "source", str),
-            breach_type=_field(data, "breach_type", str, "HACK"),
-        )
+    to_dict = json_fields
+    from_dict = classmethod(read_fields)
 
 
 def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:

@@ -464,6 +464,49 @@ class TestExitCodes:
             ("ground_truth", "org_id", 7),
             ("ground_truth", None, ["org-1", 1]),
             pytest.param("organizations", "org_size", int("9" * 401), id="organizations-org_size-401-digits"),
+            # Every field of the four record types, each required one removed
+            # and each one given a value of the wrong JSON type.
+            ("organizations", "org_id", None),
+            ("organizations", "name", None),
+            ("organizations", "org_size", None),
+            ("organizations", "org_id", 7),
+            ("organizations", "name", 7),
+            ("organizations", "sector", 3),
+            pytest.param("organizations", "ip_ranges", "10.0.0.0/8", id="organizations-ip_ranges-string"),
+            pytest.param("organizations", "ip_ranges", [7], id="organizations-ip_ranges-list-of-int"),
+            ("observations", "org_id", None),
+            ("observations", "kind", None),
+            ("observations", "subject", None),
+            ("observations", "org_id", 7),
+            ("observations", "kind", True),
+            ("observations", "timestamp", 1546300800),
+            pytest.param("observations", "detail", {}, id="observations-detail-object"),
+            ("tweets", "org_id", None),
+            ("tweets", "text", None),
+            ("tweets", "likes", None),
+            ("tweets", "retweets", None),
+            ("tweets", "replies", None),
+            ("tweets", "account", None),
+            ("tweets", "is_reply_to", None),
+            ("tweets", "is_replied_to", None),
+            ("tweets", "timestamp", None),
+            ("tweets", "org_id", 7),
+            pytest.param("tweets", "text", ["hi"], id="tweets-text-list"),
+            ("tweets", "retweets", 1.5),
+            ("tweets", "replies", False),
+            ("tweets", "account", 7),
+            ("tweets", "is_replied_to", 1),
+            ("tweets", "timestamp", 1546300800),
+            ("incidents", "org_id", None),
+            ("incidents", "name", None),
+            ("incidents", "date", None),
+            ("incidents", "org_id", 7),
+            ("incidents", "name", 7),
+            ("incidents", "date", 20190201),
+            ("incidents", "source", 1),
+            ("incidents", "breach_type", 0),
+            ("incidents", "date", "2019-02-30"),
+            ("incidents", "date", "yesterday"),
         ],
     )
     def test_incomplete_record_exit_data_error(self, workspace, tmp_path, capsys, role, field, value):
@@ -684,6 +727,18 @@ class TestMalformedConfig:
         config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path))
         code = main(["run", "--config", str(config), "--skip", stage])
         _assert_exit(code, 1, capsys, f"cannot be skipped in skip list: {stage!r}", "simulate, match, denoise")
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize(
+        "changes", [{"simulate": None}, {"skip": ["simulate"]}], ids=["no-simulate", "simulate-skipped"]
+    )
+    def test_partial_inputs_read_stop_before_any_stage(self, tmp_path, capsys, changes):
+        inputs = {role: str(tmp_path / f"{role}.jsonl") for role in ("organizations", "tweets")}
+        config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path, inputs=inputs, **changes))
+        code = main(["run", "--config", str(config)])
+        _assert_exit(
+            code, 1, capsys, "usage error: bad pipeline config", "inputs lacks 'observations', 'incidents'"
+        )
         assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize(

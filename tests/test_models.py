@@ -1,6 +1,7 @@
 """Encoding schema, the model zoo, folds, stacking, and importance."""
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from strisk.models import (
     train_stacked,
 )
 from strisk.models import linear
+from strisk.models.bayes import GaussianNaiveBayes
 from strisk.models.encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels, standardize_apply
 from strisk.models.linear import (
     LinearSvmPlatt,
@@ -602,3 +604,26 @@ class TestPermutationImportance:
         model = train(train_set, fast_spec("naive_bayes"))
         with pytest.raises(ValueError):
             permutation_importance(model, test_set, repeats=0)
+
+
+@pytest.mark.parametrize(
+    "model, keys",
+    [
+        (LogisticRegression(), {"l2", "max_iter", "weights", "bias", "mean", "scale"}),
+        (
+            LinearSvmPlatt(),
+            {"c", "max_iter", "weights", "bias", "platt_a", "platt_b", "mean", "scale"},
+        ),
+        (GaussianNaiveBayes(), {"var_smoothing", "log_prior", "means", "variances"}),
+    ],
+    ids=["logistic_regression", "linear_svm_platt", "naive_bayes"],
+)
+def test_to_params_writes_each_field_as_json(model, keys):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] + rng.normal(scale=0.5, size=40) > 0).astype(np.int64)
+    params = model.fit(X, y).to_params()
+    assert set(params) == keys
+    assert json.loads(json.dumps(params, allow_nan=False)) == params
+    restored = type(model).from_params(params, width=3)
+    np.testing.assert_array_equal(restored.predict_proba(X), model.predict_proba(X))

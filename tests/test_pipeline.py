@@ -77,6 +77,16 @@ class TestPipelineConfig:
         assert direct.denoise_models == direct.models
         assert (direct.stack_folds, direct.importance_repeats) == (None, None)
 
+    def test_partial_inputs_beside_simulate_are_accepted(self):
+        # Inputs are read only when nothing is simulated.
+        data = {
+            "workdir": "/tmp/x",
+            "simulate": {"n_orgs": 60},
+            "inputs": {"organizations": "organizations.jsonl"},
+            "models": [{"family": "naive_bayes"}],
+        }
+        assert PipelineConfig.from_dict(data).inputs == {"organizations": Path("organizations.jsonl")}
+
     def test_workdir_override(self, tmp_path):
         config = PipelineConfig.from_dict(
             dict(BASE_CONFIG, workdir="/ignored"), workdir=tmp_path

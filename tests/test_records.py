@@ -1,14 +1,27 @@
-"""Record validation: address parsing, host counts and organization sizes."""
+"""Record validation (addresses, host counts, organization sizes, incident
+dates) and the JSON lines each record type is written as and read from."""
 from __future__ import annotations
 
 import dataclasses
 import ipaddress
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strisk.records import OrganizationRecord, RecordError, _is_ip
+from strisk.records import (
+    IncidentRecord,
+    ObservationRecord,
+    OrganizationRecord,
+    RecordError,
+    TweetRecord,
+    _is_ip,
+    load_incidents,
+    load_observations,
+    load_organizations,
+    write_jsonl,
+)
 
 
 def ipaddress_accepts(subject: str) -> bool:
@@ -111,3 +124,87 @@ def test_org_size_must_be_positive_and_fit_a_float(size):
 @pytest.mark.parametrize("size", [1, 10**308, 2**1023], ids=["1", "10**308", "2**1023"])
 def test_org_size_limits_accepted(size):
     assert OrganizationRecord("o1", "Acme", "finance", size).org_size == size
+
+
+@pytest.mark.parametrize("date", ["2019-02-30", "yesterday", "2019-2-3", "20190203", "2019-02-28\n", ""])
+def test_incident_date_must_be_a_calendar_date(date):
+    with pytest.raises(RecordError, match="YYYY-MM-DD"):
+        IncidentRecord("o1", "Acme", date, "PRC")
+
+
+def test_incident_date_text_is_kept():
+    assert IncidentRecord("o1", "Acme", "2020-02-29", "PRC").date == "2020-02-29"
+
+
+# One record of each type and the exact JSONL line it is written as.
+WRITTEN_LINES = [
+    (
+        OrganizationRecord("org-1", "Acme Corp", "finance", 120, ("10.0.0.0/30",), ("acme.example",)),
+        '{"domains": ["acme.example"], "ip_ranges": ["10.0.0.0/30"], "name": "Acme Corp", '
+        '"org_id": "org-1", "org_size": 120, "sector": "finance"}',
+    ),
+    (
+        ObservationRecord("org-1", "open_port", "10.0.0.1", "2019-03-04T06:06:07+01:00", "tcp/23"),
+        '{"detail": "tcp/23", "kind": "open_port", "org_id": "org-1", "subject": "10.0.0.1", '
+        '"timestamp": "2019-03-04T05:06:07+00:00"}',
+    ),
+    (
+        TweetRecord("org-1", "outage again", 3, 1, 0, "@user", False, True, "2019-03-04T05:06:07Z"),
+        '{"account": "@user", "is_replied_to": true, "is_reply_to": false, "likes": 3, '
+        '"org_id": "org-1", "replies": 0, "retweets": 1, "text": "outage again", '
+        '"timestamp": "2019-03-04T05:06:07+00:00"}',
+    ),
+    (
+        IncidentRecord("org-1", "Acme Corp", "2019-05-01", "VCDB"),
+        '{"breach_type": "HACK", "date": "2019-05-01", "name": "Acme Corp", "org_id": "org-1", '
+        '"source": "VCDB"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("record, line", WRITTEN_LINES, ids=[type(r).__name__ for r, _ in WRITTEN_LINES])
+def test_record_written_as_exact_line_and_read_back(tmp_path, record, line):
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, [record.to_dict()])
+    assert path.read_text(encoding="utf-8") == line + "\n"
+    assert type(record).from_dict(json.loads(line)) == record
+
+
+@pytest.mark.parametrize(
+    "load, data, key, default",
+    [
+        (load_organizations, {"org_id": "o1", "name": "Acme", "sector": "finance", "org_size": 5}, "ip_ranges", ()),
+        (load_organizations, {"org_id": "o1", "name": "Acme", "sector": "finance", "org_size": 5}, "domains", ()),
+        (
+            load_observations,
+            {"org_id": "o1", "kind": "spam_domain", "subject": "a.example", "timestamp": "2019-01-01T00:00:00"},
+            "detail",
+            "",
+        ),
+        (
+            load_incidents,
+            {"org_id": "o1", "name": "Acme", "date": "2019-01-01", "source": "PRC"},
+            "breach_type",
+            "HACK",
+        ),
+    ],
+    ids=["ip_ranges", "domains", "detail", "breach_type"],
+)
+def test_optional_key_left_out_loads_default(tmp_path, load, data, key, default):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    (record,) = load(path)
+    assert getattr(record, key) == default
+
+
+def test_naive_timestamp_is_read_as_utc_and_unknown_key_ignored():
+    record = ObservationRecord.from_dict(
+        {"org_id": "o1", "kind": "spam_domain", "subject": "a.example", "timestamp": "2019-01-01T12:00:00", "x": 1}
+    )
+    assert record.to_dict() == {
+        "org_id": "o1",
+        "kind": "spam_domain",
+        "subject": "a.example",
+        "timestamp": "2019-01-01T12:00:00+00:00",
+        "detail": "",
+    }
