@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -34,7 +34,9 @@ from .records import (
     load_observations,
     load_organizations,
     load_tweets,
+    read_config,
     read_names,
+    read_value,
     write_json,
     write_jsonl,
 )
@@ -72,14 +74,24 @@ def _load_features(path: str):
     return profiles
 
 
-def _model_specs_from_file(path: str) -> list[ModelSpec]:
-    return _parse_config(
-        path,
-        "model",
-        lambda data: [
-            ModelSpec.from_dict(entry) for entry in ([data] if isinstance(data, dict) else data)
-        ],
-    )
+def _model_specs_from_file(path: str) -> tuple[ModelSpec, ...]:
+    """The specs of a --models file: one spec, or a list of them."""
+
+    def specs(data) -> tuple[ModelSpec, ...]:
+        return read_value([data] if isinstance(data, dict) else data, tuple[ModelSpec, ...], "models")
+
+    return _parse_config(path, "model", specs)
+
+
+@dataclass(frozen=True)
+class StackedSpec:
+    """A ``train --spec`` file that fits a stacked model over ``bases``."""
+
+    bases: tuple[ModelSpec, ...]
+    folds: int = 5
+    seed: int = 0
+
+    from_dict = classmethod(read_config)
 
 
 def _echo(ctx: click.Context, message: str) -> None:
@@ -182,10 +194,8 @@ def train_cmd(ctx, features_path, spec_path, out_path) -> None:
 
     def trainer(data) -> Callable:
         if isinstance(data, dict) and "bases" in data:
-            bases = [ModelSpec.from_dict(b) for b in data["bases"]]
-            folds = int(data.get("folds", 5))
-            seed = int(data.get("seed", ctx.obj["seed"]))
-            return lambda profiles: train_stacked(profiles, bases, folds=folds, seed=seed)
+            stacked = StackedSpec.from_dict({"seed": ctx.obj["seed"], **data}, "stacked spec")
+            return lambda profiles: train_stacked(profiles, stacked.bases, stacked.folds, stacked.seed)
         spec = ModelSpec.from_dict(data)
         return lambda profiles: train(profiles, spec)
 
@@ -303,8 +313,6 @@ def report(ctx, report_path, out_path) -> None:
     """Render a report.json as fixed-width text tables."""
     try:
         data = json.loads(Path(report_path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise click.UsageError(f"report file not found: {report_path}") from exc
     except json.JSONDecodeError as exc:
         raise RecordError(f"report file {report_path} is not valid JSON: {exc}") from exc
     try:
@@ -365,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except StageFailure as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
+    except OSError as exc:  # a missing or unreadable input file, or an unwritable output
+        click.echo(f"usage error: {exc}", err=True)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..features import FeatureVector
-from ..records import json_fields, write_json
+from ..records import field_types, json_fields, read_config, read_value, write_json
 from .bayes import GaussianNaiveBayes
 from .encode import FeatureSchema, default_schema, encode_labels, encode_profiles
 from .ensemble import BaggedTrees, GradientBoostedTrees
@@ -63,7 +63,7 @@ MODEL_FAMILIES: tuple[str, ...] = tuple(_FAMILIES)
 
 @dataclass(frozen=True, slots=True)
 class ModelSpec:
-    """Family name, hyperparameter overrides, and training seed."""
+    """Family name, hyperparameter overrides (read by their impl_class fields), and training seed."""
 
     family: str
     hyperparameters: dict = field(default_factory=dict)
@@ -78,6 +78,9 @@ class ModelSpec:
         for key in self.hyperparameters:
             if key not in allowed:
                 raise ValueError(f"{self.family} does not take hyperparameter {key!r}")
+        hints = field_types(self.impl_class)
+        read = {key: read_value(value, hints[key], key) for key, value in self.hyperparameters.items()}
+        object.__setattr__(self, "hyperparameters", read)
 
     @property
     def impl_class(self) -> type:
@@ -89,14 +92,7 @@ class ModelSpec:
         return merged
 
     to_dict = json_fields
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ModelSpec:
-        return cls(
-            family=data["family"],
-            hyperparameters=dict(data.get("hyperparameters", {})),
-            seed=int(data.get("seed", 0)),
-        )
+    from_dict = classmethod(read_config)
 
 
 @dataclass
@@ -135,7 +131,7 @@ class TrainedModel:
             raise ValueError(
                 f"unsupported model format version {data.get('format_version')!r}"
             )
-        spec = ModelSpec.from_dict(data["spec"])
+        spec = ModelSpec.from_dict(data["spec"], "spec")
         schema = FeatureSchema.from_dict(data["schema"])
         impl = spec.impl_class.from_params(data["params"], width=len(schema.columns))
         return cls(spec=spec, schema=schema, impl=impl)

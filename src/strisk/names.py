@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .records import json_fields, read_config
+
 DEFAULT_SUFFIX_STOPLIST = frozenset({"llc", "dba", "inc", "corp", "co", "ltd"})
 
 ACCEPTED = "accepted"
@@ -49,23 +51,8 @@ class MatchConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         object.__setattr__(self, "suffix_stoplist", frozenset(self.suffix_stoplist))
 
-    def to_dict(self) -> dict:
-        return {
-            "jaccard_threshold": self.jaccard_threshold,
-            "jw_threshold": self.jw_threshold,
-            "prefix_scale": self.prefix_scale,
-            "max_prefix": self.max_prefix,
-            "suffix_stoplist": sorted(self.suffix_stoplist),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> MatchConfig:
-        if not isinstance(data, dict):
-            raise TypeError("match config must be a JSON object")
-        kwargs = dict(data)
-        if "suffix_stoplist" in kwargs:
-            kwargs["suffix_stoplist"] = frozenset(kwargs["suffix_stoplist"])
-        return cls(**kwargs)
+    to_dict = json_fields
+    from_dict = classmethod(read_config)
 
 
 @dataclass(frozen=True, slots=True)

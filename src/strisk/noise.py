@@ -10,7 +10,6 @@ never pruned, and never in the 1 -> 0 direction.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,12 +57,7 @@ class JointMatrix:
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
-    def to_dict(self) -> dict:
-        return {"counts": [list(row) for row in self.counts], "tag": self.tag}
-
-
-def _matrix_to_lists(matrix: Matrix2x2) -> list[list[float | None]]:
-    return [[None if math.isnan(v) else v for v in row] for row in matrix]
+    to_dict = json_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,15 +80,7 @@ class TransitionEstimate:
     undefined_columns: tuple[int, ...]
     undefined_rows: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "conditional": _matrix_to_lists(self.conditional),
-            "simple_conditional": _matrix_to_lists(self.simple_conditional),
-            "row_normalized": _matrix_to_lists(self.row_normalized),
-            "label_counts": list(self.label_counts),
-            "undefined_columns": list(self.undefined_columns),
-            "undefined_rows": list(self.undefined_rows),
-        }
+    to_dict = json_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,15 +94,7 @@ class NoiseReport:
     after_counts: tuple[int, int]
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "joint": self.joint.to_dict(),
-            "transition": self.transition.to_dict(),
-            "flipped_ids": list(self.flipped_ids),
-            "before_counts": list(self.before_counts),
-            "after_counts": list(self.after_counts),
-            "method": self.method,
-        }
+    to_dict = json_fields
 
 
 def out_of_sample_probabilities(
@@ -345,13 +323,7 @@ class NoiseExperimentResult:
     repeats: int
     folds: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "flip_fraction": self.flip_fraction,
-            "repeats": self.repeats,
-            "folds": self.folds,
-        }
+    to_dict = json_fields
 
 
 def noise_detection_experiment(

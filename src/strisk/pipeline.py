@@ -12,7 +12,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .evaluation import EvaluationReport, evaluate_scores, split_train_test
 from .features import (
@@ -34,10 +34,13 @@ from .names import MatchConfig, match_names
 from .noise import CONFUSION_MATRIX, METHODS, NoiseReport, correct_labels
 from .records import (
     RecordError,
+    field_types,
+    json_object,
     load_incidents,
     load_observations,
     load_organizations,
     load_tweets,
+    read_value,
     write_json,
     write_jsonl,
 )
@@ -132,19 +135,21 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict, workdir: Path | None = None) -> PipelineConfig:
-        """Read a run config. A key it does not define is a ValueError
-        naming the key; a key left out keeps the field's default."""
-        _json_object(data, "config", _TOP_LEVEL_KEYS)
+        """Read a run config. A key it does not define, or a value its field does not
+        admit (read_value), is a ValueError naming the key; a key left out keeps its default."""
+        json_object(data, "config", _TOP_LEVEL_KEYS)
         if not isinstance(data.get("skip", []), list):
             raise ValueError(f"skip must be a list of stage names, got {data['skip']!r}")
         kwargs = {}
-        for section, fields in [("", _TOP_LEVEL_FIELDS), *_SECTION_FIELDS.items()]:
-            values = _json_object(data.get(section, {}), section, fields) if section else data
-            kwargs.update((name, read(values[key])) for key, (name, read) in fields.items() if key in values)
-        inputs = _json_object(data.get("inputs", {}), "inputs", _INPUT_ROLES)
+        for section, names in [("", _TOP_LEVEL_FIELDS), *_SECTION_FIELDS.items()]:
+            values = json_object(data.get(section, {}), section, names) if section else data
+            for key, name in names.items():
+                if key in values:
+                    kwargs[name] = read_value(values[key], field_types(cls)[name], key)
+        inputs = json_object(data.get("inputs", {}), "inputs", _INPUT_ROLES)
         return cls(
-            workdir=Path(workdir or data["workdir"]),
-            inputs={role: Path(path) for role, path in inputs.items()} or None,
+            workdir=Path(workdir) if workdir else read_value(data["workdir"], Path, "workdir"),
+            inputs=read_value(inputs, field_types(cls)["inputs"], "inputs") or None,
             **kwargs,
         )
 
@@ -154,41 +159,15 @@ class PipelineConfig:
         return cls.from_dict(data, workdir=workdir)
 
 
-def _json_object(value: object, where: str, keys: Sequence[str]) -> dict:
-    """``value`` if it is a JSON object whose keys are all in ``keys``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a JSON object, got {value!r}")
-    for key in value:
-        if key not in keys:
-            raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(keys)}")
-    return value
-
-
-def _model_specs(entries: list) -> tuple[ModelSpec, ...]:
-    return tuple(ModelSpec.from_dict(entry) for entry in entries)
-
-
-# The keys a run config may hold besides workdir and inputs: the
-# PipelineConfig field each one sets and how its JSON value is read.
-_TOP_LEVEL_FIELDS: dict[str, tuple[str, Callable]] = {
-    "seed": ("seed", int),
-    "simulate": ("simulate", lambda data: GeneratorConfig.from_dict(data) if data else None),
-    "ground_truth": ("ground_truth", lambda path: Path(path) if path else None),
-    "window": ("window", lambda spec: spec),
-    "match": ("match", lambda data: MatchConfig.from_dict(data) if data else MatchConfig()),
-    "models": ("models", _model_specs),
-    "skip": ("skip", tuple),
-}
-_SECTION_FIELDS: dict[str, dict[str, tuple[str, Callable]]] = {
-    "denoise": {
-        "method": ("denoise_method", lambda method: method),
-        "folds": ("denoise_folds", int),
-        "models": ("denoise_models", _model_specs),
-    },
-    "split": {"train_fraction": ("split_fraction", float)},
-    "stack": {"folds": ("stack_folds", int)},
-    "evaluate": {"threshold": ("threshold", float)},
-    "importance": {"repeats": ("importance_repeats", int)},
+# The keys a run config may hold besides workdir and inputs, and the
+# PipelineConfig field each one sets; the field's annotation reads the value.
+_TOP_LEVEL_FIELDS = {k: k for k in ("seed", "simulate", "ground_truth", "window", "match", "models", "skip")}
+_SECTION_FIELDS = {
+    "denoise": {"method": "denoise_method", "folds": "denoise_folds", "models": "denoise_models"},
+    "split": {"train_fraction": "split_fraction"},
+    "stack": {"folds": "stack_folds"},
+    "evaluate": {"threshold": "threshold"},
+    "importance": {"repeats": "importance_repeats"},
 }
 _INPUT_ROLES = ("organizations", "observations", "tweets", "incidents")
 _TOP_LEVEL_KEYS = ("workdir", "inputs", *_TOP_LEVEL_FIELDS, *_SECTION_FIELDS)
@@ -257,6 +236,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     noise_report: NoiseReport | None = None
     if "denoise" not in skip:
         with stage_guard("denoise"):
+            require_both_classes(profiles, str(features_path))
             profiles, noise_report = correct_labels(
                 profiles,
                 config.denoise_models,

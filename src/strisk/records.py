@@ -12,7 +12,7 @@ import operator
 import re
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -66,92 +66,151 @@ def _format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat()
 
 
-_REQUIRED = object()
-
-
-def _field(data: dict, key: str, kind: type, default=_REQUIRED):
-    """data[key], or default when the key is absent and a default is given.
-
-    The value must be of ``kind`` exactly as JSON decodes it: no string
-    is read as a number, no number as a boolean and no boolean as an
-    integer, so a mistyped field is an error rather than a guessed value.
-    """
-    if key not in data:
-        if default is _REQUIRED:
-            raise RecordError(f"missing field {key!r}")
-        return default
-    value = data[key]
+def _typed(value: object, kind: type, key: str):
+    """``value`` if it is of ``kind`` exactly as JSON decodes it: no string is read as a
+    number, no number as a boolean and no boolean as an integer."""
     if type(value) is not kind:
         raise RecordError(f"field {key!r} must be {kind.__name__}, got {value!r}")
     return value
 
 
-def _strings(data: dict, key: str, default=_REQUIRED) -> tuple[str, ...]:
-    """A list of strings, as a tuple."""
-    values = _field(data, key, list, default)
-    if not all(type(value) is str for value in values):
-        raise RecordError(f"field {key!r} must be a list of strings")
-    return tuple(values)
-
-
-def _base_type(hint: object) -> type:
-    """The class a field annotation names, without None and parameters:
-    ``tuple[str, ...]`` -> tuple, ``np.ndarray | None`` -> np.ndarray."""
-    if isinstance(hint, types.UnionType):
-        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
-    return typing.get_origin(hint) or hint
+def _field(data: dict, key: str, kind: type):
+    """data[key], which must be present and of ``kind``."""
+    if key not in data:
+        raise RecordError(f"missing field {key!r}")
+    return _typed(data[key], kind, key)
 
 
 @functools.cache
-def _init_fields(cls: type) -> tuple[tuple[str, type, object], ...]:
-    """(name, base type, default or _REQUIRED) of each init field of a dataclass."""
+def _reader(annotation: object) -> Callable[[object, str], object]:
+    """A function (value, key) reading a JSON value as ``annotation`` names."""
+    if isinstance(annotation, types.UnionType):
+        readers = tuple(map(_reader, typing.get_args(annotation)))
+
+        def read_union(value, key):
+            errors = []
+            for read in readers:
+                try:
+                    return read(value, key)
+                except ValueError as error:
+                    errors.append(error)
+            raise errors[0]
+
+        return read_union
+    origin = typing.get_origin(annotation)
+    if origin in (tuple, frozenset):
+        read_item = _reader(typing.get_args(annotation)[0])
+        return lambda value, key: origin(read_item(item, key) for item in _typed(value, list, key))
+    if origin is dict:
+        read_item = _reader(typing.get_args(annotation)[1])
+        return lambda value, key: {k: read_item(v, k) for k, v in _typed(value, dict, key).items()}
+    if is_dataclass(annotation):
+        return lambda value, key: read_config(annotation, value, key)
+    if annotation is float:
+        return lambda value, key: float(value) if type(value) is int else _typed(value, float, key)
+    if annotation in (datetime, Path):
+        parse = _parse_timestamp if annotation is datetime else Path
+        return lambda value, key: parse(_typed(value, str, key))
+    return lambda value, key: _typed(value, origin or annotation, key)
+
+
+def read_value(value: object, annotation: object, key: str):
+    """The JSON value of field ``key`` read as the type ``annotation`` names (_typed), an
+    integer also as a float. A tuple or frozenset is read from a list and a dict from an
+    object, item by item; a dataclass with read_config; a datetime or Path from text. A
+    union takes its first member that reads; when none does, it fails as the first does."""
+    return _reader(annotation)(value, key)
+
+
+@functools.cache
+def field_types(cls: type) -> dict[str, object]:
+    """The annotation of each init field of a dataclass, by name."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, _base_type(hints[f.name]), _REQUIRED if f.default is MISSING else f.default)
-        for f in fields(cls)
-        if f.init
-    )
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
 
-# How a field's value is written to JSON, by its base type; others are written as they are.
+@functools.cache
+def _field_readers(cls: type) -> tuple[tuple[str, Callable, bool], ...]:
+    """(name, reader, required) of each init field of a dataclass."""
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    return tuple((name, _reader(hint), name in required) for name, hint in field_types(cls).items())
+
+
+def read_fields(cls: type[T], data: dict) -> T:
+    """A dataclass built from the JSON object ``data``: each init field is
+    read by its annotation (read_value), a field with a default may be left
+    out, and a key that is not a field is ignored."""
+    kwargs = {}
+    for name, read, required in _field_readers(cls):
+        if name in data:
+            kwargs[name] = read(data[name], name)
+        elif required:
+            raise RecordError(f"missing field {name!r}")
+    return cls(**kwargs)
+
+
+def json_object(value: object, where: str, keys: Iterable[str]) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``keys``."""
+    if not isinstance(value, dict):
+        raise RecordError(f"{where} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise RecordError(f"unknown key {key!r} in {where}; known keys: {', '.join(keys)}")
+    return value
+
+
+def read_config(cls: type[T], data: object, where: str = "config") -> T:
+    """A config dataclass read from ``data`` as read_fields reads a record,
+    except that a key it does not define is an error naming the key."""
+    return read_fields(cls, json_object(data, where, field_types(cls)))
+
+
+# How a value is written to JSON, by the class its annotation names; others are written as they are.
 _TO_JSON: dict[type, Callable] = {
     datetime: _format_timestamp,
-    tuple: list,
+    float: lambda value: None if value != value else value,  # NaN as null
     dict: dict,
     np.ndarray: np.ndarray.tolist,
 }
 
 
 @functools.cache
-def _writer(cls: type) -> tuple[tuple[str, ...], Callable, tuple[tuple[int, Callable], ...]]:
-    spec = _init_fields(cls)
-    names = tuple(name for name, _, _ in spec)
-    converters = tuple((i, _TO_JSON[kind]) for i, (_, kind, _) in enumerate(spec) if kind in _TO_JSON)
+def _writer(annotation: object) -> Callable | None:
+    """The function writing a value of ``annotation`` to JSON; None to write it as it is."""
+    if isinstance(annotation, types.UnionType):
+        write = next(filter(None, map(_writer, typing.get_args(annotation))), None)
+        return write and (lambda value: None if value is None else write(value))
+    origin = typing.get_origin(annotation)
+    if origin in (tuple, frozenset):
+        write_item = _writer(typing.get_args(annotation)[0])
+        order = sorted if origin is frozenset else list
+        return order if write_item is None else lambda value: [write_item(item) for item in order(value)]
+    if origin is dict:
+        write_item = _writer(typing.get_args(annotation)[1])
+        return dict if write_item is None else lambda value: {k: write_item(v) for k, v in value.items()}
+    if is_dataclass(annotation):
+        return getattr(annotation, "to_dict", json_fields)
+    return _TO_JSON.get(annotation)
+
+
+@functools.cache
+def _field_writers(cls: type) -> tuple[tuple[str, ...], Callable, tuple[tuple[int, Callable], ...]]:
+    hints = field_types(cls)
+    names = tuple(hints)
+    converters = tuple((i, write) for i, name in enumerate(names) if (write := _writer(hints[name])))
     return names, operator.attrgetter(*names), converters
 
 
 def json_fields(obj: object) -> dict:
-    """The init fields of a dataclass instance as a JSON object: a
-    datetime as ISO-8601 UTC text, a tuple as a list, a dict as a copy and
-    an array as nested lists."""
-    names, get, converters = _writer(type(obj))
+    """The init fields of a dataclass instance as a JSON object: a datetime
+    as ISO-8601 UTC text, a NaN float as null, a tuple as a list, a
+    frozenset as a sorted list, a dict as a copy, an array as nested lists
+    and a nested dataclass by its own to_dict."""
+    names, get, converters = _field_writers(type(obj))
     values = list(get(obj)) if len(names) > 1 else [get(obj)]
     for i, convert in converters:
         values[i] = convert(values[i])
     return dict(zip(names, values))
-
-
-def read_fields(cls: type[T], data: dict) -> T:
-    """A dataclass built from the JSON object ``data``: each init field is
-    read as the JSON type its annotation names (a datetime as text, a tuple
-    as a list of strings), and a field with a default may be left out."""
-    kwargs = {}
-    for name, kind, default in _init_fields(cls):
-        if kind is tuple:
-            kwargs[name] = _strings(data, name, default)
-        else:
-            kwargs[name] = _field(data, name, str if kind is datetime else kind, default)
-    return cls(**kwargs)
 
 
 # A dotted-quad IPv4 address in ASCII digits, each octet 0-255 without a

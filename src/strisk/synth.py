@@ -33,6 +33,7 @@ from .records import (
     TweetRecord,
     _field,
     _load,
+    read_config,
     write_jsonl,
 )
 
@@ -146,14 +147,7 @@ class GeneratorConfig:
     def n_positive(self) -> int:
         return round(self.n_orgs / (1.0 + self.negative_ratio))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> GeneratorConfig:
-        if not isinstance(data, dict):
-            raise TypeError("generator config must be a JSON object")
-        kwargs = dict(data)
-        if "sector_mix" in kwargs:
-            kwargs["sector_mix"] = tuple(kwargs["sector_mix"])
-        return cls(**kwargs)
+    from_dict = classmethod(read_config)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
+import functools
 import io
 import json
+import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +22,7 @@ import strisk
 from conftest import make_dataset
 from strisk.cli import main
 from strisk.features import read_features_csv, write_features_csv
+from strisk.pipeline import PipelineConfig
 
 
 def write_json(path: Path, payload) -> Path:
@@ -742,6 +747,45 @@ class TestMalformedConfig:
         assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("run", {"seed": 13.9}, "seed"),
+            ("run", {"simulate": {"n_orgs": 200.5}}, "n_orgs"),
+            ("run", {"simulate": {"n_orgs": 60, "seed": "7"}}, "seed"),
+            ("run", {"denoise": {"folds": True}}, "folds"),
+            ("run", {"match": {"max_prefix": 2.5}}, "max_prefix"),
+            ("run", {"models": [{"family": "naive_bayes", "hyperparmeters": {}}]}, "hyperparmeters"),
+            (
+                "run",
+                {"models": [{"family": "naive_bayes", "hyperparameters": {"var_smoothing": "x"}}]},
+                "var_smoothing",
+            ),
+            ("train", {"family": "naive_bayes", "seed": 2.9}, "seed"),
+            ("train", {"family": "naive_bayes", "hyperparameters": {"var_smoothing": "x"}}, "var_smoothing"),
+            (
+                "train",
+                {"bases": [{"family": "naive_bayes"}, {"family": "logistic_regression"}], "fold": 3},
+                "fold",
+            ),
+            ("simulate", {"n_orgs": "200"}, "n_orgs"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else str(value),
+    )
+    def test_mistyped_config_is_named_usage_error(self, workspace, tmp_path, capsys, command, payload, key):
+        _, _, features, _ = workspace
+        if command == "run":
+            payload = _run_config(tmp_path, **payload)
+        config = write_json(tmp_path / "config.json", payload)
+        out = tmp_path / "work"
+        args = {
+            "run": ["--config", str(config)],
+            "train": ["--features", str(features), "--spec", str(config), "--out", str(out / "model.json")],
+            "simulate": ["--config", str(config), "--out-dir", str(out)],
+        }[command]
+        _assert_exit(main([command, *args]), 1, capsys, "usage error: bad", repr(key))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "changes, named",
         [
             ({"denoise": {"fold": 3}}, "'fold' in denoise"),
@@ -800,6 +844,98 @@ def test_unknown_run_config_key_is_named_usage_error(fuzz_dir, section, key):
     assert not (fuzz_dir / "work").exists()
 
 
+# The README quick-start run config, and for each of its leaves the
+# values of MISTYPED_CANDIDATES that the leaf's field admits.
+QUICK_START_CONFIG = {
+    "workdir": "out",
+    "seed": 13,
+    "simulate": {
+        "n_orgs": 200,
+        "negative_ratio": 4.0,
+        "signal": {"technical": 2.0, "social": 1.5},
+        "noise_fraction": 0.2,
+    },
+    "denoise": {"method": "confusion_matrix", "folds": 5},
+    "split": {"train_fraction": 0.7},
+    "models": [{"family": "logistic_regression"}, {"family": "naive_bayes"}, {"family": "random_forest"}],
+    "stack": {"folds": 5},
+    "evaluate": {"threshold": 0.5},
+    "importance": {"repeats": 5},
+}
+MISTYPED_CANDIDATES = (None, True, 1, 1.5, "x", [], {})
+_TEXT, _INT, _NUMBER, _OPTIONAL_INT = ("x",), (1,), (1, 1.5), (None, 1)
+QUICK_START_LEAVES = {
+    ("workdir",): _TEXT,
+    ("seed",): _INT,
+    ("simulate", "n_orgs"): _INT,
+    ("simulate", "negative_ratio"): _NUMBER,
+    ("simulate", "signal", "technical"): _NUMBER,
+    ("simulate", "signal", "social"): _NUMBER,
+    ("simulate", "noise_fraction"): _NUMBER,
+    ("denoise", "method"): _TEXT,
+    ("denoise", "folds"): _INT,
+    ("split", "train_fraction"): _NUMBER,
+    ("models", 0, "family"): _TEXT,
+    ("models", 2, "family"): _TEXT,
+    ("stack", "folds"): _OPTIONAL_INT,
+    ("evaluate", "threshold"): _NUMBER,
+    ("importance", "repeats"): _OPTIONAL_INT,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf=st.sampled_from(sorted(QUICK_START_LEAVES, key=str)), value=st.sampled_from(MISTYPED_CANDIDATES))
+def test_mistyped_run_config_leaf_is_named(leaf, value):
+    assume(not any(type(value) is type(ok) and value == ok for ok in QUICK_START_LEAVES[leaf]))
+    config = copy.deepcopy(QUICK_START_CONFIG)
+    functools.reduce(operator.getitem, leaf[:-1], config)[leaf[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(repr(leaf[-1]))):
+        PipelineConfig.from_dict(config)
+
+
+class TestMissingInputFile:
+    @pytest.mark.parametrize(
+        "command", ["featurize", "match", "predict", "evaluate", "train", "denoise", "experiment", "run"]
+    )
+    def test_missing_input_file_is_usage_error(self, workspace, model_path, tmp_path, capsys, command):
+        _, corpus, _, models = workspace
+        records = {role: str(corpus / f"{role}.jsonl") for role in ("organizations", "observations", "tweets", "incidents")}
+        missing = str(tmp_path / "missing.file")
+        out = tmp_path / "out"
+        scoring = ["--model", str(model_path), "--features", missing, "--out", str(out)]
+        noisy = ["--features", missing, "--models", str(models), "--out", str(out)]
+        args = {
+            "featurize": [
+                "--orgs", missing,
+                "--observations", records["observations"],
+                "--tweets", records["tweets"],
+                "--incidents", records["incidents"],
+                "--out", str(out),
+            ],
+            "match": ["--incidents", missing, "--registry", records["organizations"], "--out", str(out)],
+            "predict": scoring,
+            "evaluate": scoring,
+            "train": [
+                "--features", missing,
+                "--spec", str(write_json(tmp_path / "spec.json", {"family": "naive_bayes"})),
+                "--out", str(out),
+            ],
+            "denoise": [*noisy, "--report", str(tmp_path / "report.json")],
+            "experiment": noisy,
+            "run": [
+                "--config",
+                str(
+                    write_json(
+                        tmp_path / "pipeline.json",
+                        _run_config(tmp_path, simulate=None, inputs={**records, "incidents": missing}),
+                    )
+                ),
+            ],
+        }[command]
+        _assert_exit(main([command, *args]), 1, capsys, "usage error:", missing)
+        assert not out.exists()
+
+
 class TestOneClassSplit:
     @pytest.mark.parametrize(
         "fraction, message",
@@ -843,6 +979,21 @@ class TestOneClassFile:
             "(12 rows: 0 positive, 12 negative); both are needed",
         )
         assert not out.exists()
+
+
+    def test_run_denoise_on_one_class_corpus_is_named(self, workspace, tmp_path, capsys):
+        _, corpus, _, _ = workspace
+        inputs = {role: str(corpus / f"{role}.jsonl") for role in ("organizations", "observations", "tweets")}
+        inputs["incidents"] = str(tmp_path / "incidents.jsonl")
+        (tmp_path / "incidents.jsonl").write_text("")
+        config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path, simulate=None, inputs=inputs))
+        features = tmp_path / "work" / "features.csv"
+        _assert_exit(
+            main(["run", "--config", str(config)]),
+            3,
+            capsys,
+            f"error: stage denoise: {features} holds one class (60 rows: 0 positive, 60 negative)",
+        )
 
 
 def test_import_loads_no_scipy():

@@ -245,6 +245,16 @@ class TestModelSpec:
         spec = ModelSpec("bagged_trees", {"n_estimators": 7}, seed=3)
         assert ModelSpec.from_dict(spec.to_dict()) == spec
 
+    def test_hyperparameters_read_by_implementation_field_type(self):
+        spec = ModelSpec("logistic_regression", {"l2": 1, "max_iter": 50})
+        assert spec.to_dict()["hyperparameters"] == {"l2": 1.0, "max_iter": 50}
+        assert type(spec.hyperparameters["l2"]) is float
+        assert ModelSpec("random_forest", {"max_features": None}).hyperparameters == {"max_features": None}
+        with pytest.raises(ValueError, match="'max_features' must be int, got 2.5"):
+            ModelSpec("random_forest", {"max_features": 2.5})
+        with pytest.raises(ValueError, match="'max_iter' must be int, got 50.0"):
+            ModelSpec("logistic_regression", {"max_iter": 50.0})
+
 
 class TestTrainPredict:
     @pytest.mark.parametrize("family", MODEL_FAMILIES)

@@ -21,7 +21,10 @@ from strisk.noise import (
     CONFUSION_MATRIX,
     METHODS,
     ClassThresholds,
+    ExperimentRow,
     JointMatrix,
+    NoiseExperimentResult,
+    NoiseReport,
     confident_joint,
     confusion_matrix_at_half,
     discover_noisy_negatives,
@@ -225,6 +228,22 @@ class TestTransitionMatrix:
         assert data["simple_conditional"][0][0] is None
         assert data["undefined_columns"] == list(estimate.undefined_columns) == [0]
 
+    def test_noise_report_nests_its_matrices_with_null_for_undefined(self):
+        joint = JointMatrix(counts=((0, 4), (0, 6)), tag=CONFUSION_MATRIX)
+        report = NoiseReport(
+            joint=joint,
+            transition=noise_transition_matrix(joint),
+            flipped_ids=("o1",),
+            before_counts=(4, 6),
+            after_counts=(3, 7),
+            method=CONFUSION_MATRIX,
+        )
+        data = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert data["joint"] == {"counts": [[0, 4], [0, 6]], "tag": CONFUSION_MATRIX}
+        assert data["transition"]["simple_conditional"][0] == [None, 0.4]
+        assert data["transition"]["undefined_columns"] == [0]
+        assert (data["flipped_ids"], data["before_counts"], data["after_counts"]) == (["o1"], [4, 6], [3, 7])
+
 
 class TestDiscoverNoisyNegatives:
     def test_confusion_matrix_flags_confident_positives(self):
@@ -350,6 +369,23 @@ class TestNoiseDetectionExperiment:
 
     def test_deterministic(self):
         assert self.experiment().to_dict() == self.experiment().to_dict()
+
+    def test_rows_written_with_mean_accuracy(self):
+        row = ExperimentRow(models=("naive_bayes",), method=CONFUSION_MATRIX, accuracies=(0.5, 1.0))
+        result = NoiseExperimentResult(rows=(row,), flip_fraction=0.2, repeats=2, folds=3)
+        assert result.to_dict() == {
+            "rows": [
+                {
+                    "models": ["naive_bayes"],
+                    "method": CONFUSION_MATRIX,
+                    "accuracies": [0.5, 1.0],
+                    "mean_accuracy": 0.75,
+                }
+            ],
+            "flip_fraction": 0.2,
+            "repeats": 2,
+            "folds": 3,
+        }
 
     def test_bad_method_rejected(self):
         dataset = make_dataset(40, 10, seed=0)
