@@ -53,16 +53,10 @@ _METHOD_ALIASES = {
 
 
 def _parse_config(path: str, what: str, parse: Callable[[object], T]) -> T:
-    """Read the JSON config at ``path`` and parse it; a missing, invalid
-    or malformed config is a usage error (exit code 1)."""
+    """Read the JSON config at ``path`` and parse it; a config that is not
+    JSON or not the expected shape is a usage error (exit code 1)."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise click.UsageError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    try:
-        return parse(data)
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise click.UsageError(f"bad {what} config {path}: {exc}") from exc
 
@@ -211,10 +205,6 @@ def train_cmd(ctx, features_path, spec_path, out_path) -> None:
 def _load_model(path: str):
     try:
         return load_model(path)
-    except FileNotFoundError as exc:
-        raise click.UsageError(f"model file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"model file {path} is not valid JSON: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise RecordError(f"model file {path}: {exc}") from exc
 
@@ -373,8 +363,11 @@ def main(argv: list[str] | None = None) -> int:
     except StageFailure as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
-    except OSError as exc:  # a missing or unreadable input file, or an unwritable output
-        click.echo(f"usage error: {exc}", err=True)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        click.echo(f"usage error: {exc.strerror}: {exc.filename}", err=True)
+        return 1
+    except OSError as exc:  # an unreadable input or an unwritable output
+        click.echo(f"error: {exc}", err=True)
         return 1
 
 

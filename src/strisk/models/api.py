@@ -188,8 +188,8 @@ class StackedModel:
         return cls(
             bases=bases,
             meta=LogisticRegression.from_params(data["meta"], width=len(bases)),
-            folds=int(data["folds"]),
-            seed=int(data["seed"]),
+            folds=read_value(data["folds"], int, "folds"),
+            seed=read_value(data["seed"], int, "seed"),
         )
 
 

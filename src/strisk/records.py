@@ -81,6 +81,14 @@ def _field(data: dict, key: str, kind: type):
     return _typed(data[key], kind, key)
 
 
+def _read_float(value: object, key: str) -> float:
+    """A float, or an integer that converts to a finite one."""
+    try:
+        return float(value) if type(value) is int else _typed(value, float, key)
+    except OverflowError:
+        raise RecordError(f"field {key!r} must convert to a finite float") from None
+
+
 @functools.cache
 def _reader(annotation: object) -> Callable[[object, str], object]:
     """A function (value, key) reading a JSON value as ``annotation`` names."""
@@ -107,7 +115,7 @@ def _reader(annotation: object) -> Callable[[object, str], object]:
     if is_dataclass(annotation):
         return lambda value, key: read_config(annotation, value, key)
     if annotation is float:
-        return lambda value, key: float(value) if type(value) is int else _typed(value, float, key)
+        return _read_float
     if annotation in (datetime, Path):
         parse = _parse_timestamp if annotation is datetime else Path
         return lambda value, key: parse(_typed(value, str, key))
@@ -235,10 +243,7 @@ def check_org_size(value: int) -> int:
     converts to a finite float, since models read sizes as floats."""
     if value < 1:
         raise RecordError("org_size must be a positive integer")
-    try:
-        float(value)
-    except OverflowError:
-        raise RecordError("org_size must convert to a finite float") from None
+    _read_float(value, "org_size")
     return value
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import errno
 import functools
 import io
 import json
@@ -412,6 +413,34 @@ class TestExitCodes:
         assert key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("spec", "hyperparameters", "l2"), int("9" * 401), id="l2-401-digits"),
+            (("spec", "seed"), 2.9),
+            (("spec", "hyperparameters", "max_iter"), "7"),
+        ],
+    )
+    def test_mistyped_model_spec_exit_data_error(self, model_path, workspace, tmp_path, capsys, path, value):
+        _, _, features, _ = workspace
+        data = json.loads(model_path.read_text())
+        functools.reduce(operator.getitem, path[:-1], data)[path[-1]] = value
+        model = write_json(tmp_path / "model.json", data)
+        code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")])
+        _assert_exit(code, 2, capsys, "data error: model file", repr(path[-1]))
+
+    @pytest.mark.parametrize("key, value", [("seed", 2.9), ("folds", "7")])
+    def test_mistyped_stacked_model_exit_data_error(self, workspace, tmp_path, capsys, key, value):
+        _, _, features, _ = workspace
+        spec = write_json(tmp_path / "spec.json", {"bases": [{"family": "naive_bayes"}, {"family": "logistic_regression"}]})
+        model = tmp_path / "model.json"
+        assert main(["--quiet", "train", "--features", str(features), "--spec", str(spec), "--out", str(model)]) == 0
+        data = json.loads(model.read_text())
+        data[key] = value
+        write_json(model, data)
+        code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")])
+        _assert_exit(code, 2, capsys, "data error: model file", repr(key))
+
     def test_model_file_not_an_object_exit_data_error(self, model_path, workspace, tmp_path, capsys):
         _, _, features, _ = workspace
         model = write_json(tmp_path / "model.json", [json.loads(model_path.read_text())])
@@ -768,6 +797,13 @@ class TestMalformedConfig:
                 "fold",
             ),
             ("simulate", {"n_orgs": "200"}, "n_orgs"),
+            pytest.param("run", {"evaluate": {"threshold": int("9" * 401)}}, "threshold", id="threshold-401-digits"),
+            pytest.param(
+                "train",
+                {"family": "logistic_regression", "hyperparameters": {"l2": int("9" * 401)}},
+                "l2",
+                id="l2-401-digits",
+            ),
         ],
         ids=lambda value: json.dumps(value) if isinstance(value, dict) else str(value),
     )
@@ -784,6 +820,12 @@ class TestMalformedConfig:
         }[command]
         _assert_exit(main([command, *args]), 1, capsys, "usage error: bad", repr(key))
         assert not out.exists()
+
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe{")
+        code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "work")])
+        _assert_exit(code, 1, capsys, "usage error: bad generator config", "can't decode byte 0xff")
 
     @pytest.mark.parametrize(
         "changes, named",
@@ -934,6 +976,27 @@ class TestMissingInputFile:
         }[command]
         _assert_exit(main([command, *args]), 1, capsys, "usage error:", missing)
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--model", "--spec"])
+    def test_missing_model_or_spec_file_is_usage_error(self, workspace, tmp_path, capsys, option):
+        _, _, features, _ = workspace
+        missing = str(tmp_path / "missing.json")
+        out = str(tmp_path / "out")
+        command = "predict" if option == "--model" else "train"
+        code = main([command, option, missing, "--features", str(features), "--out", out])
+        _assert_exit(code, 1, capsys, f"usage error: No such file or directory: {missing}")
+
+    def test_failed_write_is_error_not_usage_error(self, workspace, tmp_path, capsys, monkeypatch):
+        _, _, features, _ = workspace
+        spec = write_json(tmp_path / "spec.json", {"family": "naive_bayes"})
+
+        def full_disk(model, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr("strisk.cli.save_model", full_disk)
+        code = main(["train", "--features", str(features), "--spec", str(spec), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 28]")
 
 
 class TestOneClassSplit:
