@@ -57,7 +57,7 @@ def _parse_config(path: str, what: str, parse: Callable[[object], T]) -> T:
     JSON or not the expected shape is a usage error (exit code 1)."""
     try:
         return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"bad {what} config {path}: {exc}") from exc
 
 
@@ -205,7 +205,7 @@ def train_cmd(ctx, features_path, spec_path, out_path) -> None:
 def _load_model(path: str):
     try:
         return load_model(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise RecordError(f"model file {path}: {exc}") from exc
 
 

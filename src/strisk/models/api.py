@@ -13,18 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from ..features import FeatureVector
-from ..records import field_types, json_fields, read_config, read_value, write_json
+from ..records import RecordError, field_types, json_fields, read_config, read_value, write_json
 from .bayes import GaussianNaiveBayes
 from .encode import FeatureSchema, default_schema, encode_labels, encode_profiles
 from .ensemble import BaggedTrees, GradientBoostedTrees
 from .linear import LinearSvmPlatt, LogisticRegression
-
-MODEL_FORMAT_VERSION = 1
 
 # proba(shuffled, columns) -> probabilities for a matrix that equals the
 # X given to permuted_proba outside columns. permuted_proba keeps what it
@@ -118,23 +116,23 @@ class TrainedModel:
         return lambda shuffled, columns: np.clip(proba(shuffled, columns), 0.0, 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "spec": self.spec.to_dict(),
-            "schema": self.schema.to_dict(),
-            "params": self.impl.to_params(),
-        }
+        return json_fields(_ModelFile(self.spec, self.schema, self.impl.to_params()))
 
     @classmethod
-    def from_dict(cls, data: dict) -> TrainedModel:
-        if data.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported model format version {data.get('format_version')!r}"
-            )
-        spec = ModelSpec.from_dict(data["spec"], "spec")
-        schema = FeatureSchema.from_dict(data["schema"])
-        impl = spec.impl_class.from_params(data["params"], width=len(schema.columns))
-        return cls(spec=spec, schema=schema, impl=impl)
+    def from_dict(cls, data: object, where: str = "model") -> TrainedModel:
+        saved = read_config(_ModelFile, data, where, complete=True)
+        impl = saved.spec.impl_class.from_params(saved.params, width=len(saved.schema.columns))
+        return cls(spec=saved.spec, schema=saved.schema, impl=impl)
+
+
+@dataclass(frozen=True, slots=True)
+class _ModelFile:
+    """A single model as saved: its spec, schema and the family's params."""
+
+    spec: ModelSpec
+    schema: FeatureSchema
+    params: dict
+    format_version: Literal[1] = 1
 
 
 @dataclass
@@ -145,6 +143,11 @@ class StackedModel:
     meta: LogisticRegression
     folds: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if len(self.bases) < 2:
+            raise ValueError(f"a stacked model needs at least 2 bases, got {len(self.bases)}")
+        self.schema  # raises unless every base uses one feature layout
 
     @property
     def name(self) -> str:
@@ -173,24 +176,25 @@ class StackedModel:
         return np.clip(self.meta.predict_proba(np.column_stack(base_probs)), 0.0, 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "stacked",
-            "folds": self.folds,
-            "seed": self.seed,
-            "bases": [base.to_dict() for base in self.bases],
-            "meta": self.meta.to_params(),
-        }
+        return json_fields(_StackedFile(self.folds, self.seed, self.bases, self.meta.to_params()))
 
     @classmethod
-    def from_dict(cls, data: dict) -> StackedModel:
-        bases = [TrainedModel.from_dict(b) for b in data["bases"]]
-        return cls(
-            bases=bases,
-            meta=LogisticRegression.from_params(data["meta"], width=len(bases)),
-            folds=read_value(data["folds"], int, "folds"),
-            seed=read_value(data["seed"], int, "seed"),
-        )
+    def from_dict(cls, data: object, where: str = "model") -> StackedModel:
+        saved = read_config(_StackedFile, data, where, complete=True)
+        meta = LogisticRegression.from_params(saved.meta, width=len(saved.bases))
+        return cls(bases=saved.bases, meta=meta, folds=saved.folds, seed=saved.seed)
+
+
+@dataclass(frozen=True, slots=True)
+class _StackedFile:
+    """A stacked model as saved: its bases as single models and the meta-model's params."""
+
+    folds: int
+    seed: int
+    bases: list[TrainedModel]
+    meta: dict
+    kind: Literal["stacked"] = "stacked"
+    format_version: Literal[1] = 1
 
 
 Model = TrainedModel | StackedModel
@@ -234,5 +238,7 @@ def save_model(model: Model, path: str | Path) -> None:
 def load_model(path: str | Path) -> Model:
     """Read a single or stacked model file, dispatching on its ``kind``."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    cls = StackedModel if data.get("kind") == "stacked" else TrainedModel
-    return cls.from_dict(data)
+    if not isinstance(data, dict):
+        raise RecordError(f"a model file must hold a JSON object, not a {type(data).__name__}")
+    stacked = read_value(data.get("kind"), str | None, "kind") == "stacked"
+    return (StackedModel if stacked else TrainedModel).from_dict(data)

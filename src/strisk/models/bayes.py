@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..records import json_fields
-from .encode import param_array, with_columns
+from .encode import read_params, with_columns
 
 
 @dataclass
@@ -82,10 +82,7 @@ class GaussianNaiveBayes:
 
     @classmethod
     def from_params(cls, data: dict, width: int) -> GaussianNaiveBayes:
-        model = cls(var_smoothing=data["var_smoothing"])
-        model.log_prior = param_array(data["log_prior"], (2,), "log_prior")
-        model.means = param_array(data["means"], (2, width), "means")
-        model.variances = param_array(data["variances"], (2, width), "variances")
+        model = read_params(cls, data, {"log_prior": (2,), "means": (2, width), "variances": (2, width)})
         if not (model.variances > 0).all():
             raise ValueError("variances must be positive")
         return model

@@ -10,12 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from ..features import FEATURES, FeatureVector
-from ..records import SECTORS
+from ..records import SECTORS, json_fields, json_object, read_config, read_fields, read_value
+
+T = TypeVar("T")
 
 SCHEMA_VERSION = 1
 
@@ -32,23 +34,18 @@ class FeatureSchema:
 
     @property
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {"columns": list(self.columns), "version": self.version}, sort_keys=True
-        )
+        payload = json.dumps(json_fields(self), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict:
-        return {
-            "columns": list(self.columns),
-            "version": self.version,
-            "fingerprint": self.fingerprint,
-        }
+        return {**json_fields(self), "fingerprint": self.fingerprint}
 
     @classmethod
-    def from_dict(cls, data: dict) -> FeatureSchema:
-        schema = cls(columns=tuple(data["columns"]), version=data["version"])
-        stored = data.get("fingerprint")
-        if stored is not None and stored != schema.fingerprint:
+    def from_dict(cls, data: object, where: str = "schema") -> FeatureSchema:
+        """A saved schema (read_fields) with its version; a fingerprint, when given, must match."""
+        data = json_object(data, where, ("columns", "version", "fingerprint"))
+        schema = read_fields(cls, data, complete=True)
+        if read_value(data.get("fingerprint", schema.fingerprint), str, "fingerprint") != schema.fingerprint:
             raise ValueError("schema fingerprint does not match its columns")
         return schema
 
@@ -82,15 +79,17 @@ def encode_labels(profiles: Sequence[FeatureVector]) -> np.ndarray:
     return np.array([p.label for p in profiles], dtype=np.int64)
 
 
-def param_array(raw, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A saved float parameter as an array; ValueError unless it has
-    ``shape`` and only finite values."""
-    array = np.asarray(raw, dtype=np.float64)
-    if array.shape != shape:
-        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite")
-    return array
+def read_params(cls: type[T], data: object, shapes: dict[str, tuple[int, ...]]) -> T:
+    """A family's saved parameters (read_config), every field given, each array named
+    in ``shapes`` of that shape and with only finite values."""
+    model = read_config(cls, data, "params", complete=True)
+    for name, shape in shapes.items():
+        array = getattr(model, name)
+        if getattr(array, "shape", None) != shape:
+            raise ValueError(f"field {name!r} has shape {getattr(array, 'shape', None)}, expected {shape}")
+        if not np.isfinite(array).all():
+            raise ValueError(f"field {name!r} must be finite")
+    return model
 
 
 def standardize_fit(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

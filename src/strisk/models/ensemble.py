@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .trees import NodeTable, RegressionTree, grow_trees, rank_columns
+from ..records import json_fields
+from .encode import read_params
+from .trees import NodeTable, RegressionTree, check_features, grow_trees, rank_columns
+
+T = TypeVar("T")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -88,10 +92,13 @@ def _permuted_values(
     return values
 
 
-def _trees_from_params(saved: list[dict], width: int) -> list[RegressionTree]:
-    if not saved:
+def _read_ensemble(cls: type[T], data: dict, width: int) -> T:
+    """A saved ensemble (read_params) with at least one tree, each splitting on columns in [0, width)."""
+    model = read_params(cls, data, {})
+    if not model.trees:
         raise ValueError("a tree ensemble needs at least one tree")
-    return [RegressionTree.from_params(tree, width) for tree in saved]
+    check_features(model.trees, width)
+    return model
 
 
 @dataclass
@@ -138,21 +145,8 @@ class BaggedTrees:
         votes = _tree_sum(np.zeros(n_rows), 1.0, values)
         return np.clip(votes / len(self.trees), 0.0, 1.0)
 
-    def to_params(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "seed": self.seed,
-            "trees": [tree.to_params() for tree in self.trees],
-        }
-
-    @classmethod
-    def from_params(cls, data: dict, width: int) -> BaggedTrees:
-        trees = _trees_from_params(data["trees"], width)
-        rest = {k: v for k, v in data.items() if k != "trees"}
-        return cls(trees=trees, **rest)
+    to_params = json_fields
+    from_params = classmethod(_read_ensemble)
 
 
 @dataclass
@@ -218,26 +212,13 @@ class GradientBoostedTrees:
     def _decision(self, n_rows: int, values: Iterable[np.ndarray]) -> np.ndarray:
         return _tree_sum(np.full(n_rows, self.base_score), self.learning_rate, values)
 
-    def to_params(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "l2_leaf": self.l2_leaf,
-            "seed": self.seed,
-            "base_score": self.base_score,
-            "trees": [tree.to_params() for tree in self.trees],
-        }
+    to_params = json_fields
 
     @classmethod
     def from_params(cls, data: dict, width: int) -> GradientBoostedTrees:
-        trees = _trees_from_params(data["trees"], width)
-        rest = {k: v for k, v in data.items() if k != "trees"}
-        model = cls(trees=trees, **rest)
-        rate, base = model.learning_rate, model.base_score
-        if not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
+        model = _read_ensemble(cls, data, width)
+        if not 0.0 < model.learning_rate <= 1.0:
             raise ValueError("learning_rate must be a finite number in (0, 1]")
-        if not isinstance(base, (int, float)) or not math.isfinite(base):
+        if not math.isfinite(model.base_score):
             raise ValueError("base_score must be a finite number")
         return model

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..records import json_fields
-from .encode import param_array, standardize_apply, standardize_fit, with_columns
+from .encode import read_params, standardize_apply, standardize_fit, with_columns
 
 
 # Newton stops once every gradient entry is at most _TOLERANCE. A step is
@@ -174,12 +174,7 @@ class LogisticRegression:
 
     @classmethod
     def from_params(cls, data: dict, width: int) -> LogisticRegression:
-        model = cls(l2=data["l2"], max_iter=data["max_iter"])
-        model.weights = param_array(data["weights"], (width,), "weights")
-        model.bias = float(data["bias"])
-        model.mean = param_array(data["mean"], (width,), "mean")
-        model.scale = param_array(data["scale"], (width,), "scale")
-        return model
+        return read_params(cls, data, dict.fromkeys(("weights", "mean", "scale"), (width,)))
 
 
 def _squared_hinge_loss_gradient(
@@ -279,11 +274,4 @@ class LinearSvmPlatt:
 
     @classmethod
     def from_params(cls, data: dict, width: int) -> LinearSvmPlatt:
-        model = cls(c=data["c"], max_iter=data["max_iter"])
-        model.weights = param_array(data["weights"], (width,), "weights")
-        model.bias = float(data["bias"])
-        model.platt_a = float(data["platt_a"])
-        model.platt_b = float(data["platt_b"])
-        model.mean = param_array(data["mean"], (width,), "mean")
-        model.scale = param_array(data["scale"], (width,), "scale")
-        return model
+        return read_params(cls, data, dict.fromkeys(("weights", "mean", "scale"), (width,)))

@@ -27,6 +27,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import NDArray
+
+from ..records import json_fields, read_config
 
 _LEAF = -1
 
@@ -71,7 +74,7 @@ def step(
 
 @dataclass
 class RegressionTree:
-    """CART-style tree; fit() and from_params() fill the node arrays.
+    """CART-style tree; fit() and from_dict() fill the node arrays.
 
     Nodes are numbered in pre-order, so every child comes after its
     parent. feature[i] is _LEAF for leaves, whose threshold is +inf and
@@ -164,47 +167,36 @@ class RegressionTree:
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(self.feature == _LEAF)
 
-    def to_params(self) -> dict:
+    def to_dict(self) -> dict:
         leaf = self.feature == _LEAF
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "feature": self.feature.tolist(),
-            "threshold": np.where(leaf, 0.0, self.threshold).tolist(),
-            "left": np.where(leaf, _LEAF, self.left).tolist(),
-            "right": np.where(leaf, _LEAF, self.right).tolist(),
-            "value": self.value.tolist(),
-        }
+        left, right = (np.where(leaf, _LEAF, children) for children in (self.left, self.right))
+        settings = (self.max_depth, self.min_samples_leaf, self.max_features)
+        threshold = np.where(leaf, 0.0, self.threshold)
+        return json_fields(_SavedTree(*settings, self.feature, threshold, left, right, self.value))
 
     @classmethod
-    def from_params(cls, data: dict, width: int) -> RegressionTree:
-        """Rebuild a saved tree over ``width`` feature columns.
+    def from_dict(cls, data: object, where: str = "tree") -> RegressionTree:
+        """Rebuild a saved tree, read by _SavedTree's annotations.
 
         Raises ValueError for any tree that could crash or misroute:
-        unequal node arrays, a child outside parent < child < n (which
-        also rules out cycles), a node other than the root without
-        exactly one parent, a feature outside [0, width), a non-finite
-        threshold or value, or more levels than max_depth.
+        a setting below 1, unequal node arrays, a child outside
+        parent < child < n (which also rules out cycles), a node other
+        than the root without exactly one parent, a non-finite threshold
+        or value, or more levels than max_depth. check_features bounds
+        the split columns, which depend on the matrix.
         """
-        tree = cls(
-            max_depth=_positive_int(data["max_depth"], "max_depth"),
-            min_samples_leaf=_positive_int(data["min_samples_leaf"], "min_samples_leaf"),
-            max_features=(
-                None
-                if data["max_features"] is None
-                else _positive_int(data["max_features"], "max_features")
-            ),
-        )
-        feature, left, right = (_int_nodes(data[key], key) for key in ("feature", "left", "right"))
-        threshold, value = (_float_nodes(data[key], key) for key in ("threshold", "value"))
+        saved = read_config(_SavedTree, data, where)
+        for name in ("max_depth", "min_samples_leaf", "max_features"):
+            setting = getattr(saved, name)
+            if setting is not None and setting < 1:
+                raise ValueError(f"tree {name} must be a positive integer: {setting!r}")
+        nodes = (saved.feature, saved.threshold, saved.left, saved.right, saved.value)
+        feature, threshold, left, right, value = nodes
         n = len(feature)
-        if n == 0 or any(len(nodes) != n for nodes in (threshold, left, right, value)):
+        if n == 0 or any(array.shape != (n,) for array in nodes):
             raise ValueError("tree node arrays must be non-empty and of equal length")
         inner = feature != _LEAF
         ids = np.arange(n)
-        if not ((feature[inner] >= 0) & (feature[inner] < width)).all():
-            raise ValueError(f"tree feature index outside [0, {width})")
         for children in (left, right):
             if not ((ids[inner] < children[inner]) & (children[inner] < n)).all():
                 raise ValueError("tree child index out of range")
@@ -219,14 +211,36 @@ class RegressionTree:
             level = level[inner[level]]
             level = np.concatenate([left[level], right[level]])
             depth += 1
-        if depth > tree.max_depth:
-            raise ValueError(f"tree is {depth} levels deep, max_depth is {tree.max_depth}")
+        if depth > saved.max_depth:
+            raise ValueError(f"tree is {depth} levels deep, max_depth is {saved.max_depth}")
+        tree = cls(saved.max_depth, saved.min_samples_leaf, saved.max_features)
         tree.depth = depth
         threshold[~inner] = np.inf
         tree._set_nodes(
             feature, threshold, np.where(inner, left, ids), np.where(inner, right, ids), value
         )
         return tree
+
+
+@dataclass(frozen=True, slots=True)
+class _SavedTree:
+    """A RegressionTree as to_dict writes it: a leaf has feature and children -1 and threshold 0."""
+
+    max_depth: int
+    min_samples_leaf: int
+    max_features: int | None
+    feature: NDArray[np.int64]
+    threshold: np.ndarray
+    left: NDArray[np.int64]
+    right: NDArray[np.int64]
+    value: np.ndarray
+
+
+def check_features(trees: Sequence[RegressionTree], width: int) -> None:
+    """ValueError unless every split of ``trees`` reads a column in [0, width)."""
+    features = np.concatenate([tree.feature for tree in trees])
+    if not ((features >= _LEAF) & (features < width)).all():
+        raise ValueError(f"tree feature index outside [0, {width})")
 
 
 # Split-search cells one block handles: (node, candidate column) rows
@@ -536,23 +550,3 @@ class NodeTable:
                 node = step(cells, row_start, node, self.feature, self.threshold, self.routes)
             leaves[block] = node
         return leaves
-
-
-def _positive_int(raw, name: str) -> int:
-    if type(raw) is not int or raw < 1:
-        raise ValueError(f"tree {name} must be a positive integer: {raw!r}")
-    return raw
-
-
-def _int_nodes(raw, name: str) -> np.ndarray:
-    nodes = np.asarray(raw)
-    if nodes.ndim != 1 or (len(nodes) and nodes.dtype.kind != "i"):
-        raise ValueError(f"tree {name} must be a list of integers")
-    return nodes.astype(np.int64)
-
-
-def _float_nodes(raw, name: str) -> np.ndarray:
-    nodes = np.asarray(raw, dtype=np.float64)
-    if nodes.ndim != 1:
-        raise ValueError(f"tree {name} must be a list of numbers")
-    return nodes

@@ -351,6 +351,8 @@ def noise_detection_experiment(
             raise ValueError(f"method must be one of {METHODS}: {m!r}")
     if not model_specs:
         raise ValueError("need at least one model spec")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     combos: list[tuple[int, ...]] = [(i,) for i in range(len(model_specs))]
     if len(model_specs) > 1:
         combos.append(tuple(range(len(model_specs))))

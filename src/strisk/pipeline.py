@@ -147,6 +147,8 @@ class PipelineConfig:
                 if key in values:
                     kwargs[name] = read_value(values[key], field_types(cls)[name], key)
         inputs = json_object(data.get("inputs", {}), "inputs", _INPUT_ROLES)
+        if not workdir and "workdir" not in data:
+            raise RecordError("missing field 'workdir'")
         return cls(
             workdir=Path(workdir) if workdir else read_value(data["workdir"], Path, "workdir"),
             inputs=read_value(inputs, field_types(cls)["inputs"], "inputs") or None,

@@ -89,6 +89,26 @@ def _read_float(value: object, key: str) -> float:
         raise RecordError(f"field {key!r} must convert to a finite float") from None
 
 
+def _read_array(dtype: type, kinds: set[type], noun: str, value: object, key: str) -> np.ndarray:
+    """An array of ``dtype`` from a list of JSON values of ``kinds``, nested for more
+    than one dimension. The whole list is type-checked at once."""
+    if type(value) is list:
+        try:
+            cells = np.array(value, dtype=object)
+            if set(map(type, cells.ravel())) <= kinds:
+                return cells.astype(dtype)
+        except (ValueError, OverflowError):  # a ragged list, or an integer too large for dtype
+            pass
+    raise RecordError(f"field {key!r} must be a list of {noun}")
+
+
+def _read_literal(allowed: tuple, value: object, key: str):
+    """``value`` if it is one of ``allowed``, of the same JSON type."""
+    if not any(type(value) is type(option) and value == option for option in allowed):
+        raise RecordError(f"field {key!r} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+    return value
+
+
 @functools.cache
 def _reader(annotation: object) -> Callable[[object, str], object]:
     """A function (value, key) reading a JSON value as ``annotation`` names."""
@@ -106,14 +126,21 @@ def _reader(annotation: object) -> Callable[[object, str], object]:
 
         return read_union
     origin = typing.get_origin(annotation)
-    if origin in (tuple, frozenset):
+    if origin in (tuple, frozenset, list):
         read_item = _reader(typing.get_args(annotation)[0])
         return lambda value, key: origin(read_item(item, key) for item in _typed(value, list, key))
     if origin is dict:
         read_item = _reader(typing.get_args(annotation)[1])
         return lambda value, key: {k: read_item(v, k) for k, v in _typed(value, dict, key).items()}
+    if np.ndarray in (annotation, origin):
+        # NDArray[np.int64] names its dtype last; a bare ndarray holds floats.
+        dtype = typing.get_args(typing.get_args(annotation)[-1])[0] if origin else np.float64
+        kinds, noun = ({int}, "integers") if np.issubdtype(dtype, np.integer) else ({int, float}, "numbers")
+        return functools.partial(_read_array, dtype, kinds, noun)
+    if origin is typing.Literal:
+        return functools.partial(_read_literal, typing.get_args(annotation))
     if is_dataclass(annotation):
-        return lambda value, key: read_config(annotation, value, key)
+        return getattr(annotation, "from_dict", functools.partial(read_config, annotation))
     if annotation is float:
         return _read_float
     if annotation in (datetime, Path):
@@ -124,9 +151,11 @@ def _reader(annotation: object) -> Callable[[object, str], object]:
 
 def read_value(value: object, annotation: object, key: str):
     """The JSON value of field ``key`` read as the type ``annotation`` names (_typed), an
-    integer also as a float. A tuple or frozenset is read from a list and a dict from an
-    object, item by item; a dataclass with read_config; a datetime or Path from text. A
-    union takes its first member that reads; when none does, it fails as the first does."""
+    integer also as a float. A tuple, frozenset or list is read from a list and a dict from
+    an object, item by item; an array from nested lists of numbers (_read_array); a Literal
+    as one of its values; a dataclass with its own from_dict(value, key) or else read_config;
+    a datetime or Path from text. A union takes its first member that reads; when none
+    does, it fails as the first does."""
     return _reader(annotation)(value, key)
 
 
@@ -144,15 +173,15 @@ def _field_readers(cls: type) -> tuple[tuple[str, Callable, bool], ...]:
     return tuple((name, _reader(hint), name in required) for name, hint in field_types(cls).items())
 
 
-def read_fields(cls: type[T], data: dict) -> T:
+def read_fields(cls: type[T], data: dict, *, complete: bool = False) -> T:
     """A dataclass built from the JSON object ``data``: each init field is
     read by its annotation (read_value), a field with a default may be left
-    out, and a key that is not a field is ignored."""
+    out unless ``complete``, and a key that is not a field is ignored."""
     kwargs = {}
     for name, read, required in _field_readers(cls):
         if name in data:
             kwargs[name] = read(data[name], name)
-        elif required:
+        elif required or complete:
             raise RecordError(f"missing field {name!r}")
     return cls(**kwargs)
 
@@ -160,17 +189,17 @@ def read_fields(cls: type[T], data: dict) -> T:
 def json_object(value: object, where: str, keys: Iterable[str]) -> dict:
     """``value`` if it is a JSON object whose keys are all in ``keys``."""
     if not isinstance(value, dict):
-        raise RecordError(f"{where} must be a JSON object, got {value!r}")
+        raise RecordError(f"{where!r} must be a JSON object, got {value!r}")
     for key in value:
         if key not in keys:
             raise RecordError(f"unknown key {key!r} in {where}; known keys: {', '.join(keys)}")
     return value
 
 
-def read_config(cls: type[T], data: object, where: str = "config") -> T:
+def read_config(cls: type[T], data: object, where: str = "config", *, complete: bool = False) -> T:
     """A config dataclass read from ``data`` as read_fields reads a record,
     except that a key it does not define is an error naming the key."""
-    return read_fields(cls, json_object(data, where, field_types(cls)))
+    return read_fields(cls, json_object(data, where, field_types(cls)), complete=complete)
 
 
 # How a value is written to JSON, by the class its annotation names; others are written as they are.
@@ -189,7 +218,7 @@ def _writer(annotation: object) -> Callable | None:
         write = next(filter(None, map(_writer, typing.get_args(annotation))), None)
         return write and (lambda value: None if value is None else write(value))
     origin = typing.get_origin(annotation)
-    if origin in (tuple, frozenset):
+    if origin in (tuple, frozenset, list):
         write_item = _writer(typing.get_args(annotation)[0])
         order = sorted if origin is frozenset else list
         return order if write_item is None else lambda value: [write_item(item) for item in order(value)]
@@ -198,7 +227,7 @@ def _writer(annotation: object) -> Callable | None:
         return dict if write_item is None else lambda value: {k: write_item(v) for k, v in value.items()}
     if is_dataclass(annotation):
         return getattr(annotation, "to_dict", json_fields)
-    return _TO_JSON.get(annotation)
+    return _TO_JSON.get(origin or annotation)
 
 
 @functools.cache

@@ -23,6 +23,7 @@ import strisk
 from conftest import make_dataset
 from strisk.cli import main
 from strisk.features import read_features_csv, write_features_csv
+from strisk.models import FeatureSchema
 from strisk.pipeline import PipelineConfig
 
 
@@ -211,6 +212,32 @@ def model_path(workspace, tmp_path_factory):
     return out
 
 
+# Small tree ensembles keep the saved files, and the leaves a mutation can hit, few.
+SMALL_TREES = {"n_estimators": 2, "max_depth": 2}
+FAMILY_SPECS = {
+    "logistic_regression": {"family": "logistic_regression"},
+    "naive_bayes": {"family": "naive_bayes"},
+    "linear_svm_platt": {"family": "linear_svm_platt"},
+    "random_forest": {"family": "random_forest", "hyperparameters": SMALL_TREES},
+    "bagged_trees": {"family": "bagged_trees", "hyperparameters": SMALL_TREES},
+    "gradient_boosted_trees": {"family": "gradient_boosted_trees", "hyperparameters": SMALL_TREES},
+    "stacked": {"bases": [{"family": "naive_bayes"}, {"family": "random_forest", "hyperparameters": SMALL_TREES}], "folds": 3},
+}
+
+
+@pytest.fixture(scope="module")
+def family_models(workspace, tmp_path_factory):
+    """A model file written by ``train`` for every family and for a stacked spec."""
+    _, _, features, _ = workspace
+    root = tmp_path_factory.mktemp("families")
+    paths = {}
+    for name, spec in FAMILY_SPECS.items():
+        paths[name] = root / f"{name}.json"
+        spec_path = write_json(root / f"{name}-spec.json", spec)
+        assert main(["--quiet", "train", "--features", str(features), "--spec", str(spec_path), "--out", str(paths[name])]) == 0
+    return paths
+
+
 class TestTrainPredictEvaluate:
     def test_model_file_is_versioned_json(self, model_path):
         data = json.loads(model_path.read_text())
@@ -279,6 +306,15 @@ class TestExperiment:
         assert data["repeats"] == 2
         combos = {tuple(row["models"]) for row in data["rows"]}
         assert ("logistic_regression", "naive_bayes") in combos
+
+    def test_zero_repeats_is_stage_failure(self, workspace, tmp_path, capsys):
+        _, _, features, models = workspace
+        out = tmp_path / "experiment.json"
+        code = main(
+            ["experiment", "--features", str(features), "--models", str(models), "--repeats", "0", "--out", str(out)]
+        )
+        _assert_exit(code, 3, capsys, "error: stage experiment: repeats must be >= 1")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -416,18 +452,38 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "path, value",
         [
-            pytest.param(("spec", "hyperparameters", "l2"), int("9" * 401), id="l2-401-digits"),
-            (("spec", "seed"), 2.9),
-            (("spec", "hyperparameters", "max_iter"), "7"),
+            pytest.param(("logistic_regression", "spec", "hyperparameters", "l2"), int("9" * 401), id="l2-401-digits"),
+            (("logistic_regression", "spec", "seed"), 2.9),
+            (("logistic_regression", "spec", "hyperparameters", "max_iter"), "7"),
+            pytest.param(("logistic_regression", "params", "bias"), "1.5", id="bias-text"),
+            pytest.param(("logistic_regression", "params", "l2"), "x", id="l2-text"),
+            pytest.param(("logistic_regression", "params", "max_iter"), 2.5, id="max_iter-2.5"),
+            pytest.param(("logistic_regression", "params", "weights"), ["0.1"] * 37, id="weights-text"),
+            pytest.param(("naive_bayes", "params", "var_smoothing"), "abc", id="var_smoothing-text"),
+            pytest.param(("linear_svm_platt", "params", "platt_a"), True, id="platt_a-true"),
+            pytest.param(("gradient_boosted_trees", "params", "learning_rate"), True, id="learning_rate-true"),
+            pytest.param(("gradient_boosted_trees", "params", "n_estimators"), "50", id="n_estimators-text"),
+            pytest.param(("bagged_trees", "params", "seed"), "x", id="seed-text"),
+            pytest.param(("random_forest", "params", "max_features"), [1], id="max_features-list"),
+            pytest.param(("naive_bayes", "params", "junk"), 1, id="unknown-params-key"),
+            pytest.param(("naive_bayes", "junk"), 1, id="unknown-top-level-key"),
+            pytest.param(("logistic_regression", "schema", "version"), ..., id="schema-without-version"),
+            pytest.param(("logistic_regression", "schema", "columns"), 5, id="schema-columns-5"),
         ],
     )
-    def test_mistyped_model_spec_exit_data_error(self, model_path, workspace, tmp_path, capsys, path, value):
+    def test_mistyped_model_spec_exit_data_error(self, family_models, workspace, tmp_path, capsys, path, value):
+        """A saved model of family path[0] with the value at path[1:] replaced, or removed for ``...``."""
         _, _, features, _ = workspace
-        data = json.loads(model_path.read_text())
-        functools.reduce(operator.getitem, path[:-1], data)[path[-1]] = value
+        family, *keys = path
+        data = json.loads(family_models[family].read_text())
+        node = functools.reduce(operator.getitem, keys[:-1], data)
+        if value is ...:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
         model = write_json(tmp_path / "model.json", data)
         code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")])
-        _assert_exit(code, 2, capsys, "data error: model file", repr(path[-1]))
+        _assert_exit(code, 2, capsys, "data error: model file", repr(keys[-1]))
 
     @pytest.mark.parametrize("key, value", [("seed", 2.9), ("folds", "7")])
     def test_mistyped_stacked_model_exit_data_error(self, workspace, tmp_path, capsys, key, value):
@@ -444,8 +500,29 @@ class TestExitCodes:
     def test_model_file_not_an_object_exit_data_error(self, model_path, workspace, tmp_path, capsys):
         _, _, features, _ = workspace
         model = write_json(tmp_path / "model.json", [json.loads(model_path.read_text())])
-        assert main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")])
+        _assert_exit(code, 2, capsys, "must hold a JSON object, not a list")
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_stacked_model_with_too_few_bases_exit_data_error(self, family_models, workspace, tmp_path, capsys, kept):
+        _, _, features, _ = workspace
+        data = json.loads(family_models["stacked"].read_text())
+        data["bases"] = data["bases"][:kept]
+        for key in ("weights", "mean", "scale"):
+            data["meta"][key] = data["meta"][key][:kept]
+        model = write_json(tmp_path / "model.json", data)
+        code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")])
+        _assert_exit(code, 2, capsys, f"at least 2 bases, got {kept}")
+
+    def test_stacked_bases_of_different_layouts_exit_data_error(self, family_models, workspace, tmp_path, capsys):
+        _, _, features, _ = workspace
+        data = json.loads(family_models["stacked"].read_text())
+        schema = data["bases"][1]["schema"]
+        schema["version"] = 2
+        schema["fingerprint"] = FeatureSchema(tuple(schema["columns"]), 2).fingerprint
+        model = write_json(tmp_path / "model.json", data)
+        code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")])
+        _assert_exit(code, 2, capsys, "data error: model file", "stacked bases use different feature layouts")
 
     @pytest.mark.parametrize(
         "column, value",
@@ -705,6 +782,12 @@ class TestMalformedConfig:
         _assert_exit(code, 1, capsys, "skip must be a list of stage names")
         assert not (tmp_path / "work").exists()
 
+    def test_missing_workdir_is_named_usage_error(self, tmp_path, capsys):
+        config = _run_config(tmp_path)
+        del config["workdir"]
+        code = main(["run", "--config", str(write_json(tmp_path / "nowork.json", config))])
+        _assert_exit(code, 1, capsys, "usage error: bad pipeline config", "missing field 'workdir'")
+
     def test_run_config_list_is_usage_error(self, tmp_path, capsys):
         config = write_json(tmp_path / "pipeline.json", [_run_config(tmp_path)])
         code = main(["run", "--config", str(config)])
@@ -933,6 +1016,51 @@ def test_mistyped_run_config_leaf_is_named(leaf, value):
     functools.reduce(operator.getitem, leaf[:-1], config)[leaf[-1]] = value
     with pytest.raises(ValueError, match=re.escape(repr(leaf[-1]))):
         PipelineConfig.from_dict(config)
+
+
+def _model_leaves(node, path=()):
+    """(path, value) of every value below ``node``, a saved model: each object and list,
+    and each scalar, except that only the first item of a list of scalars is taken, as
+    the others are read the same way."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if key == 0 or not isinstance(key, int) or isinstance(value, (dict, list)):
+            yield path + (key,), value
+            yield from _model_leaves(value, path + (key,))
+
+
+def _admits(key: str, saved: object, value: object) -> bool:
+    """Whether field ``key``, saved as ``saved``, admits a value of ``value``'s JSON type."""
+    if key == "max_features":  # an integer, a string or null
+        return value is None or type(value) in (int, str)
+    if type(saved) is float:  # an integer is accepted for a number
+        return type(value) in (int, float)
+    return type(value) is type(saved)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_model_file_is_named_data_error(family_models, workspace, fuzz_dir, data):
+    _, _, features, _ = workspace
+    document = json.loads(family_models[data.draw(st.sampled_from(sorted(family_models)))].read_text())
+    leaves = list(_model_leaves(document))
+    if data.draw(st.booleans(), label="unknown key"):
+        path = data.draw(st.sampled_from([()] + [path for path, value in leaves if isinstance(value, dict)]))
+        node = functools.reduce(operator.getitem, path, document)
+        key = data.draw(st.text(min_size=1, max_size=12), label="key")
+        assume(key not in node)
+        node[key] = 1
+    else:
+        path, saved = data.draw(st.sampled_from(leaves))
+        key = next(part for part in reversed(path) if isinstance(part, str))
+        wrong = [value for value in MISTYPED_CANDIDATES if not _admits(key, saved, value)]
+        functools.reduce(operator.getitem, path[:-1], document)[path[-1]] = data.draw(st.sampled_from(wrong))
+    model = write_json(fuzz_dir / "model.json", document)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(fuzz_dir / "s.csv")])
+    assert code == 2, err.getvalue()
+    assert repr(key) in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestMissingInputFile:

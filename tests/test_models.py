@@ -266,16 +266,22 @@ class TestTrainPredict:
         assert roc_auc(scores.tolist(), labels) >= 0.9
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
-    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    @pytest.mark.parametrize("family", MODEL_FAMILIES + ("stacked",))
     def test_save_load_predicts_identically(self, family, separable_split, tmp_path):
         train_set, test_set = separable_split
-        model = train(train_set, fast_spec(family))
+        if family == "stacked":
+            specs = [fast_spec("gradient_boosted_trees"), fast_spec("linear_svm_platt")]
+            model = train_stacked(train_set, specs, folds=3, seed=0)
+        else:
+            model = train(train_set, fast_spec(family))
         path = tmp_path / f"{family}.json"
         save_model(model, path)
         restored = load_model(path)
         assert np.array_equal(
             predict_proba_many(model, test_set), predict_proba_many(restored, test_set)
         )
+        save_model(restored, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "family, key, edit, message",

@@ -18,7 +18,7 @@ from oracles import (
 )
 from strisk.models import trees as trees_module
 from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
-from strisk.models.trees import NodeTable, RegressionTree, rank_columns
+from strisk.models.trees import NodeTable, RegressionTree, check_features, rank_columns
 
 NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
@@ -48,7 +48,7 @@ def with_nan_rows(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
 
 
 def node_lists(tree: RegressionTree) -> dict[str, list]:
-    params = tree.to_params()
+    params = tree.to_dict()
     return {key: params[key] for key in NODE_KEYS}
 
 
@@ -274,13 +274,13 @@ def test_boosting_routes_the_training_rows_once_per_round(monkeypatch):
             ],
         )
         scores += 0.1 * tree.predict(X)
-        two_pass.append(tree.to_params())
+        two_pass.append(tree.to_dict())
     calls = []
     apply = RegressionTree.apply
     monkeypatch.setattr(RegressionTree, "apply", lambda tree, X: calls.append(1) or apply(tree, X))
     model = GradientBoostedTrees(n_estimators=20, max_depth=3, min_samples_leaf=2).fit(X, y)
     assert len(calls) == 20
-    assert [tree.to_params() for tree in model.trees] == two_pass
+    assert [tree.to_dict() for tree in model.trees] == two_pass
 
 
 # A residual-like target (a 0/1 label minus a probability in tenths) on a
@@ -341,9 +341,9 @@ def test_boosted_predictions_follow_set_leaf_values():
     model = GradientBoostedTrees(n_estimators=6, max_depth=3, min_samples_leaf=2).fit(X, y)
     expected = np.full(len(X), model.base_score)
     for tree in model.trees:
-        values = tree.to_params()["value"]
+        values = tree.to_dict()["value"]
         expected += model.learning_rate * np.array(
-            [values[leaf] for leaf in apply_tree_reference(tree.to_params(), X)]
+            [values[leaf] for leaf in apply_tree_reference(tree.to_dict(), X)]
         )
     assert model.decision(X).tolist() == expected.tolist()
     tree = model.trees[0]
@@ -360,6 +360,13 @@ def test_set_leaf_values_rejects_inner_node():
         tree.set_leaf_values(np.array([0]), np.array([1.0]))
 
 
+def load_tree(params: dict, width: int = 4) -> RegressionTree:
+    """A saved tree read back as an ensemble reads each of its trees."""
+    tree = RegressionTree.from_dict(params)
+    check_features([tree], width)
+    return tree
+
+
 class TestFromParams:
     @pytest.fixture
     def params(self):
@@ -368,16 +375,16 @@ class TestFromParams:
         y = rng.integers(0, 2, size=60).astype(np.float64)
         tree = RegressionTree(max_depth=3, min_samples_leaf=2).fit(X, y)
         # Saved trees go through JSON, so edits below see plain lists.
-        return json.loads(json.dumps(tree.to_params()))
+        return json.loads(json.dumps(tree.to_dict()))
 
     def test_round_trip_is_identical(self, params):
-        tree = RegressionTree.from_params(params, width=4)
-        assert tree.to_params() == params
+        tree = load_tree(params)
+        assert tree.to_dict() == params
         X = with_nan_rows(np.random.default_rng(1), rounded_matrix(np.random.default_rng(2), 30, 4))
         assert tree.apply(X).tolist() == apply_tree_reference(params, X)
 
     def test_leaf_values_stay_writable_after_load(self, params):
-        tree = RegressionTree.from_params(params, width=4)
+        tree = load_tree(params)
         leaves = tree.leaf_ids()
         tree.set_leaf_values(leaves, np.full(len(leaves), 0.5))
         assert tree.predict(np.zeros((3, 4))).tolist() == [0.5, 0.5, 0.5]
@@ -397,25 +404,29 @@ class TestFromParams:
             (lambda p: p["value"].__setitem__(-1, float("inf")), "finite"),
             (lambda p: p.update(max_depth=1), "levels deep"),
             (lambda p: p.update(max_depth=0), "positive integer"),
-            (lambda p: p.update(min_samples_leaf="2"), "positive integer"),
+            (lambda p: p.update(min_samples_leaf=0), "positive integer"),
+            (lambda p: p.update(min_samples_leaf="2"), "field 'min_samples_leaf' must be int"),
+            (lambda p: p.update(max_features=1.0), "field 'max_features' must be int"),
+            (lambda p: p["value"].__setitem__(0, True), "field 'value' must be a list of numbers"),
+            (lambda p: p.update(junk=1), "unknown key 'junk' in tree"),
         ],
     )
     def test_malformed_tree_rejected(self, params, edit, message):
         edit(params)
         with pytest.raises(ValueError, match=message):
-            RegressionTree.from_params(params, width=4)
+            load_tree(params)
 
     def test_shared_child_rejected(self, params):
         # Point the root's right edge at its left child's subtree too.
         params["right"][0] = params["left"][0]
         with pytest.raises(ValueError, match="exactly one parent"):
-            RegressionTree.from_params(params, width=4)
+            load_tree(params)
 
     def test_leaf_with_child_rejected(self, params):
         leaf = params["feature"].index(-1)
         params["left"][leaf] = len(params["feature"]) - 1
         with pytest.raises(ValueError, match="leaf has a child"):
-            RegressionTree.from_params(params, width=4)
+            load_tree(params)
 
 
 @pytest.mark.parametrize("ensemble", [BaggedTrees, GradientBoostedTrees])
