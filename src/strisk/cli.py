@@ -54,10 +54,11 @@ _METHOD_ALIASES = {
 
 def _parse_config(path: str, what: str, parse: Callable[[object], T]) -> T:
     """Read the JSON config at ``path`` and parse it; a config that is not
-    JSON or not the expected shape is a usage error (exit code 1)."""
+    JSON, is nested too deeply to read, or is not the expected shape is a
+    usage error (exit code 1)."""
     try:
         return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise click.UsageError(f"bad {what} config {path}: {exc}") from exc
 
 
@@ -303,7 +304,7 @@ def report(ctx, report_path, out_path) -> None:
     """Render a report.json as fixed-width text tables."""
     try:
         data = json.loads(Path(report_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise RecordError(f"report file {report_path} is not valid JSON: {exc}") from exc
     try:
         text = render_report_text(data)

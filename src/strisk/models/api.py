@@ -237,7 +237,10 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     """Read a single or stacked model file, dispatching on its ``kind``."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise RecordError("a model file must not be nested this deeply") from exc
     if not isinstance(data, dict):
         raise RecordError(f"a model file must hold a JSON object, not a {type(data).__name__}")
     stacked = read_value(data.get("kind"), str | None, "kind") == "stacked"

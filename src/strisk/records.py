@@ -399,6 +399,8 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 yield line_no, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"{path}:{line_no}: invalid JSON record") from exc
+            except RecursionError as exc:
+                raise RecordError(f"{path}:{line_no}: JSON record nested too deeply") from exc
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:

@@ -9,6 +9,14 @@ null-signal checks rely on. A noise fraction hides that many true
 victims by withholding their incident records, so their observed label
 comes out 0 while the ground truth remembers 1.
 
+Each quantity is drawn once for its whole population from one seeded
+numpy generator: a field of every organization, the observation count
+of every (organization, kind) cell, a field of every tweet, every
+timestamp. Records are then built from those values through the record
+classes, so each passes the same validation as a record read from a
+file. Observations and tweets fall in the 2019 observation year and
+incidents in 2020, so every feature predates the breach it predicts.
+
 Distribution constants below are the documented shape of the corpus;
 they are deliberately module-level so a config change cannot silently
 alter what "baseline" means.
@@ -68,9 +76,17 @@ MEAN_REPLIES = 0.8
 MEAN_LIKES = 3.0
 PHRASE_WEIGHTS = (0.45, 0.35, 0.20)
 
+# Observations and tweets fall in the observation year; incidents in the
+# year after it.
 YEAR_START = datetime(2019, 1, 1, tzinfo=timezone.utc)
 YEAR_SECONDS = 365 * 24 * 3600
 _YEAR_START_S = int(YEAR_START.timestamp())
+INCIDENT_YEAR_START = date(2020, 1, 1)
+INCIDENT_YEAR_DAYS = 366
+
+# Usable hosts of a synthetic /27 block: its 32 addresses less the
+# network and broadcast addresses.
+HOSTS_PER_BLOCK = 30
 
 _ADJECTIVES = (
     "apex", "atlas", "beacon", "blue", "bright", "cedar", "crest", "delta",
@@ -108,6 +124,8 @@ _NEGATIVE_PHRASES = (
     "security incident compromised user passwords",
     "fraud warning over suspicious activity",
 )
+# Tweet tones in PHRASE_WEIGHTS order.
+_PHRASES = (_NEUTRAL_PHRASES, _POSITIVE_PHRASES, _NEGATIVE_PHRASES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,47 +195,45 @@ def _address_block(index: int) -> str:
     return f"{_block_prefix(index)}0/27"
 
 
-def _block_hosts(index: int) -> list[str]:
-    """The 30 host addresses of the index-th block, .1 to .30 (a /27 less
-    its network and broadcast addresses), in ascending order."""
-    prefix = _block_prefix(index)
-    return [f"{prefix}{host}" for host in range(1, 31)]
+def _block_host(index: int, offset: int) -> str:
+    """Host address ``offset`` of the index-th block: offsets 0 to
+    HOSTS_PER_BLOCK - 1 are .1 to .30, in ascending order."""
+    return f"{_block_prefix(index)}{offset + 1}"
 
 
-def _timestamp(rng: np.random.Generator) -> datetime:
-    offset = int(rng.integers(0, YEAR_SECONDS))
-    return datetime.fromtimestamp(_YEAR_START_S + offset, tz=timezone.utc)
+def _inverse_cdf(weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The index each uniform draw in [0, 1) selects when index i has
+    probability weights[i] / sum(weights); a zero weight is never selected."""
+    cdf = np.cumsum(weights)
+    return np.searchsorted(cdf / cdf[-1], draws, side="right")
 
 
-def _org_name(rng: np.random.Generator) -> str:
-    adjective = _ADJECTIVES[int(rng.integers(0, len(_ADJECTIVES)))]
-    noun = _NOUNS[int(rng.integers(0, len(_NOUNS)))]
-    suffix = _SUFFIXES[int(rng.integers(0, len(_SUFFIXES)))]
-    name = f"{adjective.title()} {noun.title()}"
-    return f"{name} {suffix}".strip()
+def _distinct_picks(
+    rng: np.random.Generator, counts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """counts[i] distinct integers below sizes[i] for every cell i, each
+    count at most its size: (cell, pick) arrays with one entry per pick,
+    ordered by cell.
 
-
-def _sector_for(rng: np.random.Generator, mix: Sequence[float], tilt: float) -> int:
-    if tilt <= 0:
-        weights = np.asarray(mix, dtype=np.float64)
-    else:
-        weights = np.asarray(mix) * (1.0 + 2.0 * tilt * np.asarray(SECTOR_VICTIM_RATES))
-    weights = weights / weights.sum()
-    return int(rng.choice(len(mix), p=weights))
-
-
-def _choose_phrase(rng: np.random.Generator, negative_boost: float) -> str:
-    neutral, positive, negative = PHRASE_WEIGHTS
-    negative += negative_boost
-    total = neutral + positive + negative
-    draw = rng.random() * total
-    if draw < neutral:
-        pool = _NEUTRAL_PHRASES
-    elif draw < neutral + positive:
-        pool = _POSITIVE_PHRASES
-    else:
-        pool = _NEGATIVE_PHRASES
-    return pool[int(rng.integers(0, len(pool)))]
+    Every pick is drawn uniformly, and a pick that repeats an earlier one
+    of its cell is drawn again until none does. Relabelling a cell's
+    integers leaves that process unchanged, so each cell gets a uniform
+    random subset, as rng.choice(size, count, replace=False) would, while
+    every array holds at most one entry per pick.
+    """
+    cells = np.repeat(np.arange(len(counts)), counts)
+    picks = rng.integers(0, sizes[cells])
+    starts = np.cumsum(counts) - counts
+    dirty = np.flatnonzero(counts > 1)
+    while dirty.size:
+        # The positions of the dirty cells' picks, then those sorted by (cell, pick).
+        n = counts[dirty]
+        at = np.repeat(starts[dirty] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        at = at[np.lexsort((picks[at], cells[at]))]
+        repeated = at[1:][(cells[at[1:]] == cells[at[:-1]]) & (picks[at[1:]] == picks[at[:-1]])]
+        picks[repeated] = rng.integers(0, sizes[cells[repeated]])
+        dirty = np.unique(cells[repeated])
+    return cells, picks
 
 
 def generate_corpus(config: GeneratorConfig) -> CorpusBundle:
@@ -225,135 +241,146 @@ def generate_corpus(config: GeneratorConfig) -> CorpusBundle:
 
     Exactly n_positive organizations are latent victims; a further
     floor(noise_fraction * n_positive) of them lose their incident
-    record, so featurization will label them 0.
+    record, so featurization will label them 0. Each quantity is drawn
+    once for its whole population, in the order below, and the records
+    are built from the drawn values.
     """
     rng = np.random.default_rng(config.seed)
     n_orgs = config.n_orgs
     n_pos = config.n_positive
-    latent = np.zeros(n_orgs, dtype=np.int64)
-    latent[rng.permutation(n_orgs)[:n_pos]] = 1
-    s_tech = config.signal["technical"]
-    s_social = config.signal["social"]
-    s_sector = config.signal["sector"]
-    s_size = config.signal["org_size"]
+    victim = np.zeros(n_orgs, dtype=bool)
+    victim[rng.permutation(n_orgs)[:n_pos]] = True
+    signal = config.signal
 
-    organizations: list[OrganizationRecord] = []
-    observations: list[ObservationRecord] = []
-    tweets: list[TweetRecord] = []
-    incidents: list[IncidentRecord] = []
-    ground_truth: dict[str, int] = {}
+    # Organizations: name parts, sector, size, address blocks, domains.
+    adjectives = rng.integers(0, len(_ADJECTIVES), n_orgs).tolist()
+    nouns = rng.integers(0, len(_NOUNS), n_orgs).tolist()
+    suffixes = rng.integers(0, len(_SUFFIXES), n_orgs).tolist()
+    mix = np.asarray(config.sector_mix)
+    tilted = mix * (1.0 + 2.0 * signal["sector"] * np.asarray(SECTOR_VICTIM_RATES))
+    sector_draws = rng.random(n_orgs)
+    sectors = np.where(victim, _inverse_cdf(tilted, sector_draws), _inverse_cdf(mix, sector_draws))
+    size_shift = np.where(victim, 0.8 * signal["org_size"], 0.0)
+    scale = np.exp(rng.normal(size_shift, 0.75))
+    org_sizes = np.maximum(1, np.rint(np.asarray(SECTOR_MEDIAN_SIZE)[sectors] * scale))
+    n_blocks = rng.integers(1, 3, n_orgs)
+    n_domains = rng.integers(1, 4, n_orgs)
 
-    block_cursor = 0
-    for index in range(n_orgs):
-        org_id = f"org-{index:05d}"
-        is_victim = bool(latent[index])
-        name = _org_name(rng)
-        sector_id = _sector_for(
-            rng, config.sector_mix, s_sector if is_victim else 0.0
-        )
-        median = SECTOR_MEDIAN_SIZE[sector_id]
-        size_shift = 0.8 * s_size if is_victim else 0.0
-        org_size = max(1, round(median * math.exp(rng.normal(size_shift, 0.75))))
-        n_blocks = int(rng.integers(1, 3))
-        block_ids = range(block_cursor, block_cursor + n_blocks)
-        block_cursor += n_blocks
-        n_domains = int(rng.integers(1, 4))
+    org_ids = [f"org-{index:05d}" for index in range(n_orgs)]
+    first_blocks = np.cumsum(n_blocks) - n_blocks
+    organizations = []
+    for org_id, a, b, c, sector, size, first, blocks, domains in zip(
+        org_ids, adjectives, nouns, suffixes, sectors.tolist(), org_sizes.astype(np.int64).tolist(),
+        first_blocks.tolist(), n_blocks.tolist(), n_domains.tolist(),
+    ):
+        name = f"{_ADJECTIVES[a].title()} {_NOUNS[b].title()} {_SUFFIXES[c]}".strip()
         slug = name.lower().replace(" ", "-")
-        domains = tuple(f"{slug}-{d}.example.com" for d in range(n_domains))
-        org = OrganizationRecord(
-            org_id=org_id,
-            name=name,
-            sector=SECTORS[sector_id],
-            org_size=org_size,
-            ip_ranges=tuple(_address_block(b) for b in block_ids),
-            domains=domains,
-        )
-        organizations.append(org)
-        ground_truth[org_id] = int(is_victim)
-
-        tech_multiplier = 1.0 + (TECHNICAL_BOOST * s_tech if is_victim else 0.0)
-        address_pool = [host for b in block_ids for host in _block_hosts(b)]
-        host_count = org.host_count
-        for kind, rate in OBSERVATION_RATES.items():
-            count = int(rng.poisson(host_count * rate * tech_multiplier))
-            count = min(count, len(address_pool))
-            if count == 0:
-                continue
-            picks = rng.choice(len(address_pool), size=count, replace=False)
-            for pick in picks:
-                observations.append(
-                    ObservationRecord(
-                        org_id=org_id,
-                        kind=kind,
-                        subject=address_pool[int(pick)],
-                        timestamp=_timestamp(rng),
-                        detail=f"synthetic {kind} sighting",
-                    )
-                )
-        spam_count = min(
-            int(rng.poisson(n_domains * SPAM_DOMAIN_RATE * tech_multiplier)),
-            n_domains,
-        )
-        if spam_count:
-            picks = rng.choice(n_domains, size=spam_count, replace=False)
-            for pick in picks:
-                observations.append(
-                    ObservationRecord(
-                        org_id=org_id,
-                        kind="spam_domain",
-                        subject=domains[int(pick)],
-                        timestamp=_timestamp(rng),
-                        detail="synthetic spam listing",
-                    )
-                )
-
-        social_boost = s_social if is_victim else 0.0
-        n_tweets = int(rng.poisson(MEAN_TWEETS * (1.0 + 0.5 * social_boost)))
-        for _ in range(n_tweets):
-            tweets.append(
-                TweetRecord(
-                    org_id=org_id,
-                    text=_choose_phrase(rng, 0.6 * social_boost),
-                    likes=int(rng.poisson(MEAN_LIKES * (1.0 + 0.3 * social_boost))),
-                    retweets=int(rng.poisson(MEAN_RETWEETS * (1.0 + social_boost))),
-                    replies=int(rng.poisson(MEAN_REPLIES * (1.0 + 1.5 * social_boost))),
-                    account=f"user{int(rng.integers(0, 5000))}",
-                    is_reply_to=bool(
-                        rng.random() < min(0.95, 0.2 + 0.15 * social_boost)
-                    ),
-                    is_replied_to=bool(
-                        rng.random() < min(0.95, 0.25 + 0.15 * social_boost)
-                    ),
-                    timestamp=_timestamp(rng),
-                )
-            )
-
-    victim_ids = [organizations[i].org_id for i in range(n_orgs) if latent[i]]
-    n_hidden = math.floor(config.noise_fraction * n_pos)
-    hidden = set(
-        victim_ids[int(i)]
-        for i in rng.choice(len(victim_ids), size=n_hidden, replace=False)
-    ) if n_hidden else set()
-    by_id = {org.org_id: org for org in organizations}
-    for org_id in victim_ids:
-        if org_id in hidden:
-            continue
-        incident_day = date(2019, 1, 1).toordinal() + int(rng.integers(0, 365))
-        incidents.append(
-            IncidentRecord(
+        organizations.append(
+            OrganizationRecord(
                 org_id=org_id,
-                name=by_id[org_id].name,
-                date=date.fromordinal(incident_day).isoformat(),
-                source="PRC" if rng.random() < 0.5 else "VCDB",
-                breach_type="HACK",
+                name=name,
+                sector=SECTORS[sector],
+                org_size=size,
+                ip_ranges=tuple(_address_block(block) for block in range(first, first + blocks)),
+                domains=tuple(f"{slug}-{d}.example.com" for d in range(domains)),
             )
         )
+
+    # Observations: a count per (org, kind) cell, then distinct subjects
+    # from the org's hosts (IP kinds) or domains (spam listings).
+    kinds = (*OBSERVATION_RATES, "spam_domain")
+    host_counts = np.array([org.host_count for org in organizations])
+    exposure = np.column_stack([host_counts] * len(OBSERVATION_RATES) + [n_domains])
+    rates = np.array([*OBSERVATION_RATES.values(), SPAM_DOMAIN_RATE])
+    tech_multiplier = np.where(victim, 1.0 + TECHNICAL_BOOST * signal["technical"], 1.0)
+    pools = np.column_stack([HOSTS_PER_BLOCK * n_blocks] * len(OBSERVATION_RATES) + [n_domains])
+    counts = np.minimum(rng.poisson(exposure * rates * tech_multiplier[:, None]), pools)
+    cells, picks = _distinct_picks(rng, counts.ravel(), pools.ravel())
+    obs_orgs, obs_kinds = np.divmod(cells, len(kinds))
+    blocks = first_blocks[obs_orgs] + picks // HOSTS_PER_BLOCK
+
+    # Tweets: a count per org, then one array per field over all tweets.
+    social = np.where(victim, signal["social"], 0.0)
+    tweet_orgs = np.repeat(np.arange(n_orgs), rng.poisson(MEAN_TWEETS * (1.0 + 0.5 * social)))
+    boost = social[tweet_orgs]
+    n_tweets = len(tweet_orgs)
+    neutral, positive, negative = PHRASE_WEIGHTS
+    tone_draws = rng.random(n_tweets) * (neutral + positive + negative + 0.6 * boost)
+    tones = np.searchsorted([neutral, neutral + positive], tone_draws, side="right")
+    phrases = rng.integers(0, np.array([len(pool) for pool in _PHRASES])[tones])
+    likes = rng.poisson(MEAN_LIKES * (1.0 + 0.3 * boost))
+    retweets = rng.poisson(MEAN_RETWEETS * (1.0 + boost))
+    replies = rng.poisson(MEAN_REPLIES * (1.0 + 1.5 * boost))
+    accounts = rng.integers(0, 5000, n_tweets)
+    is_reply_to = rng.random(n_tweets) < np.minimum(0.95, 0.2 + 0.15 * boost)
+    is_replied_to = rng.random(n_tweets) < np.minimum(0.95, 0.25 + 0.15 * boost)
+
+    # Every observation and tweet time, in the observation year.
+    stamps = [
+        datetime.fromtimestamp(_YEAR_START_S + offset, tz=timezone.utc)
+        for offset in rng.integers(0, YEAR_SECONDS, len(cells) + n_tweets).tolist()
+    ]
+
+    details = [f"synthetic {kind} sighting" for kind in OBSERVATION_RATES] + ["synthetic spam listing"]
+    observations = [
+        ObservationRecord(
+            org_id=org_ids[org],
+            kind=kinds[kind],
+            subject=(
+                _block_host(block, pick % HOSTS_PER_BLOCK)
+                if kind < len(OBSERVATION_RATES)
+                else organizations[org].domains[pick]
+            ),
+            timestamp=stamp,
+            detail=details[kind],
+        )
+        for org, kind, block, pick, stamp in zip(
+            obs_orgs.tolist(), obs_kinds.tolist(), blocks.tolist(), picks.tolist(), stamps
+        )
+    ]
+    tweets = [
+        TweetRecord(
+            org_id=org_ids[org],
+            text=_PHRASES[tone][phrase],
+            likes=n_likes,
+            retweets=n_retweets,
+            replies=n_replies,
+            account=f"user{account}",
+            is_reply_to=reply_to,
+            is_replied_to=replied_to,
+            timestamp=stamp,
+        )
+        for org, tone, phrase, n_likes, n_retweets, n_replies, account, reply_to, replied_to, stamp in zip(
+            tweet_orgs.tolist(), tones.tolist(), phrases.tolist(), likes.tolist(), retweets.tolist(),
+            replies.tolist(), accounts.tolist(), is_reply_to.tolist(), is_replied_to.tolist(),
+            stamps[len(cells):],
+        )
+    ]
+
+    # Incidents: every victim but the hidden ones, dated in the year after
+    # the observation year.
+    victims = np.flatnonzero(victim)
+    n_hidden = math.floor(config.noise_fraction * n_pos)
+    reported = np.delete(victims, rng.choice(len(victims), size=n_hidden, replace=False))
+    days = rng.integers(0, INCIDENT_YEAR_DAYS, len(reported))
+    dates = np.datetime_as_string(np.datetime64(INCIDENT_YEAR_START, "D") + days).tolist()
+    from_prc = (rng.random(len(reported)) < 0.5).tolist()
+    incidents = [
+        IncidentRecord(
+            org_id=org_ids[org],
+            name=organizations[org].name,
+            date=day,
+            source="PRC" if prc else "VCDB",
+            breach_type="HACK",
+        )
+        for org, day, prc in zip(reported.tolist(), dates, from_prc)
+    ]
     return CorpusBundle(
         organizations=tuple(organizations),
         observations=tuple(observations),
         tweets=tuple(tweets),
         incidents=tuple(incidents),
-        ground_truth=ground_truth,
+        ground_truth=dict(zip(org_ids, victim.astype(np.int64).tolist())),
     )
 
 

@@ -281,7 +281,9 @@ def confident_joint_reference(
 def permutation_importance_reference(model, dataset, repeats: int, seed: int) -> dict:
     """The full-rescore importance loop: every shuffle scores the whole
     matrix through the model, reusing one buffer whose columns are
-    restored after each feature's repeats. Returns the report as a dict.
+    restored after each feature's repeats. When no feature's mean drop is
+    above 0, the same generator goes on to shuffle each category's columns
+    together and the shares divide those drops. Returns the report as a dict.
     """
     from strisk.evaluation import roc_auc
     from strisk.features import SOCIAL_FEATURES, TECHNICAL_FEATURES
@@ -292,27 +294,42 @@ def permutation_importance_reference(model, dataset, repeats: int, seed: int) ->
     labels = encode_labels(dataset).tolist()
     baseline = roc_auc(model.predict_matrix(X), labels)
     rng = np.random.default_rng(seed)
-    per_feature: dict[str, float] = {}
     shuffled = X.copy()
-    for feature in TECHNICAL_FEATURES + SOCIAL_FEATURES + ("org_size", "sector"):
-        if feature == "sector":
-            start = len(NUMERIC_COLUMNS)
-            columns = list(range(start, start + len(SECTOR_COLUMNS)))
-        else:
-            columns = [NUMERIC_COLUMNS.index(feature)]
+
+    def columns_of(features) -> list[int]:
+        columns = []
+        for feature in features:
+            if feature == "sector":
+                start = len(NUMERIC_COLUMNS)
+                columns += range(start, start + len(SECTOR_COLUMNS))
+            else:
+                columns.append(NUMERIC_COLUMNS.index(feature))
+        return columns
+
+    def mean_drop(columns) -> float:
         drops = []
         for _ in range(repeats):
             permutation = rng.permutation(len(dataset))
             shuffled[:, columns] = X[np.ix_(permutation, columns)]
             drops.append(baseline - roc_auc(model.predict_matrix(shuffled), labels))
         shuffled[:, columns] = X[:, columns]
-        per_feature[feature] = max(0.0, float(np.mean(drops)))
-    sums = {
-        "technical": sum(per_feature[name] for name in TECHNICAL_FEATURES),
-        "twitter": sum(per_feature[name] for name in SOCIAL_FEATURES),
-        "sector": per_feature["sector"],
-        "org_size": per_feature["org_size"],
+        return max(0.0, float(np.mean(drops)))
+
+    per_feature: dict[str, float] = {}
+    for feature in TECHNICAL_FEATURES + SOCIAL_FEATURES + ("org_size", "sector"):
+        per_feature[feature] = mean_drop(columns_of([feature]))
+    categories = {
+        "technical": TECHNICAL_FEATURES,
+        "twitter": SOCIAL_FEATURES,
+        "sector": ("sector",),
+        "org_size": ("org_size",),
     }
+    sums = {
+        category: sum(per_feature[name] for name in features)
+        for category, features in categories.items()
+    }
+    if sum(sums.values()) == 0:
+        sums = {category: mean_drop(columns_of(features)) for category, features in categories.items()}
     total = sum(sums.values())
     return {
         "model": model.name,

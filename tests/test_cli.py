@@ -729,6 +729,30 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "reader, expected",
+        [("predict --model", 2), ("simulate --config", 1), ("featurize --orgs", 2), ("report --report", 2)],
+    )
+    def test_deeply_nested_json_exits_cleanly(self, workspace, tmp_path, capsys, reader, expected):
+        _, corpus, features, _ = workspace
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        out = str(tmp_path / "out")
+        args = {
+            "predict --model": ["predict", "--model", str(nested), "--features", str(features), "--out", out],
+            "simulate --config": ["simulate", "--config", str(nested), "--out-dir", out],
+            "featurize --orgs": [
+                "featurize",
+                "--orgs", str(nested),
+                "--observations", str(corpus / "observations.jsonl"),
+                "--tweets", str(corpus / "tweets.jsonl"),
+                "--incidents", str(corpus / "incidents.jsonl"),
+                "--out", out,
+            ],
+            "report --report": ["report", "--report", str(nested)],
+        }[reader]
+        _assert_exit(main(args), expected, capsys, str(nested))
+
     def test_single_class_training_is_stage_failure(self, tmp_path):
         features = tmp_path / "all_negative.csv"
         write_features_csv(features, make_dataset(12, 0, seed=0))

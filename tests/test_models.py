@@ -548,15 +548,16 @@ class TestPermutationImportance:
         top = max(report.per_feature, key=report.per_feature.get)
         assert top == "blacklist_count"
 
-    def test_saturated_model_reports_zero_shares(self, separable_split):
-        # six redundant signal fields: no single shuffle dents a perfect model
+    def test_saturated_model_shares_whole_category_drops(self, separable_split):
+        # six redundant signal fields: no single shuffle dents a perfect model,
+        # so the shares come from shuffling each category's columns together
         train_set, test_set = separable_split
         model = train(train_set, fast_spec("logistic_regression"))
         report = permutation_importance(model, test_set, repeats=2, seed=0)
-        if report.baseline_auc == 1.0 and all(
-            v == 0.0 for v in report.per_feature.values()
-        ):
-            assert set(report.category_shares.values()) == {0.0}
+        assert report.baseline_auc == 1.0
+        assert set(report.per_feature.values()) == {0.0}
+        assert sum(report.category_shares.values()) == pytest.approx(100.0)
+        assert report.to_dict() == permutation_importance_reference(model, test_set, 2, 0)
 
     def test_works_for_stacked_models(self, single_signal_split):
         train_set, test_set = single_signal_split

@@ -3,22 +3,32 @@ from __future__ import annotations
 
 import ipaddress
 import math
+import typing
+from collections import Counter
+from datetime import date
 
+import numpy as np
 import pytest
 
 from conftest import make_dataset
 from strisk.features import featurize_corpus
 from strisk.records import (
     SECTORS,
+    field_types,
     load_incidents,
     load_observations,
     load_organizations,
     load_tweets,
 )
 from strisk.synth import (
+    MEAN_TWEETS,
+    OBSERVATION_RATES,
+    TECHNICAL_BOOST,
+    CorpusBundle,
     GeneratorConfig,
     _address_block,
-    _block_hosts,
+    _block_host,
+    _distinct_picks,
     generate_corpus,
     inject_label_noise,
     load_ground_truth,
@@ -150,7 +160,7 @@ class TestGenerateCorpus:
     @pytest.mark.parametrize("index", [0, 255, 256, 65_535])
     def test_block_hosts_are_the_ipaddress_hosts(self, index):
         hosts = ipaddress.ip_network(_address_block(index)).hosts()
-        assert _block_hosts(index) == [str(host) for host in hosts]
+        assert [_block_host(index, offset) for offset in range(30)] == [str(host) for host in hosts]
 
     def test_observations_point_at_owned_addresses(self):
         bundle = generate_corpus(GeneratorConfig(n_orgs=40, seed=5))
@@ -179,6 +189,66 @@ class TestGenerateCorpus:
             assert profile.label == int(profile.org_id in victim_ids)
             assert profile.latent_label == bundle.ground_truth[profile.org_id]
 
+    def test_every_field_has_its_annotated_type_exactly(self):
+        # numpy scalars would pass most record checks but not the JSON writer
+        bundle = generate_corpus(GeneratorConfig(n_orgs=60, noise_fraction=0.2, seed=12))
+        records = bundle.organizations + bundle.observations + bundle.tweets + bundle.incidents
+        for record in records:
+            for name, annotation in field_types(type(record)).items():
+                value = getattr(record, name)
+                assert type(value) is (typing.get_origin(annotation) or annotation), (record, name)
+                if annotation == tuple[str, ...]:
+                    assert all(type(item) is str for item in value), (record, name)
+        assert all(type(k) is str and type(v) is int for k, v in bundle.ground_truth.items())
+
+    def test_subjects_are_distinct_per_org_and_kind(self):
+        bundle = generate_corpus(GeneratorConfig(n_orgs=200, signal={"technical": 3.0}, seed=13))
+        cells = Counter((obs.org_id, obs.kind, obs.subject) for obs in bundle.observations)
+        assert set(cells.values()) == {1}
+
+    def test_distributions_match_the_constants(self):
+        # 4,000 orgs, 800 victims. Tolerances are at least four standard
+        # errors of each pooled count: 8 % for observation rates (the
+        # smallest count, victims' darknet sightings, is about 2,900) and 5 %
+        # for tweets (about 9,600 for victims).
+        config = GeneratorConfig(n_orgs=4_000, noise_fraction=0.2, seed=14)
+        bundle = generate_corpus(config)
+        victim = bundle.ground_truth
+        hosts = Counter()
+        orgs = Counter()
+        for org in bundle.organizations:
+            hosts[victim[org.org_id]] += org.host_count
+            orgs[victim[org.org_id]] += 1
+        assert orgs[1] == config.n_positive
+        seen = Counter((victim[obs.org_id], obs.kind) for obs in bundle.observations)
+        for label, multiplier in ((0, 1.0), (1, 1.0 + TECHNICAL_BOOST * config.signal["technical"])):
+            for kind, rate in OBSERVATION_RATES.items():
+                per_host = seen[label, kind] / hosts[label]
+                assert per_host == pytest.approx(rate * multiplier, rel=0.08), (label, kind)
+            tweets = sum(victim[tweet.org_id] == label for tweet in bundle.tweets)
+            expected = MEAN_TWEETS * (1.0 + 0.5 * config.signal["social"] * label)
+            assert tweets / orgs[label] == pytest.approx(expected, rel=0.05), label
+        hidden = math.floor(config.noise_fraction * config.n_positive)
+        assert len(bundle.incidents) == config.n_positive - hidden
+        assert {date.fromisoformat(incident.date).year for incident in bundle.incidents} == {2020}
+        assert all(victim[incident.org_id] == 1 for incident in bundle.incidents)
+
+    def test_distinct_picks_are_uniform_subsets(self):
+        # 2 of 4 has six subsets; 30,000 cells put each near 5,000, so 5 %
+        # is about four standard errors (65).
+        rng = np.random.default_rng(15)
+        n = 30_000
+        cells, picks = _distinct_picks(rng, np.full(n, 2), np.full(n, 4))
+        assert cells.tolist() == np.repeat(np.arange(n), 2).tolist()
+        pairs = Counter(tuple(sorted(pair)) for pair in picks.reshape(n, 2).tolist())
+        assert len(pairs) == 6
+        assert all(count == pytest.approx(n / 6, rel=0.05) for count in pairs.values())
+        cells, picks = _distinct_picks(rng, np.array([3, 0, 60, 1]), np.array([3, 5, 60, 1]))
+        assert cells.tolist() == [0] * 3 + [2] * 60 + [3]
+        assert sorted(picks[:3].tolist()) == [0, 1, 2]
+        assert sorted(picks[3:63].tolist()) == list(range(60))
+        assert picks[63] == 0
+
     def test_zero_signal_still_generates(self):
         config = GeneratorConfig(
             n_orgs=40,
@@ -191,7 +261,7 @@ class TestGenerateCorpus:
 
 class TestWriteCorpus:
     def test_round_trip_through_files(self, tmp_path):
-        bundle = generate_corpus(GeneratorConfig(n_orgs=30, seed=4))
+        bundle = generate_corpus(GeneratorConfig(n_orgs=30, noise_fraction=0.2, seed=4))
         paths = write_corpus(bundle, tmp_path)
         assert set(paths) == {
             "organizations",
@@ -200,11 +270,14 @@ class TestWriteCorpus:
             "incidents",
             "ground_truth",
         }
-        assert load_organizations(paths["organizations"]) == list(bundle.organizations)
-        assert load_observations(paths["observations"]) == list(bundle.observations)
-        assert load_tweets(paths["tweets"]) == list(bundle.tweets)
-        assert load_incidents(paths["incidents"]) == list(bundle.incidents)
-        assert load_ground_truth(paths["ground_truth"]) == bundle.ground_truth
+        loaded = CorpusBundle(
+            organizations=tuple(load_organizations(paths["organizations"])),
+            observations=tuple(load_observations(paths["observations"])),
+            tweets=tuple(load_tweets(paths["tweets"])),
+            incidents=tuple(load_incidents(paths["incidents"])),
+            ground_truth=load_ground_truth(paths["ground_truth"]),
+        )
+        assert loaded == bundle
 
 
 class TestInjectLabelNoise:
