@@ -7,7 +7,6 @@ clock or environment, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -15,11 +14,11 @@ from typing import Callable, TypeVar
 
 import click
 
-from .evaluation import evaluate_scores
-from .features import featurize_corpus, parse_window, read_features_csv, write_features_csv
+from . import pipeline
+from .features import parse_window, read_features_csv
 from .models import ModelSpec, load_model, predict_proba_many, save_model, train, train_stacked
-from .names import MatchConfig, match_names
-from .noise import CONFIDENT_JOINT, CONFUSION_MATRIX, correct_labels, noise_detection_experiment
+from .names import MatchConfig
+from .noise import CONFIDENT_JOINT, CONFUSION_MATRIX, noise_detection_experiment
 from .pipeline import (
     PipelineConfig,
     StageFailure,
@@ -28,19 +27,8 @@ from .pipeline import (
     run_pipeline,
     stage_guard,
 )
-from .records import (
-    RecordError,
-    load_incidents,
-    load_observations,
-    load_organizations,
-    load_tweets,
-    read_config,
-    read_names,
-    read_value,
-    write_json,
-    write_jsonl,
-)
-from .synth import GeneratorConfig, generate_corpus, load_ground_truth, write_corpus
+from .records import RecordError, read_config, read_json, read_names, read_value, write_json
+from .synth import GeneratorConfig
 
 T = TypeVar("T")
 
@@ -57,8 +45,8 @@ def _parse_config(path: str, what: str, parse: Callable[[object], T]) -> T:
     JSON, is nested too deeply to read, or is not the expected shape is a
     usage error (exit code 1)."""
     try:
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (ValueError, RecursionError) as exc:
+        return parse(read_json(path))
+    except ValueError as exc:
         raise click.UsageError(f"bad {what} config {path}: {exc}") from exc
 
 
@@ -118,9 +106,7 @@ def match(ctx, incidents_path, registry_path, config_path, out_path) -> None:
     )
     incident_names = read_names(incidents_path)
     registry_names = read_names(registry_path)
-    with stage_guard("match"):
-        candidates = match_names(incident_names, registry_names, config)
-    write_jsonl(out_path, (c.to_dict() for c in candidates))
+    candidates = pipeline.match(incident_names, registry_names, config, out_path)
     _echo(ctx, f"matched {len(candidates)} names -> {out_path}")
 
 
@@ -142,17 +128,13 @@ def featurize(ctx, orgs_path, observations_path, tweets_path, incidents_path, wi
             raise click.UsageError(str(exc)) from exc
     else:
         window = None
-    organizations = load_organizations(orgs_path)
-    observations = load_observations(observations_path)
-    tweets = load_tweets(tweets_path)
-    incidents = load_incidents(incidents_path)
-    latent = load_ground_truth(truth_path) if truth_path else None
-    with stage_guard("featurize"):
-        profiles = featurize_corpus(
-            organizations, observations, tweets, incidents,
-            window=window, latent_labels=latent,
-        )
-    write_features_csv(out_path, profiles)
+    paths = {
+        "organizations": orgs_path,
+        "observations": observations_path,
+        "tweets": tweets_path,
+        "incidents": incidents_path,
+    }
+    profiles = pipeline.featurize(pipeline.load_corpus(paths, truth_path), window, out_path)
     _echo(ctx, f"featurized {len(profiles)} organizations -> {out_path}")
 
 
@@ -171,11 +153,7 @@ def denoise(ctx, features_path, models_path, method, folds, seed, out_path, repo
     seed = ctx.obj["seed"] if seed is None else seed
     specs = _model_specs_from_file(models_path)
     profiles = _load_features(features_path)
-    with stage_guard("denoise"):
-        require_both_classes(profiles, features_path)
-        corrected, report = correct_labels(profiles, specs, method, k=folds, seed=seed)
-    write_features_csv(out_path, corrected)
-    write_json(report_path, report.to_dict())
+    _, report = pipeline.denoise(profiles, features_path, specs, method, folds, seed, out_path, report_path)
     _echo(ctx, f"flipped {len(report.flipped_ids)} labels -> {out_path}")
 
 
@@ -243,9 +221,7 @@ def evaluate(ctx, model_path, features_path, threshold, out_path) -> None:
     profiles = _load_features(features_path)
     with stage_guard("evaluate"):
         require_both_classes(profiles, features_path)
-        scores = predict_proba_many(model, profiles).tolist()
-        labels = [p.label for p in profiles]
-        report = evaluate_scores(model.name, scores, labels, threshold)
+        report = pipeline.evaluate_model(model, profiles, threshold)
     write_json(out_path, report.to_dict())
     _echo(ctx, f"evaluated {model.name} -> {out_path}")
 
@@ -257,9 +233,7 @@ def evaluate(ctx, model_path, features_path, threshold, out_path) -> None:
 def simulate(ctx, config_path, out_dir) -> None:
     """Generate a synthetic corpus with known latent labels."""
     config = _parse_config(config_path, "generator", GeneratorConfig.from_dict)
-    with stage_guard("simulate"):
-        bundle = generate_corpus(config)
-        paths = write_corpus(bundle, out_dir)
+    _, paths = pipeline.simulate(config, out_dir)
     _echo(ctx, f"simulated {config.n_orgs} organizations -> {out_dir}")
     if not ctx.obj.get("quiet"):
         for name, path in sorted(paths.items()):
@@ -302,10 +276,7 @@ def experiment(ctx, features_path, models_path, fraction, repeats, method, folds
 @click.pass_context
 def report(ctx, report_path, out_path) -> None:
     """Render a report.json as fixed-width text tables."""
-    try:
-        data = json.loads(Path(report_path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise RecordError(f"report file {report_path} is not valid JSON: {exc}") from exc
+    data = read_json(report_path)
     try:
         text = render_report_text(data)
     except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
@@ -333,11 +304,11 @@ def run(ctx, config_path, workdir, skips) -> None:
         return config
 
     config = _parse_config(config_path, "pipeline", pipeline_config)
-    result = run_pipeline(config)
-    _echo(ctx, f"pipeline complete -> {result.workdir}")
+    run_pipeline(config)
+    _echo(ctx, f"pipeline complete -> {config.workdir}")
     if not ctx.obj.get("quiet"):
-        for name in ("report_json", "report_txt"):
-            click.echo(f"  {name}: {result.artifacts[name]}")
+        for kind in ("json", "txt"):
+            click.echo(f"  report_{kind}: {config.workdir / f'report.{kind}'}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .records import (
     IP_KINDS,
     OBSERVATION_KINDS,
+    SECTORS,
     IncidentRecord,
     ObservationRecord,
     OrganizationRecord,
@@ -335,6 +336,8 @@ def _profile_from_row(row: list[str]) -> FeatureVector:
     if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         cell = 1 + list(map(math.isfinite, values)).index(False)
         raise ValueError(f"non-finite {CSV_COLUMNS[cell]}: {row[cell]!r}")
+    if sector not in SECTORS:
+        raise ValueError(f"unknown sector {sector!r}")
     return FeatureVector(
         org_id=row[0],
         values=values,

@@ -10,7 +10,6 @@ alike.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Literal, Sequence
@@ -18,7 +17,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from ..features import FeatureVector
-from ..records import RecordError, field_types, json_fields, read_config, read_value, write_json
+from ..records import RecordError, field_types, json_fields, read_config, read_json, read_value, write_json
 from .bayes import GaussianNaiveBayes
 from .encode import FeatureSchema, default_schema, encode_labels, encode_profiles
 from .ensemble import BaggedTrees, GradientBoostedTrees
@@ -237,10 +236,7 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     """Read a single or stacked model file, dispatching on its ``kind``."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError as exc:
-        raise RecordError("a model file must not be nested this deeply") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise RecordError(f"a model file must hold a JSON object, not a {type(data).__name__}")
     stacked = read_value(data.get("kind"), str | None, "kind") == "stacked"

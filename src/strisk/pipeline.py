@@ -2,21 +2,24 @@
 train, evaluate, report.
 
 Every stage reads files and writes files, so a run is restartable and
-each stage is independently inspectable. All randomness flows from seeds
-in the config; reports are rendered with stable ordering and repr-exact
-floats, making identical configs produce byte-identical artifacts.
+each stage is independently inspectable. run_pipeline chains the stage
+functions below, and the standalone commands call the same ones. All
+randomness flows from seeds in the config; reports are rendered with
+stable ordering and repr-exact floats, making identical configs produce
+byte-identical artifacts.
 """
 from __future__ import annotations
 
-import json
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .evaluation import EvaluationReport, evaluate_scores, split_train_test
 from .features import (
     FeatureVector,
+    TimeWindow,
     featurize_corpus,
     parse_window,
     write_features_csv,
@@ -30,7 +33,8 @@ from .models import (
     train,
     train_stacked,
 )
-from .names import MatchConfig, match_names
+from .models.api import Model
+from .names import MatchCandidate, MatchConfig, match_names
 from .noise import CONFUSION_MATRIX, METHODS, NoiseReport, correct_labels
 from .records import (
     RecordError,
@@ -40,11 +44,12 @@ from .records import (
     load_observations,
     load_organizations,
     load_tweets,
+    read_json,
     read_value,
     write_json,
     write_jsonl,
 )
-from .synth import GeneratorConfig, generate_corpus, load_ground_truth, write_corpus
+from .synth import CorpusBundle, GeneratorConfig, generate_corpus, load_ground_truth, write_corpus
 
 STAGES = ("simulate", "match", "featurize", "denoise", "split", "train", "evaluate", "report")
 SKIPPABLE_STAGES = ("simulate", "match", "denoise")
@@ -157,8 +162,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, workdir: Path | None = None) -> PipelineConfig:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(data, workdir=workdir)
+        return cls.from_dict(read_json(path), workdir=workdir)
 
 
 # The keys a run config may hold besides workdir and inputs, and the
@@ -175,83 +179,94 @@ _INPUT_ROLES = ("organizations", "observations", "tweets", "incidents")
 _TOP_LEVEL_KEYS = ("workdir", "inputs", *_TOP_LEVEL_FIELDS, *_SECTION_FIELDS)
 
 
-@dataclass
-class PipelineResult:
-    workdir: Path
-    report: dict
-    artifacts: dict[str, Path]
+def simulate(config: GeneratorConfig, out_dir: str | Path) -> tuple[CorpusBundle, dict[str, Path]]:
+    """Generate a corpus and write its files under ``out_dir``; returns it and the paths."""
+    with stage_guard("simulate"):
+        bundle = generate_corpus(config)
+        return bundle, write_corpus(bundle, out_dir)
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
+def load_corpus(paths: Mapping[str, str | Path], ground_truth: str | Path | None = None) -> CorpusBundle:
+    """The record files ``paths`` names by role, and the ground truth file when given."""
+    return CorpusBundle(
+        organizations=load_organizations(paths["organizations"]),
+        observations=load_observations(paths["observations"]),
+        tweets=load_tweets(paths["tweets"]),
+        incidents=load_incidents(paths["incidents"]),
+        ground_truth=load_ground_truth(ground_truth) if ground_truth else None,
+    )
+
+
+def match(
+    incident_names: Sequence[str], registry_names: Sequence[str], config: MatchConfig, out: str | Path
+) -> list[MatchCandidate]:
+    """Match incident names against the registry and write the candidates to ``out``."""
+    with stage_guard("match"):
+        candidates = match_names(incident_names, registry_names, config)
+    write_jsonl(out, (c.to_dict() for c in candidates))
+    return candidates
+
+
+def featurize(corpus: CorpusBundle, window: TimeWindow | None, out: str | Path) -> list[FeatureVector]:
+    """Profile every organization of ``corpus`` and write the profiles to ``out``."""
+    with stage_guard("featurize"):
+        profiles = featurize_corpus(
+            corpus.organizations, corpus.observations, corpus.tweets, corpus.incidents,
+            window=window, latent_labels=corpus.ground_truth,
+        )
+    write_features_csv(out, profiles)
+    return profiles
+
+
+def denoise(
+    profiles: Sequence[FeatureVector], what: str, specs: Sequence[ModelSpec], method: str,
+    folds: int, seed: int, out: str | Path, report_path: str | Path,
+) -> tuple[list[FeatureVector], NoiseReport]:
+    """Correct the labels of ``profiles`` (read from ``what``, which must hold both
+    classes); write the corrected profiles to ``out`` and the report to ``report_path``."""
+    with stage_guard("denoise"):
+        require_both_classes(profiles, what)
+        corrected, report = correct_labels(profiles, specs, method, k=folds, seed=seed)
+    write_features_csv(out, corrected)
+    write_json(report_path, report.to_dict())
+    return corrected, report
+
+
+def evaluate_model(model: Model, profiles: Sequence[FeatureVector], threshold: float) -> EvaluationReport:
+    """Score ``profiles`` with ``model`` and measure the scores against their labels."""
+    scores = predict_proba_many(model, profiles).tolist()
+    return evaluate_scores(model.name, scores, [p.label for p in profiles], threshold)
+
+
+def run_pipeline(config: PipelineConfig) -> None:
     """Execute every non-skipped stage in order; artifacts land in workdir."""
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
     skip = set(config.skip)
 
     # A simulated corpus is featurized as generated; its files are written
     # for inspection and for the standalone commands.
-    latent: dict[str, int] | None = None
     if config.simulate is not None and "simulate" not in skip:
-        with stage_guard("simulate"):
-            bundle = generate_corpus(config.simulate)
-            artifacts.update(write_corpus(bundle, workdir / "corpus"))
-        organizations, observations = bundle.organizations, bundle.observations
-        tweets, incidents = bundle.tweets, bundle.incidents
-        latent = bundle.ground_truth
+        corpus, _ = simulate(config.simulate, workdir / "corpus")
     else:
-        organizations = load_organizations(config.inputs["organizations"])
-        observations = load_observations(config.inputs["observations"])
-        tweets = load_tweets(config.inputs["tweets"])
-        incidents = load_incidents(config.inputs["incidents"])
-        if config.ground_truth:
-            latent = load_ground_truth(config.ground_truth)
+        corpus = load_corpus(config.inputs, config.ground_truth)
 
     match_summary: dict[str, int] = {}
     if "match" not in skip:
-        with stage_guard("match"):
-            candidates = match_names(
-                [incident.name for incident in incidents],
-                [org.name for org in organizations],
-                config.match,
-            )
-        matches_path = workdir / "matches.jsonl"
-        write_jsonl(matches_path, (c.to_dict() for c in candidates))
-        artifacts["matches"] = matches_path
-        for candidate in candidates:
-            match_summary[candidate.verdict] = match_summary.get(candidate.verdict, 0) + 1
+        incident_names = [incident.name for incident in corpus.incidents]
+        registry_names = [org.name for org in corpus.organizations]
+        candidates = match(incident_names, registry_names, config.match, workdir / "matches.jsonl")
+        match_summary = dict(Counter(candidate.verdict for candidate in candidates))
 
-    with stage_guard("featurize"):
-        window = parse_window(config.window) if config.window else None
-        profiles = featurize_corpus(
-            organizations,
-            observations,
-            tweets,
-            incidents,
-            window=window,
-            latent_labels=latent,
-        )
-    features_path = workdir / "features.csv"
-    write_features_csv(features_path, profiles)
-    artifacts["features"] = features_path
+    window = parse_window(config.window) if config.window else None
+    profiles = featurize(corpus, window, workdir / "features.csv")
 
     noise_report: NoiseReport | None = None
     if "denoise" not in skip:
-        with stage_guard("denoise"):
-            require_both_classes(profiles, str(features_path))
-            profiles, noise_report = correct_labels(
-                profiles,
-                config.denoise_models,
-                config.denoise_method,
-                k=config.denoise_folds,
-                seed=config.seed,
-            )
-        denoised_path = workdir / "features_denoised.csv"
-        write_features_csv(denoised_path, profiles)
-        noise_path = workdir / "noise_report.json"
-        write_json(noise_path, noise_report.to_dict())
-        artifacts["features_denoised"] = denoised_path
-        artifacts["noise_report"] = noise_path
+        profiles, noise_report = denoise(
+            profiles, str(workdir / "features.csv"), config.denoise_models, config.denoise_method,
+            config.denoise_folds, config.seed, workdir / "features_denoised.csv", workdir / "noise_report.json",
+        )
 
     with stage_guard("split"):
         train_set, test_set = split_train_test(
@@ -263,12 +278,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             require_both_classes(
                 rows, f"the {half} half", ", so use more organizations or another train_fraction"
             )
-    train_path = workdir / "train.csv"
-    test_path = workdir / "test.csv"
-    write_features_csv(train_path, train_set)
-    write_features_csv(test_path, test_set)
-    artifacts["train"] = train_path
-    artifacts["test"] = test_path
+    write_features_csv(workdir / "train.csv", train_set)
+    write_features_csv(workdir / "test.csv", test_set)
 
     # Bases first, then the stacked model over them: importance scores the last.
     # A stacked model's bases are the single models, so they are fitted once.
@@ -281,42 +292,27 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         else:
             trained = [(spec.family, train(train_set, spec)) for spec in config.models]
     for key, model in trained:
-        path = workdir / "models" / f"{key}.json"
-        save_model(model, path)
-        artifacts[f"model:{key}"] = path
+        save_model(model, workdir / "models" / f"{key}.json")
 
-    evaluations: list[EvaluationReport] = []
     importance: ImportanceReport | None = None
     with stage_guard("evaluate"):
-        test_labels = [p.label for p in test_set]
-        for _, model in trained:
-            scores = predict_proba_many(model, test_set).tolist()
-            evaluations.append(
-                evaluate_scores(model.name, scores, test_labels, config.threshold)
-            )
+        evaluations = [evaluate_model(model, test_set, config.threshold) for _, model in trained]
         if config.importance_repeats:
             importance = permutation_importance(
                 trained[-1][1], test_set, repeats=config.importance_repeats, seed=config.seed
             )
-    evaluations_path = workdir / "evaluations.json"
-    write_json(
-        evaluations_path,
-        {"evaluations": [e.to_dict() for e in evaluations]},
-    )
-    artifacts["evaluations"] = evaluations_path
+    write_json(workdir / "evaluations.json", {"evaluations": [e.to_dict() for e in evaluations]})
 
-    label_policy = (
-        NOISY_LABEL_POLICY if "denoise" in skip else CORRECTED_LABEL_POLICY
-    )
+    test_positive = sum(p.label for p in test_set)
     report = {
-        "label_policy": label_policy,
+        "label_policy": NOISY_LABEL_POLICY if "denoise" in skip else CORRECTED_LABEL_POLICY,
         "seed": config.seed,
         "match": match_summary,
         "corpus": {
-            "organizations": len(organizations),
-            "observations": len(observations),
-            "tweets": len(tweets),
-            "incidents": len(incidents),
+            "organizations": len(corpus.organizations),
+            "observations": len(corpus.observations),
+            "tweets": len(corpus.tweets),
+            "incidents": len(corpus.incidents),
         },
         "labels": {
             "train": {
@@ -324,8 +320,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 "negative": sum(1 - p.label for p in train_set),
             },
             "test": {
-                "positive": sum(test_labels),
-                "negative": len(test_labels) - sum(test_labels),
+                "positive": test_positive,
+                "negative": len(test_set) - test_positive,
             },
         },
         "noise": noise_report.to_dict() if noise_report else None,
@@ -339,13 +335,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "metrics": [e.to_dict() for e in evaluations],
         "importance": importance.to_dict() if importance else None,
     }
-    report_json = workdir / "report.json"
-    write_json(report_json, report)
-    report_txt = workdir / "report.txt"
-    report_txt.write_text(render_report_text(report), encoding="utf-8")
-    artifacts["report_json"] = report_json
-    artifacts["report_txt"] = report_txt
-    return PipelineResult(workdir=workdir, report=report, artifacts=artifacts)
+    write_json(workdir / "report.json", report)
+    (workdir / "report.txt").write_text(render_report_text(report), encoding="utf-8")
 
 
 def _format_cell(value: object) -> str:

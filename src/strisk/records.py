@@ -403,6 +403,15 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise RecordError(f"{path}:{line_no}: JSON record nested too deeply") from exc
 
 
+def read_json(path: str | Path) -> object:
+    """The JSON document in the file at ``path``; a file that is not UTF-8 JSON,
+    or is nested too deeply to read, is a RecordError naming the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise RecordError(f"{path} cannot be read as JSON: {exc}") from exc
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     return (record for _, record in _numbered_records(path))
 

@@ -170,11 +170,11 @@ class GeneratorConfig:
 
 @dataclass(frozen=True, slots=True)
 class CorpusBundle:
-    organizations: tuple[OrganizationRecord, ...]
-    observations: tuple[ObservationRecord, ...]
-    tweets: tuple[TweetRecord, ...]
-    incidents: tuple[IncidentRecord, ...]
-    ground_truth: dict[str, int]
+    organizations: Sequence[OrganizationRecord]
+    observations: Sequence[ObservationRecord]
+    tweets: Sequence[TweetRecord]
+    incidents: Sequence[IncidentRecord]
+    ground_truth: dict[str, int] | None
 
 
 def _block_prefix(index: int) -> str:

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -22,14 +23,28 @@ from hypothesis import strategies as st
 import strisk
 from conftest import make_dataset
 from strisk.cli import main
-from strisk.features import read_features_csv, write_features_csv
+from strisk.features import FEATURES, read_features_csv, write_features_csv
 from strisk.models import FeatureSchema
 from strisk.pipeline import PipelineConfig
+from strisk.records import SECTORS, IncidentRecord, ObservationRecord, OrganizationRecord, TweetRecord
 
 
 def write_json(path: Path, payload) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def read_rows(path: Path) -> list[list[str]]:
+    with path.open(newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def write_rows(path: Path, rows: list[list[str]]) -> Path:
+    # \r\n line ends make the writer quote a cell holding either character,
+    # so every row reads back whole.
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\r\n").writerows(rows)
     return path
 
 
@@ -544,17 +559,32 @@ class TestExitCodes:
     )
     def test_bad_feature_cell_exit_data_error(self, model_path, workspace, tmp_path, capsys, column, value):
         _, _, features, _ = workspace
-        with features.open(newline="") as handle:
-            rows = list(csv.reader(handle))
+        rows = read_rows(features)
         rows[3][rows[0].index(column)] = value
-        bad = tmp_path / "features.csv"
-        with bad.open("w", newline="") as handle:
-            csv.writer(handle, lineterminator="\n").writerows(rows)
+        bad = write_rows(tmp_path / "features.csv", rows)
         code = main(["predict", "--model", str(model_path), "--features", str(bad), "--out", str(tmp_path / "s.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}:4" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "denoise", "train"])
+    def test_unknown_sector_in_features_exit_data_error(self, model_path, workspace, tmp_path, capsys, command):
+        _, _, features, models = workspace
+        rows = read_rows(features)
+        rows[3][rows[0].index("sector")] = "spaceships"
+        bad = write_rows(tmp_path / "features.csv", rows)
+        spec = write_json(tmp_path / "spec.json", {"family": "naive_bayes"})
+        out = tmp_path / "out"
+        options = {
+            "evaluate": ["--model", str(model_path), "--out", str(out)],
+            "predict": ["--model", str(model_path), "--out", str(out)],
+            "train": ["--spec", str(spec), "--out", str(out)],
+            "denoise": ["--models", str(models), "--out", str(out), "--report", str(tmp_path / "r.json")],
+        }[command]
+        code = main([command, "--features", str(bad), *options])
+        _assert_exit(code, 2, capsys, f"data error: {bad}:4: unknown sector 'spaceships'")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "role, field, value",
@@ -1042,15 +1072,15 @@ def test_mistyped_run_config_leaf_is_named(leaf, value):
         PipelineConfig.from_dict(config)
 
 
-def _model_leaves(node, path=()):
-    """(path, value) of every value below ``node``, a saved model: each object and list,
-    and each scalar, except that only the first item of a list of scalars is taken, as
-    the others are read the same way."""
+def _json_leaves(node, path=()):
+    """(path, value) of every value below ``node``, a JSON document such as a saved model
+    or a record: each object and list, and each scalar, except that only the first item
+    of a list of scalars is taken, as the others are read the same way."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, value in items:
         if key == 0 or not isinstance(key, int) or isinstance(value, (dict, list)):
             yield path + (key,), value
-            yield from _model_leaves(value, path + (key,))
+            yield from _json_leaves(value, path + (key,))
 
 
 def _admits(key: str, saved: object, value: object) -> bool:
@@ -1067,7 +1097,7 @@ def _admits(key: str, saved: object, value: object) -> bool:
 def test_mutated_model_file_is_named_data_error(family_models, workspace, fuzz_dir, data):
     _, _, features, _ = workspace
     document = json.loads(family_models[data.draw(st.sampled_from(sorted(family_models)))].read_text())
-    leaves = list(_model_leaves(document))
+    leaves = list(_json_leaves(document))
     if data.draw(st.booleans(), label="unknown key"):
         path = data.draw(st.sampled_from([()] + [path for path, value in leaves if isinstance(value, dict)]))
         node = functools.reduce(operator.getitem, path, document)
@@ -1084,6 +1114,94 @@ def test_mutated_model_file_is_named_data_error(family_models, workspace, fuzz_d
         code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(fuzz_dir / "s.csv")])
     assert code == 2, err.getvalue()
     assert repr(key) in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+RECORD_TYPES = {
+    "organizations": OrganizationRecord,
+    "observations": ObservationRecord,
+    "tweets": TweetRecord,
+    "incidents": IncidentRecord,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_record_is_named_data_error(workspace, fuzz_dir, data):
+    _, corpus, _, _ = workspace
+    paths = {role: corpus / f"{role}.jsonl" for role in RECORD_TYPES}
+    role = data.draw(st.sampled_from(sorted(RECORD_TYPES)), label="file")
+    lines = paths[role].read_text().splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1), label="record")
+    record = json.loads(lines[index])
+    if data.draw(st.booleans(), label="delete a required key"):
+        required = [
+            f.name
+            for f in fields(RECORD_TYPES[role])
+            if f.init and f.default is MISSING and f.default_factory is MISSING
+        ]
+        del record[data.draw(st.sampled_from(required), label="key")]
+    else:
+        path, saved = data.draw(st.sampled_from(list(_json_leaves(record))), label="leaf")
+        wrong = [value for value in MISTYPED_CANDIDATES if type(value) is not type(saved)]
+        functools.reduce(operator.getitem, path[:-1], record)[path[-1]] = data.draw(st.sampled_from(wrong))
+    lines[index] = json.dumps(record)
+    paths[role] = fuzz_dir / f"{role}.jsonl"
+    paths[role].write_text("\n".join(lines) + "\n")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(
+            [
+                "featurize",
+                "--orgs", str(paths["organizations"]),
+                "--observations", str(paths["observations"]),
+                "--tweets", str(paths["tweets"]),
+                "--incidents", str(paths["incidents"]),
+                "--out", str(fuzz_dir / "f.csv"),
+            ]
+        )
+    assert code == 2, err.getvalue()
+    assert f"{paths[role]}:{index + 1}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+NUMBER_COLUMNS = (*FEATURES, "org_size", "label", "latent_label")
+# Kind of damage -> (the columns it may hit, the values it writes there).
+BAD_FEATURE_CELLS = {
+    "non-numeral": (NUMBER_COLUMNS, st.text(min_size=1).filter(_not_a_number)),
+    "non-finite": (NUMBER_COLUMNS, st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"])),
+    "unknown sector": (("sector",), st.text().filter(lambda text: text not in SECTORS)),
+    "label outside {0, 1}": (("label", "latent_label"), st.integers().filter(lambda n: n not in (0, 1)).map(str)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_features_csv_is_named_data_error(model_path, workspace, fuzz_dir, data):
+    _, _, features, _ = workspace
+    rows = read_rows(features)
+    line = data.draw(st.integers(2, len(rows)), label="line")
+    row = rows[line - 1]
+    kind = data.draw(st.sampled_from(sorted(BAD_FEATURE_CELLS) + ["field count"]), label="damage")
+    if kind != "field count":
+        columns, values = BAD_FEATURE_CELLS[kind]
+        row[rows[0].index(data.draw(st.sampled_from(columns), label="column"))] = data.draw(values, label="value")
+    elif data.draw(st.booleans(), label="extra field"):
+        row.append("0")
+    else:
+        row.pop()
+    bad = write_rows(fuzz_dir / "features.csv", rows)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["evaluate", "--model", str(model_path), "--features", str(bad), "--out", str(fuzz_dir / "e.json")])
+    assert code == 2, err.getvalue()
+    assert f"{bad}:{line}: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 

@@ -87,6 +87,12 @@ class TestPipelineConfig:
         }
         assert PipelineConfig.from_dict(data).inputs == {"organizations": Path("organizations.jsonl")}
 
+    def test_from_file_refuses_json_nested_too_deeply(self, tmp_path):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="cannot be read as JSON: maximum recursion depth"):
+            PipelineConfig.from_file(nested)
+
     def test_workdir_override(self, tmp_path):
         config = PipelineConfig.from_dict(
             dict(BASE_CONFIG, workdir="/ignored"), workdir=tmp_path
@@ -94,15 +100,21 @@ class TestPipelineConfig:
         assert config.workdir == tmp_path
 
 
+def run_config(tmp_path, **overrides) -> PipelineConfig:
+    """Run the pipeline on BASE_CONFIG with ``overrides``; returns the config run."""
+    config = config_for(tmp_path, **overrides)
+    run_pipeline(config)
+    return config
+
+
 @pytest.fixture(scope="module")
-def result(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("pipeline")
-    return run_pipeline(config_for(tmp_path))
+def config(tmp_path_factory):
+    return run_config(tmp_path_factory.mktemp("pipeline"))
 
 
 class TestRunPipeline:
-    def test_artifacts_exist(self, result):
-        workdir = result.workdir
+    def test_artifacts_exist(self, config):
+        workdir = config.workdir
         for name in (
             "matches.jsonl",
             "features.csv",
@@ -118,8 +130,8 @@ class TestRunPipeline:
         assert (workdir / "models" / "logistic_regression.json").exists()
         assert (workdir / "models" / "stacked.json").exists()
 
-    def test_report_structure(self, result):
-        report = json.loads((result.workdir / "report.json").read_text())
+    def test_report_structure(self, config):
+        report = json.loads((config.workdir / "report.json").read_text())
         assert report["label_policy"] == "noise-corrected labels"
         assert report["corpus"]["organizations"] == 60
         assert {m["model"] for m in report["metrics"]} >= {
@@ -134,8 +146,8 @@ class TestRunPipeline:
             "org_size",
         }
 
-    def test_text_report_renders_every_section(self, result):
-        text = (result.workdir / "report.txt").read_text()
+    def test_text_report_renders_every_section(self, config):
+        text = (config.workdir / "report.txt").read_text()
         for heading in (
             "label policy",
             "corpus:",
@@ -148,17 +160,17 @@ class TestRunPipeline:
         ):
             assert heading in text, heading
 
-    def test_rerun_is_byte_identical(self, result, tmp_path):
+    def test_rerun_is_byte_identical(self, config, tmp_path):
         # Each denoise method runs twice; the module's run is the first
         # run of the configured one.
         for method in ("confusion_matrix", "confident_joint"):
             denoise = dict(BASE_CONFIG["denoise"], method=method)
             first = (
-                result
+                config
                 if method == BASE_CONFIG["denoise"]["method"]
-                else run_pipeline(config_for(tmp_path / method, denoise=denoise))
+                else run_config(tmp_path / method, denoise=denoise)
             )
-            again = run_pipeline(config_for(tmp_path / f"{method}-again", denoise=denoise))
+            again = run_config(tmp_path / f"{method}-again", denoise=denoise)
             names = sorted(
                 str(path.relative_to(first.workdir))
                 for path in first.workdir.rglob("*")
@@ -172,14 +184,43 @@ class TestRunPipeline:
             noise = json.loads((first.workdir / "noise_report.json").read_text())
             assert noise["method"] == method
 
-    def test_skip_denoise_trains_on_noisy_labels(self, tmp_path):
-        result = run_pipeline(config_for(tmp_path, skip=["denoise"]))
-        report = json.loads((result.workdir / "report.json").read_text())
-        assert report["label_policy"] == NOISY_LABEL_POLICY
-        assert not (result.workdir / "features_denoised.csv").exists()
+    def test_run_from_the_corpus_files_repeats_the_simulated_run(self, config, tmp_path):
+        # The simulated corpus is featurized in memory; read back from its
+        # files with its ground truth, it must give the same artifacts.
+        corpus = config.workdir / "corpus"
+        roles = ("organizations", "observations", "tweets", "incidents")
+        data = {k: v for k, v in BASE_CONFIG.items() if k != "simulate"}
+        from_files = PipelineConfig.from_dict(
+            dict(
+                data,
+                workdir=str(tmp_path / "work"),
+                inputs={role: str(corpus / f"{role}.jsonl") for role in roles},
+                ground_truth=str(corpus / "ground_truth.jsonl"),
+            )
+        )
+        run_pipeline(from_files)
 
-    def test_no_incidents_match_nothing(self, result, tmp_path):
-        corpus = result.workdir / "corpus"
+        def artifacts(workdir):
+            return sorted(
+                str(path.relative_to(workdir))
+                for path in workdir.rglob("*")
+                if path.is_file() and path.relative_to(workdir).parts[0] != "corpus"
+            )
+
+        names = artifacts(config.workdir)
+        assert "features.csv" in names and "models/stacked.json" in names
+        assert artifacts(from_files.workdir) == names
+        for name in names:
+            assert (from_files.workdir / name).read_bytes() == (config.workdir / name).read_bytes(), name
+
+    def test_skip_denoise_trains_on_noisy_labels(self, tmp_path):
+        workdir = run_config(tmp_path, skip=["denoise"]).workdir
+        report = json.loads((workdir / "report.json").read_text())
+        assert report["label_policy"] == NOISY_LABEL_POLICY
+        assert not (workdir / "features_denoised.csv").exists()
+
+    def test_no_incidents_match_nothing(self, config, tmp_path):
+        corpus = config.workdir / "corpus"
         inputs = {
             name: str(corpus / f"{name}.jsonl")
             for name in ("organizations", "observations", "tweets")
@@ -187,13 +228,13 @@ class TestRunPipeline:
         inputs["incidents"] = str(tmp_path / "incidents.jsonl")
         (tmp_path / "incidents.jsonl").write_text("")
         data = {k: v for k, v in BASE_CONFIG.items() if k != "simulate"}
-        config = PipelineConfig.from_dict(
+        from_files = PipelineConfig.from_dict(
             dict(data, workdir=str(tmp_path / "work"), inputs=inputs)
         )
         # With no incidents every label is 0, so denoising cannot run; the
         # match stage before it must still have matched nothing.
         with pytest.raises(StageFailure, match="denoise"):
-            run_pipeline(config)
+            run_pipeline(from_files)
         assert (tmp_path / "work" / "matches.jsonl").read_text() == ""
 
     def test_saved_bases_are_the_stacked_bases_fitted_once(self, tmp_path, monkeypatch):
@@ -211,7 +252,7 @@ class TestRunPipeline:
 
         for module in (strisk.pipeline, strisk.models.stacking):
             monkeypatch.setattr(module, "train", counted(module.train))
-        workdir = run_pipeline(config_for(tmp_path)).workdir / "models"
+        workdir = run_config(tmp_path).workdir / "models"
         assert fits == ["logistic_regression", "naive_bayes"]
         stacked = json.loads((workdir / "stacked.json").read_text())
         for base in stacked["bases"]:
