@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .records import (
-    IP_KINDS,
     OBSERVATION_KINDS,
     SECTORS,
     IncidentRecord,
@@ -24,6 +23,7 @@ from .records import (
     OrganizationRecord,
     RecordError,
     TweetRecord,
+    check_org_id,
     check_org_size,
 )
 from .text import SentimentBucket, bucket_sentiment, clean_tweet_text, default_polarity
@@ -339,7 +339,7 @@ def _profile_from_row(row: list[str]) -> FeatureVector:
     if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector!r}")
     return FeatureVector(
-        org_id=row[0],
+        org_id=check_org_id(row[0]),
         values=values,
         sector=sector,
         org_size=check_org_size(int(org_size)),
@@ -354,18 +354,20 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
     with path.open("r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise RecordError(f"{path}: empty features file") from None
-        with_latent = header == list(CSV_COLUMNS + ("latent_label",))
-        if not with_latent and header != list(CSV_COLUMNS):
-            raise RecordError(f"{path}: unexpected feature columns {header!r}")
-        expected = len(CSV_COLUMNS) + (1 if with_latent else 0)
-        for line_number, row in enumerate(reader, start=2):
-            if len(row) != expected:
-                raise RecordError(f"{path}:{line_number}: expected {expected} fields")
-            try:
-                profiles.append(_profile_from_row(row))
-            except ValueError as exc:
-                raise RecordError(f"{path}:{line_number}: {exc}") from exc
+            header = next(reader, None)
+            if header is None:
+                raise RecordError(f"{path}: empty features file")
+            with_latent = header == list(CSV_COLUMNS + ("latent_label",))
+            if not with_latent and header != list(CSV_COLUMNS):
+                raise RecordError(f"{path}: unexpected feature columns {header!r}")
+            expected = len(CSV_COLUMNS) + (1 if with_latent else 0)
+            for line_number, row in enumerate(reader, start=2):
+                if len(row) != expected:
+                    raise RecordError(f"{path}:{line_number}: expected {expected} fields")
+                try:
+                    profiles.append(_profile_from_row(row))
+                except ValueError as exc:
+                    raise RecordError(f"{path}:{line_number}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded in chunks, so no line is named
+            raise RecordError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return profiles

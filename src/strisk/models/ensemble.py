@@ -4,24 +4,24 @@ All three share the RegressionTree core. Bagging and forests average
 leaf means of trees fit to 0/1 labels; boosting fits each tree to the
 log-loss residuals and replaces leaf outputs with one Newton step per
 leaf before shrinking by the learning rate.
+
+Their base, _TreeEnsemble, holds predict_proba and the permuted scorer,
+both handing each tree's per-row values to the family's _proba, and the
+saved parameters with their checks. A family adds its fit and _proba:
+the clipped mean vote, or the sigmoid of the boosted sum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..records import json_fields
 from .encode import read_params
+from .linear import _sigmoid
 from .trees import NodeTable, RegressionTree, check_features, grow_trees, rank_columns
-
-T = TypeVar("T")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def _resolve_max_features(max_features: int | str | None, n_features: int) -> int | None:
@@ -92,17 +92,34 @@ def _permuted_values(
     return values
 
 
-def _read_ensemble(cls: type[T], data: dict, width: int) -> T:
-    """A saved ensemble (read_params) with at least one tree, each splitting on columns in [0, width)."""
-    model = read_params(cls, data, {})
-    if not model.trees:
-        raise ValueError("a tree ensemble needs at least one tree")
-    check_features(model.trees, width)
-    return model
+class _TreeEnsemble:
+    """Scoring and saving shared by the ensembles of ``trees``: each
+    family turns every tree's per-row values into probabilities in
+    _proba(n_rows, values)."""
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return self._proba(len(X), (tree.predict(X) for tree in self.trees))
+
+    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+        """proba(shuffled, columns): predict_proba of a matrix equal to X
+        outside ``columns``, re-routing only the rows that can move."""
+        values = _permuted_values(self.trees, X)
+        return lambda shuffled, columns: self._proba(len(X), values(shuffled, columns))
+
+    to_params = json_fields
+
+    @classmethod
+    def from_params(cls, data: dict, width: int) -> _TreeEnsemble:
+        """A saved ensemble (read_params) with at least one tree, each splitting on columns in [0, width)."""
+        model = read_params(cls, data, {})
+        if not model.trees:
+            raise ValueError("a tree ensemble needs at least one tree")
+        check_features(model.trees, width)
+        return model
 
 
 @dataclass
-class BaggedTrees:
+class BaggedTrees(_TreeEnsemble):
     """Bootstrap-aggregated probability trees; forests add per-node
     feature subsampling on top."""
 
@@ -132,25 +149,13 @@ class BaggedTrees:
         grow_trees(self.trees, X, y.astype(np.float64), samples, rng)
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._proba(len(X), (tree.predict(X) for tree in self.trees))
-
-    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
-        """proba(shuffled, columns): predict_proba of a matrix equal to X
-        outside ``columns``, re-routing only the rows that can move."""
-        values = _permuted_values(self.trees, X)
-        return lambda shuffled, columns: self._proba(len(X), values(shuffled, columns))
-
     def _proba(self, n_rows: int, values: Iterable[np.ndarray]) -> np.ndarray:
         votes = _tree_sum(np.zeros(n_rows), 1.0, values)
         return np.clip(votes / len(self.trees), 0.0, 1.0)
 
-    to_params = json_fields
-    from_params = classmethod(_read_ensemble)
-
 
 @dataclass
-class GradientBoostedTrees:
+class GradientBoostedTrees(_TreeEnsemble):
     """Log-loss boosting with Newton leaf values.
 
     Each round fits a tree to the residuals y - p, then sets every leaf to
@@ -200,23 +205,15 @@ class GradientBoostedTrees:
     def decision(self, X: np.ndarray) -> np.ndarray:
         return self._decision(len(X), (tree.predict(X) for tree in self.trees))
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision(X))
-
-    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
-        """proba(shuffled, columns): predict_proba of a matrix equal to X
-        outside ``columns``, re-routing only the rows that can move."""
-        values = _permuted_values(self.trees, X)
-        return lambda shuffled, columns: _sigmoid(self._decision(len(X), values(shuffled, columns)))
-
     def _decision(self, n_rows: int, values: Iterable[np.ndarray]) -> np.ndarray:
         return _tree_sum(np.full(n_rows, self.base_score), self.learning_rate, values)
 
-    to_params = json_fields
+    def _proba(self, n_rows: int, values: Iterable[np.ndarray]) -> np.ndarray:
+        return _sigmoid(self._decision(n_rows, values))
 
     @classmethod
     def from_params(cls, data: dict, width: int) -> GradientBoostedTrees:
-        model = _read_ensemble(cls, data, width)
+        model = super().from_params(data, width)
         if not 0.0 < model.learning_rate <= 1.0:
             raise ValueError("learning_rate must be a finite number in (0, 1]")
         if not math.isfinite(model.base_score):

@@ -45,13 +45,12 @@ def out_of_fold_probabilities(
     spec: ModelSpec,
     folds: int = 5,
     seed: int = 0,
-    assignments: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Probability of class 1 for every example from fold-excluded models."""
+    """Probability of class 1 for every example from fold-excluded models,
+    the folds drawn by stratified_fold_assignments(labels, folds, seed)."""
     X = encode_profiles(dataset)
     y = encode_labels(dataset)
-    if assignments is None:
-        assignments = stratified_fold_assignments(y, folds, seed)
+    assignments = stratified_fold_assignments(y, folds, seed)
     probabilities = np.empty(len(dataset), dtype=np.float64)
     for fold in range(folds):
         held_out = assignments == fold

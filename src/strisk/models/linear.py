@@ -1,9 +1,13 @@
 """Linear families: logistic regression and a squared-hinge SVM with
 Platt-scaled probabilities.
 
-Both standardize their inputs with training-set statistics. Each of the
-three fits is a small, smooth, convex problem solved by damped Newton
-with an Armijo backtracking line search:
+Their base, _StandardizedLinear, holds the standardization, weights and
+bias, the standardize-then-Newton fit, the margins, the permuted scorer
+and the saved parameters. A family adds its loss and Hessian and its
+link from margins to probabilities: a sigmoid, or a Platt sigmoid fitted
+on the training margins. Each of the three fits is a small, smooth,
+convex problem solved by damped Newton with an Armijo backtracking line
+search:
 
 - logistic regression uses the exact Hessian of its L2-penalized mean
   log-loss;
@@ -116,65 +120,72 @@ def _logistic_hessian(params: np.ndarray, design: np.ndarray, l2: float) -> np.n
     return _gram(design, prob * (1.0 - prob) / len(design), l2)
 
 
-def _margins(model: LogisticRegression | LinearSvmPlatt, X_std: np.ndarray) -> np.ndarray:
-    return X_std @ model.weights + model.bias
-
-
-def _permuted_margins(
-    model: LogisticRegression | LinearSvmPlatt, X: np.ndarray
-) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
-    """margins(shuffled, columns): the model's margins for a matrix equal
-    to X outside ``columns``, from X standardized once and patched."""
-    X_std = standardize_apply(X, model.mean, model.scale)
-
-    def margins(shuffled: np.ndarray, columns: Sequence[int]) -> np.ndarray:
-        patch = standardize_apply(shuffled[:, columns], model.mean[columns], model.scale[columns])
-        return with_columns(X_std, columns, patch, lambda patched: _margins(model, patched))
-
-    return margins
-
-
 @dataclass
-class LogisticRegression:
-    l2: float = 1e-3
+class _StandardizedLinear:
+    """Weights and a bias over inputs standardized with training-set
+    statistics. A family adds its fit, which hands its loss and Hessian
+    to _fit_standardized, and its _link from margins to probabilities."""
+
     max_iter: int = 200
     weights: np.ndarray | None = None
     bias: float = 0.0
     mean: np.ndarray | None = None
     scale: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> LogisticRegression:
+    def _fit_standardized(self, X: np.ndarray, loss_gradient: Callable, hessian: Callable) -> np.ndarray:
+        """Standardize X, then keep the weights and bias minimizing loss_gradient(params, X_std)
+        by Newton on hessian(params, design), design being X_std with an intercept; returns X_std."""
         self.mean, self.scale = standardize_fit(X)
         X_std = standardize_apply(X, self.mean, self.scale)
-        y = y.astype(np.float64)
         design = _with_intercept(X_std)
         params = _newton(
-            lambda params: logistic_loss_gradient(params, X_std, y, self.l2),
-            lambda params: _logistic_hessian(params, design, self.l2),
-            design.shape[1],
-            self.max_iter,
+            lambda p: loss_gradient(p, X_std), lambda p: hessian(p, design), design.shape[1], self.max_iter
         )
         self.weights = params[:-1]
         self.bias = float(params[-1])
-        return self
+        return X_std
+
+    def _margin(self, X_std: np.ndarray) -> np.ndarray:
+        return X_std @ self.weights + self.bias
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        return _margins(self, standardize_apply(X, self.mean, self.scale))
+        return self._margin(standardize_apply(X, self.mean, self.scale))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision(X))
+        return self._link(self.decision(X))
 
     def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
         """proba(shuffled, columns): predict_proba of a matrix equal to X
         outside ``columns``, standardizing only those columns again."""
-        margins = _permuted_margins(self, X)
-        return lambda shuffled, columns: _sigmoid(margins(shuffled, columns))
+        X_std = standardize_apply(X, self.mean, self.scale)
+
+        def proba(shuffled: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+            patch = standardize_apply(shuffled[:, columns], self.mean[columns], self.scale[columns])
+            return self._link(with_columns(X_std, columns, patch, self._margin))
+
+        return proba
 
     to_params = json_fields
 
     @classmethod
-    def from_params(cls, data: dict, width: int) -> LogisticRegression:
+    def from_params(cls, data: dict, width: int) -> _StandardizedLinear:
         return read_params(cls, data, dict.fromkeys(("weights", "mean", "scale"), (width,)))
+
+
+@dataclass
+class LogisticRegression(_StandardizedLinear):
+    l2: float = 1e-3
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> LogisticRegression:
+        y = y.astype(np.float64)
+        self._fit_standardized(
+            X,
+            lambda params, X_std: logistic_loss_gradient(params, X_std, y, self.l2),
+            lambda params, design: _logistic_hessian(params, design, self.l2),
+        )
+        return self
+
+    _link = staticmethod(_sigmoid)
 
 
 def _squared_hinge_loss_gradient(
@@ -214,36 +225,25 @@ def _platt_hessian(params: np.ndarray, design: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class LinearSvmPlatt:
+class LinearSvmPlatt(_StandardizedLinear):
     """Squared-hinge linear SVM; probabilities via a Platt sigmoid fitted
     on training margins with the standard smoothed 0/1 targets."""
 
     c: float = 1.0
-    max_iter: int = 200
-    weights: np.ndarray | None = None
-    bias: float = 0.0
     platt_a: float = 1.0
     platt_b: float = 0.0
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> LinearSvmPlatt:
         if self.c <= 0:
             raise ValueError("c must be positive")
-        self.mean, self.scale = standardize_fit(X)
-        X_std = standardize_apply(X, self.mean, self.scale)
         signs = 2.0 * y.astype(np.float64) - 1.0
         reg = 1.0 / self.c
-        design = _with_intercept(X_std)
-        params = _newton(
-            lambda params: _squared_hinge_loss_gradient(params, X_std, signs, reg),
-            lambda params: _squared_hinge_hessian(params, design, signs, reg),
-            design.shape[1],
-            self.max_iter,
+        X_std = self._fit_standardized(
+            X,
+            lambda params, X_std: _squared_hinge_loss_gradient(params, X_std, signs, reg),
+            lambda params, design: _squared_hinge_hessian(params, design, signs, reg),
         )
-        self.weights = params[:-1]
-        self.bias = float(params[-1])
-        margins = X_std @ self.weights + self.bias
+        margins = self._margin(X_std)
         n_pos = float(np.sum(y == 1))
         n_neg = float(np.sum(y == 0))
         targets = np.where(y == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
@@ -258,20 +258,5 @@ class LinearSvmPlatt:
         self.platt_b = float(platt[1])
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._platt(_margins(self, standardize_apply(X, self.mean, self.scale)))
-
-    def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
-        """proba(shuffled, columns): predict_proba of a matrix equal to X
-        outside ``columns``, standardizing only those columns again."""
-        margins = _permuted_margins(self, X)
-        return lambda shuffled, columns: self._platt(margins(shuffled, columns))
-
-    def _platt(self, margins: np.ndarray) -> np.ndarray:
+    def _link(self, margins: np.ndarray) -> np.ndarray:
         return _sigmoid(self.platt_a * margins + self.platt_b)
-
-    to_params = json_fields
-
-    @classmethod
-    def from_params(cls, data: dict, width: int) -> LinearSvmPlatt:
-        return read_params(cls, data, dict.fromkeys(("weights", "mean", "scale"), (width,)))

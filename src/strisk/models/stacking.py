@@ -15,7 +15,7 @@ import numpy as np
 from ..features import FeatureVector
 from .api import ModelSpec, StackedModel, load_model, predict_proba_many, save_model, train
 from .encode import encode_labels
-from .folds import out_of_fold_probabilities, stratified_fold_assignments
+from .folds import out_of_fold_probabilities
 from .linear import LogisticRegression
 
 # The shared functions under the names stacking has always exported.
@@ -32,19 +32,15 @@ def train_stacked(
 ) -> StackedModel:
     """Fit bases on everything, the meta-model on out-of-fold probabilities.
 
-    One fold assignment is shared by all bases so each meta training row
-    mixes predictions made under the same exclusion.
+    Every base draws its folds from the same labels, folds and seed, so
+    all share one fold assignment and each meta training row mixes
+    predictions made under the same exclusion.
     """
     if len(base_specs) < 2:
         raise ValueError("stacking needs at least 2 base specs")
-    y = encode_labels(dataset)
-    assignments = stratified_fold_assignments(y, folds, seed)
     meta_inputs = np.column_stack(
-        [
-            out_of_fold_probabilities(dataset, spec, folds, seed, assignments)
-            for spec in base_specs
-        ]
+        [out_of_fold_probabilities(dataset, spec, folds, seed) for spec in base_specs]
     )
-    meta = LogisticRegression().fit(meta_inputs, y)
+    meta = LogisticRegression().fit(meta_inputs, encode_labels(dataset))
     bases = [train(dataset, spec) for spec in base_specs]
     return StackedModel(bases=bases, meta=meta, folds=folds, seed=seed)

@@ -74,13 +74,6 @@ def _typed(value: object, kind: type, key: str):
     return value
 
 
-def _field(data: dict, key: str, kind: type):
-    """data[key], which must be present and of ``kind``."""
-    if key not in data:
-        raise RecordError(f"missing field {key!r}")
-    return _typed(data[key], kind, key)
-
-
 def _read_float(value: object, key: str) -> float:
     """A float, or an integer that converts to a finite one."""
     try:
@@ -267,6 +260,13 @@ def _is_ip(subject: str) -> bool:
     return True
 
 
+def check_org_id(value: str) -> str:
+    """``value`` if it holds no carriage return, which features.csv would write unquoted."""
+    if "\r" in value:
+        raise RecordError(f"org_id must not hold a carriage return, got {value!r}")
+    return value
+
+
 def check_org_size(value: int) -> int:
     """``value`` if it is an organization size: an integer >= 1 that
     converts to a finite float, since models read sizes as floats."""
@@ -296,6 +296,7 @@ class OrganizationRecord:
     def __post_init__(self) -> None:
         if not self.org_id:
             raise RecordError("organization requires an org_id")
+        check_org_id(self.org_id)
         if self.sector not in SECTORS:
             raise RecordError(f"unknown sector {self.sector!r}")
         check_org_size(self.org_size)
@@ -391,16 +392,19 @@ class IncidentRecord:
 
 def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{path}:{line_no}: invalid JSON record") from exc
-            except RecursionError as exc:
-                raise RecordError(f"{path}:{line_no}: JSON record nested too deeply") from exc
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    yield line_no, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordError(f"{path}:{line_no}: invalid JSON record") from exc
+                except RecursionError as exc:
+                    raise RecordError(f"{path}:{line_no}: JSON record nested too deeply") from exc
+        except UnicodeDecodeError as exc:  # decoded in chunks, so no line is named
+            raise RecordError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
 def read_json(path: str | Path) -> object:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -37,11 +37,10 @@ from .records import (
     IncidentRecord,
     ObservationRecord,
     OrganizationRecord,
-    RecordError,
     TweetRecord,
-    _field,
     _load,
     read_config,
+    read_fields,
     write_jsonl,
 )
 
@@ -408,16 +407,18 @@ def write_corpus(bundle: CorpusBundle, out_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
-def _ground_truth_entry(data: dict) -> tuple[str, int]:
-    label = _field(data, "latent_label", int)
-    if label not in (0, 1):
-        raise RecordError(f"field 'latent_label' must be 0 or 1, got {label!r}")
-    return _field(data, "org_id", str), label
+@dataclass(frozen=True, slots=True)
+class _GroundTruthEntry:
+    """One line of ground_truth.jsonl."""
+
+    org_id: str
+    latent_label: Literal[0, 1]
 
 
 def load_ground_truth(path: str | Path) -> dict[str, int]:
     """org_id -> latent label; any invalid record is a RecordError naming path:line."""
-    return dict(_load(path, _ground_truth_entry))
+    entries = _load(path, lambda data: read_fields(_GroundTruthEntry, data))
+    return {entry.org_id: entry.latent_label for entry in entries}
 
 
 def inject_label_noise(

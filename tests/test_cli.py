@@ -40,6 +40,20 @@ def read_rows(path: Path) -> list[list[str]]:
         return list(csv.reader(handle))
 
 
+def featurize(paths: dict[str, Path], out: Path) -> int:
+    """``strisk featurize`` on the four record files named by role."""
+    return main(
+        [
+            "featurize",
+            "--orgs", str(paths["organizations"]),
+            "--observations", str(paths["observations"]),
+            "--tweets", str(paths["tweets"]),
+            "--incidents", str(paths["incidents"]),
+            "--out", str(out),
+        ]
+    )
+
+
 def write_rows(path: Path, rows: list[list[str]]) -> Path:
     # \r\n line ends make the writer quote a cell holding either character,
     # so every row reads back whole.
@@ -711,6 +725,44 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "f.csv").exists()
 
+    def test_record_file_not_utf8_exit_data_error(self, workspace, tmp_path, capsys):
+        _, corpus, _, _ = workspace
+        paths = {role: corpus / f"{role}.jsonl" for role in RECORD_TYPES}
+        paths["tweets"] = tmp_path / "tweets.jsonl"
+        paths["tweets"].write_bytes((corpus / "tweets.jsonl").read_bytes() + b"\xff\n")
+        code = featurize(paths, tmp_path / "f.csv")
+        _assert_exit(code, 2, capsys, f"data error: {paths['tweets']}: not UTF-8 text")
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_features_csv_not_utf8_exit_data_error(self, model_path, workspace, tmp_path, capsys):
+        _, _, features, _ = workspace
+        bad = tmp_path / "features.csv"
+        bad.write_bytes(features.read_bytes() + b"\xff\n")
+        code = main(["predict", "--model", str(model_path), "--features", str(bad), "--out", str(tmp_path / "s.csv")])
+        _assert_exit(code, 2, capsys, f"data error: {bad}: not UTF-8 text")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_carriage_return_in_org_id_stops_featurize(self, workspace, tmp_path, capsys):
+        # Written unquoted, the id would split its features.csv row in two.
+        _, corpus, _, _ = workspace
+        org_id = json.loads((corpus / "organizations.jsonl").read_text().splitlines()[0])["org_id"]
+        paths = {role: tmp_path / f"{role}.jsonl" for role in RECORD_TYPES}
+        for role, path in paths.items():
+            text = (corpus / f"{role}.jsonl").read_text()
+            path.write_text(text.replace(json.dumps(org_id), json.dumps(org_id + "\rx")))
+        code = featurize(paths, tmp_path / "f.csv")
+        _assert_exit(code, 2, capsys, f"data error: {paths['organizations']}:1: org_id must not hold a carriage return")
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_carriage_return_in_features_org_id_stops_predict(self, model_path, workspace, tmp_path, capsys):
+        _, _, features, _ = workspace
+        rows = read_rows(features)
+        rows[3][0] += "\rx"
+        bad = write_rows(tmp_path / "features.csv", rows)
+        code = main(["predict", "--model", str(model_path), "--features", str(bad), "--out", str(tmp_path / "s.csv")])
+        _assert_exit(code, 2, capsys, f"data error: {bad}:4: org_id must not hold a carriage return")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_org_size_past_float_range_stops_featurize_and_run(self, workspace, tmp_path, capsys):
         _, corpus, _, _ = workspace
         roles = ("organizations", "observations", "tweets", "incidents")
@@ -1123,6 +1175,12 @@ RECORD_TYPES = {
     "tweets": TweetRecord,
     "incidents": IncidentRecord,
 }
+RECORD_DAMAGE = (
+    "delete a required key",
+    "mistype a leaf",
+    "carriage return in org_id",
+    "trailing byte that is not UTF-8",
+)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1134,33 +1192,35 @@ def test_mutated_record_is_named_data_error(workspace, fuzz_dir, data):
     lines = paths[role].read_text().splitlines()
     index = data.draw(st.integers(0, len(lines) - 1), label="record")
     record = json.loads(lines[index])
-    if data.draw(st.booleans(), label="delete a required key"):
+    paths[role] = fuzz_dir / f"{role}.jsonl"
+    expected = f"{paths[role]}:{index + 1}: "
+    damage = data.draw(st.sampled_from(RECORD_DAMAGE), label="damage")
+    if damage == "delete a required key":
         required = [
             f.name
             for f in fields(RECORD_TYPES[role])
             if f.init and f.default is MISSING and f.default_factory is MISSING
         ]
         del record[data.draw(st.sampled_from(required), label="key")]
-    else:
+    elif damage == "mistype a leaf":
         path, saved = data.draw(st.sampled_from(list(_json_leaves(record))), label="leaf")
         wrong = [value for value in MISTYPED_CANDIDATES if type(value) is not type(saved)]
         functools.reduce(operator.getitem, path[:-1], record)[path[-1]] = data.draw(st.sampled_from(wrong))
+    elif damage == "carriage return in org_id":
+        at = data.draw(st.integers(0, len(record["org_id"])), label="at")
+        record["org_id"] = record["org_id"][:at] + "\r" + record["org_id"][at:]
+        if role != "organizations":  # the record then names an unknown org
+            expected = repr(record["org_id"])
     lines[index] = json.dumps(record)
-    paths[role] = fuzz_dir / f"{role}.jsonl"
-    paths[role].write_text("\n".join(lines) + "\n")
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    if damage == "trailing byte that is not UTF-8":
+        text += bytes([data.draw(st.integers(0x80, 0xFF), label="byte")]) + b"\n"
+        expected = f"{paths[role]}: not UTF-8 text"
+    paths[role].write_bytes(text)
     with contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(
-            [
-                "featurize",
-                "--orgs", str(paths["organizations"]),
-                "--observations", str(paths["observations"]),
-                "--tweets", str(paths["tweets"]),
-                "--incidents", str(paths["incidents"]),
-                "--out", str(fuzz_dir / "f.csv"),
-            ]
-        )
+        code = featurize(paths, fuzz_dir / "f.csv")
     assert code == 2, err.getvalue()
-    assert f"{paths[role]}:{index + 1}: " in err.getvalue()
+    assert expected in err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
@@ -1179,6 +1239,7 @@ BAD_FEATURE_CELLS = {
     "non-finite": (NUMBER_COLUMNS, st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"])),
     "unknown sector": (("sector",), st.text().filter(lambda text: text not in SECTORS)),
     "label outside {0, 1}": (("label", "latent_label"), st.integers().filter(lambda n: n not in (0, 1)).map(str)),
+    "carriage return in org_id": (("org_id",), st.tuples(st.text(), st.text()).map("\r".join)),
 }
 
 
@@ -1189,19 +1250,28 @@ def test_damaged_features_csv_is_named_data_error(model_path, workspace, fuzz_di
     rows = read_rows(features)
     line = data.draw(st.integers(2, len(rows)), label="line")
     row = rows[line - 1]
-    kind = data.draw(st.sampled_from(sorted(BAD_FEATURE_CELLS) + ["field count"]), label="damage")
-    if kind != "field count":
+    bad = fuzz_dir / "features.csv"
+    expected = f"{bad}:{line}: "
+    kind = data.draw(
+        st.sampled_from(sorted(BAD_FEATURE_CELLS) + ["field count", "trailing byte that is not UTF-8"]), label="damage"
+    )
+    if kind in BAD_FEATURE_CELLS:
         columns, values = BAD_FEATURE_CELLS[kind]
         row[rows[0].index(data.draw(st.sampled_from(columns), label="column"))] = data.draw(values, label="value")
-    elif data.draw(st.booleans(), label="extra field"):
-        row.append("0")
-    else:
-        row.pop()
-    bad = write_rows(fuzz_dir / "features.csv", rows)
+    elif kind == "field count":
+        if data.draw(st.booleans(), label="extra field"):
+            row.append("0")
+        else:
+            row.pop()
+    write_rows(bad, rows)
+    if kind == "trailing byte that is not UTF-8":
+        with bad.open("ab") as handle:
+            handle.write(bytes([data.draw(st.integers(0x80, 0xFF), label="byte")]) + b"\n")
+        expected = f"{bad}: not UTF-8 text"
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["evaluate", "--model", str(model_path), "--features", str(bad), "--out", str(fuzz_dir / "e.json")])
     assert code == 2, err.getvalue()
-    assert f"{bad}:{line}: " in err.getvalue()
+    assert expected in err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 

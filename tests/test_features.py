@@ -334,7 +334,7 @@ csv_value = st.one_of(
 
 csv_profile = st.builds(
     FeatureVector,
-    org_id=st.text("abcxyz-_019", min_size=1, max_size=8),
+    org_id=st.text("abcxyz-_019\n", min_size=1, max_size=8),  # csv quotes a line feed
     values=st.lists(csv_value, min_size=len(FEATURES), max_size=len(FEATURES)).map(tuple),
     sector=st.sampled_from(SECTORS),
     org_size=st.integers(1, 10**12),

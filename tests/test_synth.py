@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import ipaddress
+import json
 import math
+import re
 import typing
 from collections import Counter
 from datetime import date
@@ -14,6 +16,7 @@ from conftest import make_dataset
 from strisk.features import featurize_corpus
 from strisk.records import (
     SECTORS,
+    RecordError,
     field_types,
     load_incidents,
     load_observations,
@@ -278,6 +281,15 @@ class TestWriteCorpus:
             ground_truth=load_ground_truth(paths["ground_truth"]),
         )
         assert loaded == bundle
+
+    @pytest.mark.parametrize("label", [2, True, 1.0])
+    def test_latent_label_outside_0_1_names_path_and_line(self, tmp_path, label):
+        path = tmp_path / "ground_truth.jsonl"
+        lines = [{"org_id": "a", "latent_label": 1}, {"org_id": "b", "latent_label": label}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        message = f"{path}:2: field 'latent_label' must be 0 or 1, got {label!r}"
+        with pytest.raises(RecordError, match=re.escape(message)):
+            load_ground_truth(path)
 
 
 class TestInjectLabelNoise:
