@@ -361,7 +361,8 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
             if not with_latent and header != list(CSV_COLUMNS):
                 raise RecordError(f"{path}: unexpected feature columns {header!r}")
             expected = len(CSV_COLUMNS) + (1 if with_latent else 0)
-            for line_number, row in enumerate(reader, start=2):
+            # A row's first line is one past the lines read before it; quoted line feeds span lines.
+            for line_number, row in zip(iter(lambda: reader.line_num + 1, None), reader):
                 if len(row) != expected:
                     raise RecordError(f"{path}:{line_number}: expected {expected} fields")
                 try:

@@ -21,7 +21,7 @@ import numpy as np
 from ..records import json_fields
 from .encode import read_params
 from .linear import _sigmoid
-from .trees import NodeTable, RegressionTree, check_features, grow_trees, rank_columns
+from .trees import _BLOCK, NodeTable, RegressionTree, check_features, grow_trees, rank_columns
 
 
 def _resolve_max_features(max_features: int | str | None, n_features: int) -> int | None:
@@ -41,52 +41,62 @@ def _tree_sum(start: np.ndarray, weight: float, values: Iterable[np.ndarray]) ->
     return start
 
 
-def _compact(ids: np.ndarray, bound: int) -> np.ndarray:
-    """ids below ``bound`` in the narrowest unsigned integer type that holds them."""
-    return ids.astype(np.min_scalar_type(max(bound - 1, 0)))
-
-
 def _permuted_values(
     trees: list[RegressionTree], X: np.ndarray
 ) -> Callable[[np.ndarray, Sequence[int]], Iterator[np.ndarray]]:
     """values(shuffled, columns): each tree's per-row values for
     ``shuffled``, a matrix equal to X outside ``columns``.
 
-    Only rows whose leaf for X lies under a split on one of ``columns``
-    are routed again; every other row keeps its leaf. Which rows those
-    are depends on the columns alone, so they are kept for the latest
-    column set, which the repeats of one feature share. The moved
-    (tree, row) pairs of all trees route together through one NodeTable.
+    A (tree, row) pair moves only if its leaf path splits on one of ``columns``;
+    where moved pairs are tested, one whose shuffled value lies in its leaf's
+    interval on the column (NodeTable.intervals; never NaN) keeps its leaf too.
+    The rest route again, all trees' together through one NodeTable. Moved
+    pairs and intervals are kept for the latest column set, which repeats share.
     """
-    unshuffled = [_compact(tree.apply(X), len(tree.value)) for tree in trees]
     table = NodeTable(trees)
-    # Table node -> the columns its path splits on, for every tree at once.
-    paths = np.concatenate([tree.path_columns(X.shape[1]) for tree in trees])
-    ends = np.append(table.roots[1:], len(paths))
-    tree_ids = _compact(np.arange(len(trees)), len(trees))
-    # Per column set: every tree's moved rows, tree after tree, the tree of
-    # each, and where each tree's rows start and end.
-    movable: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    nodes, (n_rows, width) = len(table.value), X.shape
+    # (trees, rows) table leaf ids of X.
+    unshuffled = np.empty((len(trees), n_rows), dtype=np.min_scalar_type(nodes))
+    for leaves, tree, root in zip(unshuffled, trees, table.roots):
+        leaves[:] = root + tree.apply(X)
+    tree_ids, row_ids = np.arange(len(trees), dtype=np.min_scalar_type(len(trees))), np.min_scalar_type(n_rows)
+    # Per column set: moved pairs' rows, each tree's end, and bounded node n's first-column interval at slot[n].
+    movable: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
-    def moved_pairs(columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def moved_pairs(columns: Sequence[int]) -> tuple[np.ndarray, ...]:
         key = tuple(columns)
         if key not in movable:
             movable.clear()
-            hit = paths[:, columns].any(axis=1)
-            rows = [
-                _compact(np.flatnonzero(hit[root:end].take(leaf_ids)), len(X))
-                for root, end, leaf_ids in zip(table.roots, ends, unshuffled)
-            ]
-            counts = [len(tree_rows) for tree_rows in rows]
-            movable[key] = (np.concatenate(rows), np.repeat(tree_ids, counts), np.cumsum([0] + counts))
+            lo, hi = table.intervals(columns)
+            bounded = ((lo < nodes) | (hi < nodes)).any(axis=1)
+            rows = [np.flatnonzero(bounded.take(leaves)).astype(row_ids) for leaves in unshuffled]
+            ends = np.cumsum([0] + [len(tree_rows) for tree_rows in rows])
+            rows = np.concatenate(rows)
+            slot = np.zeros(nodes, dtype=lo.dtype)
+            slot[bounded] = np.arange(np.count_nonzero(bounded))
+            lo, hi = (table.threshold.take(end[bounded, :1].ravel()) for end in (lo, hi))
+            movable[key] = (rows, ends, slot, lo, hi)
         return movable[key]
 
     def values(shuffled: np.ndarray, columns: Sequence[int]) -> Iterator[np.ndarray]:
-        rows, owners, bounds = moved_pairs(columns)
-        leaves = table.apply(shuffled, owners, rows)
-        for tree, leaf_ids, low, high in zip(trees, unshuffled, bounds[:-1], bounds[1:]):
-            tree_values = tree.value.take(leaf_ids)
-            tree_values[rows[low:high]] = table.value.take(leaves[low:high])
+        rows, ends, slot, lo, hi = moved_pairs(columns)
+        leaving, counts = np.ones(len(rows), dtype=bool), np.diff(ends)
+        # Moved pairs are tested, _BLOCK at a time, only where that can save
+        # routing blocks: on one shuffled column, and more pairs than one block.
+        if len(columns) == 1 and len(rows) > _BLOCK:
+            counts = np.zeros(len(trees), dtype=np.int64)
+            for start in range(0, len(rows), _BLOCK):
+                block = slice(start, start + _BLOCK)
+                owners = np.repeat(tree_ids, np.diff(ends.clip(start, start + _BLOCK)))
+                leaves = slot.take(unshuffled.take(np.multiply(owners, n_rows, dtype=np.int64) + rows[block]))
+                value = shuffled.take(np.multiply(rows[block], width, dtype=np.int64) + columns[0])
+                leaving[block] = out = ~((lo.take(leaves) < value) & (value <= hi.take(leaves)))
+                counts += np.bincount(owners[out], minlength=len(trees))
+        rows = rows[leaving]
+        new_leaves = table.apply(shuffled, np.repeat(tree_ids, counts), rows)
+        for leaf_ids, high, count in zip(unshuffled, np.cumsum(counts).tolist(), counts.tolist()):
+            tree_values = table.value.take(leaf_ids)
+            tree_values[rows[high - count : high]] = table.value.take(new_leaves[high - count : high])
             yield tree_values
 
     return values

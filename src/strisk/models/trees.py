@@ -19,7 +19,7 @@ A tree is five numpy node arrays in which leaves route to themselves, so
 prediction moves all rows down one level per step and is done after as
 many steps as the tree is deep. A NodeTable holds several trees' arrays
 end to end, so that chosen (tree, row) pairs of all of them take those
-steps together.
+steps together, and gives each node's value intervals on chosen columns.
 """
 from __future__ import annotations
 
@@ -136,22 +136,6 @@ class RegressionTree:
         for _ in range(self.depth):
             node = step(cells, row_start, node, self.feature, self.threshold, self.routes)
         return node
-
-    def path_columns(self, width: int) -> np.ndarray:
-        """(nodes, width) flags: True where the root-to-node path splits on the column.
-
-        Changing a row's values in columns its leaf's path never splits
-        on cannot move the row to another leaf.
-        """
-        paths = np.zeros((len(self.feature), width), dtype=bool)
-        level = np.zeros(1, dtype=np.int64)
-        for _ in range(self.depth):
-            level = level[self.feature[level] != _LEAF]
-            for children in (self.left[level], self.right[level]):
-                paths[children] = paths[level]
-                paths[children, self.feature[level]] = True
-            level = np.concatenate([self.left[level], self.right[level]])
-        return paths
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
@@ -523,14 +507,14 @@ class NodeTable:
     """Several trees' nodes in one set of arrays, so that (tree, row) pairs
     of all of them route together through step().
 
-    Tree t's node i is table node roots[t] + i; child ids are shifted
-    the same way, so a leaf still routes to itself.
+    Tree t's node i is table node roots[t] + i; child ids are shifted the same way, so a leaf
+    still routes to itself. threshold has one entry per node, then -inf and +inf for intervals().
     """
 
     def __init__(self, trees: Sequence[RegressionTree]) -> None:
         self.roots = np.cumsum([0] + [len(tree.value) for tree in trees[:-1]])
         self.feature = np.concatenate([tree.feature for tree in trees])
-        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.threshold = np.concatenate([tree.threshold for tree in trees] + [[-np.inf, np.inf]])
         self.routes = np.concatenate([tree.routes + root for tree, root in zip(trees, self.roots)])
         self.value = np.concatenate([tree.value for tree in trees])
         self.depth = max(tree.depth for tree in trees)
@@ -550,3 +534,22 @@ class NodeTable:
                 node = step(cells, row_start, node, self.feature, self.threshold, self.routes)
             leaves[block] = node
         return leaves
+
+    def intervals(self, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): (nodes, len(columns)) threshold ids. A row on a node's path stays on
+        it while each of its values in ``columns`` lies in (threshold[lo], threshold[hi]]:
+        the path's tightest splits on the column going right and going left, or -inf and +inf."""
+        nodes, ids = len(self.value), np.min_scalar_type(len(self.value) + 1)
+        lo, hi = (np.full((nodes, len(columns)), end, ids) for end in (nodes, nodes + 1))
+        level = self.roots
+        for _ in range(self.depth):
+            level = level[self.feature.take(level) != _LEAF]
+            split, column = np.nonzero(self.feature.take(level)[:, None] == np.asarray(columns))
+            parent = level.take(split)
+            # Children inherit both ends; a split raises its right child's lo, lowers its left's hi.
+            for bound, side, tighter in ((lo, 0, np.greater), (hi, 1, np.less)):
+                bound[self.routes[level]] = bound[level][:, None]
+                tightens = tighter(self.threshold.take(parent), self.threshold.take(bound[parent, column]))
+                bound[self.routes[parent, side][tightens], column[tightens]] = parent[tightens]
+            level = self.routes[level].ravel()
+        return lo, hi

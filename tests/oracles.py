@@ -239,21 +239,29 @@ def apply_tree_reference(tree: dict[str, list], X: np.ndarray) -> list[int]:
     return leaves
 
 
-def path_columns_reference(tree: dict[str, list], width: int) -> list[list[bool]]:
-    """For each node, walk up through its parents and flag every split column."""
+def leaf_intervals_reference(tree: dict[str, list], width: int) -> dict[int, list[tuple[float, float]]]:
+    """For each leaf, walk up its path and narrow each column's (lo, hi]:
+    going left at a split caps hi at its threshold, going right raises lo."""
     parent = {}
     for node, feature in enumerate(tree["feature"]):
         if feature != -1:
-            parent[tree["left"][node]] = node
-            parent[tree["right"][node]] = node
-    paths = []
-    for node in range(len(tree["feature"])):
-        flags = [False] * width
+            parent[tree["left"][node]] = (node, "left")
+            parent[tree["right"][node]] = (node, "right")
+    intervals = {}
+    for leaf, feature in enumerate(tree["feature"]):
+        if feature != -1:
+            continue
+        bounds = [[-math.inf, math.inf] for _ in range(width)]
+        node = leaf
         while node in parent:
-            node = parent[node]
-            flags[tree["feature"][node]] = True
-        paths.append(flags)
-    return paths
+            node, side = parent[node]
+            column, cut = tree["feature"][node], tree["threshold"][node]
+            if side == "left":
+                bounds[column][1] = min(bounds[column][1], cut)
+            else:
+                bounds[column][0] = max(bounds[column][0], cut)
+        intervals[leaf] = [(lo, hi) for lo, hi in bounds]
+    return intervals
 
 
 def confident_joint_reference(

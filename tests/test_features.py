@@ -406,6 +406,24 @@ class TestCsvRoundTrip:
         with pytest.raises(RecordError, match=rf"features\.csv:3: {column} is not a plain number"):
             read_features_csv(path)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [(lambda cells: cells.__setitem__(1, "x"), "could not convert"), (list.pop, "expected 30 fields")],
+        ids=["damaged cell", "missing cell"],
+    )
+    def test_errors_name_the_physical_line_after_a_quoted_line_feed(self, tmp_path, damage, message):
+        # The first org_id spans lines 2 and 3, so the second row starts on line 4.
+        path = tmp_path / "lf.csv"
+        write_features_csv(path, [make_profile("o\n1"), make_profile("o2")])
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[3].startswith("o2,")
+        cells = lines[3].split(",")
+        damage(cells)
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(RecordError, match=rf"lf\.csv:4: {message}"):
+            read_features_csv(path)
+
     def test_floats_survive_exactly(self, tmp_path):
         profiles = make_dataset(6, 6, seed=3)
         path = tmp_path / "features.csv"

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_dataset, make_profile
-from oracles import encode_profiles_reference, permutation_importance_reference
+from oracles import encode_profiles_reference, leaf_intervals_reference, permutation_importance_reference
 from strisk.evaluation import roc_auc, split_train_test
-from strisk.features import FEATURES, FeatureVector
+from strisk.features import FEATURES, SOCIAL_FEATURES, TECHNICAL_FEATURES, FeatureVector
 from strisk.models import (
     MODEL_FAMILIES,
     FeatureSchema,
@@ -32,7 +33,7 @@ from strisk.models import (
     train,
     train_stacked,
 )
-from strisk.models import linear
+from strisk.models import ensemble, linear
 from strisk.models.bayes import GaussianNaiveBayes
 from strisk.models.encode import NUMERIC_COLUMNS, SECTOR_COLUMNS, encode_labels, standardize_apply
 from strisk.models.linear import (
@@ -43,7 +44,7 @@ from strisk.models.linear import (
     logistic_loss_gradient,
 )
 from strisk.models.stacking import predict_stacked_many
-from strisk.models.trees import RegressionTree
+from strisk.models.trees import NodeTable, RegressionTree
 from strisk.records import SECTORS
 
 # Small overrides keep the ensemble families fast without changing behavior.
@@ -52,6 +53,15 @@ FAST_HYPERPARAMETERS = {
     "random_forest": {"n_estimators": 20, "max_depth": 6},
     "gradient_boosted_trees": {"n_estimators": 40},
 }
+TREE_FAMILIES = tuple(FAST_HYPERPARAMETERS)
+
+# The column sets importance shuffles: each single column, the sector
+# block, and the technical and social categories whole.
+IMPORTANCE_COLUMN_SETS = (
+    [[column] for column in range(len(NUMERIC_COLUMNS))]
+    + [list(range(len(NUMERIC_COLUMNS), len(NUMERIC_COLUMNS) + len(SECTOR_COLUMNS)))]
+    + [[NUMERIC_COLUMNS.index(name) for name in names] for names in (TECHNICAL_FEATURES, SOCIAL_FEATURES)]
+)
 
 
 def fast_spec(family: str, seed: int = 0) -> ModelSpec:
@@ -603,6 +613,74 @@ class TestPermutationImportance:
             assert proba(matrix, columns).tobytes() == expected.tobytes()
             matrix[:, columns] = X[:, columns]
         assert proba(matrix, []).tobytes() == impl.predict_proba(X).tobytes()
+
+    @pytest.mark.parametrize("family", TREE_FAMILIES)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_tree_permuted_proba_is_bit_equal_at_split_edges(self, weak_family_models, family, data):
+        impl, X = weak_family_models[family].impl, weak_family_models["X"]
+        # The trees' own cuts, their neighbouring floats, and values no
+        # interval test may keep on a leaf by mistake.
+        cuts = np.unique(np.concatenate([tree.threshold for tree in impl.trees]))
+        cuts = cuts[np.isfinite(cuts)]
+        edges = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
+        cells = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0] + edges.tolist())
+        columns = data.draw(st.sampled_from(IMPORTANCE_COLUMN_SETS))
+        drawn = hnp.arrays(np.float64, (len(X), len(columns)), elements=cells, fill=st.nothing())
+        matrix = X.copy()
+        matrix[:, columns] = data.draw(drawn)
+        shuffled = matrix.copy()
+        shuffled[:, columns] = data.draw(drawn)
+        # Small blocks test the moved pairs of a single column; full-size
+        # ones leave this small forest's pairs to routing alone.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ensemble, "_BLOCK", data.draw(st.sampled_from([5, 1 << 14])))
+            proba = impl.permuted_proba(matrix)
+            for scored in (shuffled, matrix):
+                assert proba(scored, columns).tobytes() == impl.predict_proba(scored).tobytes()
+
+    @pytest.mark.parametrize("family", TREE_FAMILIES)
+    def test_tree_shuffles_route_at_most_the_moved_pairs(self, weak_family_models, family, monkeypatch):
+        impl, X = weak_family_models[family].impl, weak_family_models["X"]
+        routed = []
+        apply = NodeTable.apply
+
+        def counting_apply(table, matrix, tree_ids, rows):
+            routed.append(len(rows))
+            return apply(table, matrix, tree_ids, rows)
+
+        monkeypatch.setattr(NodeTable, "apply", counting_apply)
+        monkeypatch.setattr(ensemble, "_BLOCK", 16)
+        proba = impl.permuted_proba(X)
+        open_interval = (-math.inf, math.inf)
+        leaf_intervals = [
+            [intervals[leaf] for leaf in tree.apply(X).tolist()]
+            for tree in impl.trees
+            for intervals in [leaf_intervals_reference(tree.to_dict(), X.shape[1])]
+        ]
+        rng = np.random.default_rng(0)
+        moved_total = routed_total = 0
+        for columns in IMPORTANCE_COLUMN_SETS:
+            # A (tree, row) pair moved when its leaf's path bounds a shuffled column.
+            moved = sum(
+                any(row_intervals[column] != open_interval for column in columns)
+                for tree_intervals in leaf_intervals
+                for row_intervals in tree_intervals
+            )
+            # Pairs are tested on one column with more than a block of them;
+            # otherwise every moved pair routes.
+            tested = len(columns) == 1 and moved > 16
+            routed.clear()
+            proba(X, columns)
+            assert routed == [0 if tested else moved]
+            shuffled = X.copy()
+            shuffled[:, columns] = X[rng.permutation(len(X))][:, columns]
+            routed.clear()
+            proba(shuffled, columns)
+            assert routed[0] <= moved if tested else routed[0] == moved
+            moved_total += moved
+            routed_total += routed[0]
+        assert 0 < routed_total < moved_total
 
     def test_stacked_equals_full_rescore(self, weak_signal_split):
         train_set, test_set = weak_signal_split

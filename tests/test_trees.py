@@ -14,7 +14,7 @@ from oracles import (
     apply_tree_reference,
     grow_forest_reference,
     grow_tree_reference,
-    path_columns_reference,
+    leaf_intervals_reference,
 )
 from strisk.models import trees as trees_module
 from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
@@ -52,6 +52,17 @@ def node_lists(tree: RegressionTree) -> dict[str, list]:
     return {key: params[key] for key in NODE_KEYS}
 
 
+def leaf_intervals(
+    table: NodeTable, root: int, tree: RegressionTree, width: int
+) -> dict[int, list[tuple[float, float]]]:
+    """The table's intervals on every column at ``tree``'s leaves, as thresholds."""
+    lo, hi = table.intervals(range(width))
+    return {
+        int(leaf): list(zip(table.threshold[lo[root + leaf]].tolist(), table.threshold[hi[root + leaf]].tolist()))
+        for leaf in tree.leaf_ids()
+    }
+
+
 @pytest.mark.parametrize("make_matrix", MATRICES)
 @pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(4))
@@ -84,7 +95,7 @@ def test_fit_and_apply_match_reference(make_matrix, min_samples_leaf, seed):
         subset = rng.integers(0, len(rows), size=int(rng.integers(0, len(rows) + 1)))
         routed = NodeTable([tree]).apply(rows, np.zeros(len(subset), dtype=np.int64), subset)
         assert routed.tolist() == [leaves[row] for row in subset]
-    assert tree.path_columns(width).tolist() == path_columns_reference(reference, width)
+    assert leaf_intervals(NodeTable([tree]), 0, tree, width) == leaf_intervals_reference(reference, width)
 
 
 @pytest.mark.parametrize("make_matrix", MATRICES)
@@ -120,6 +131,29 @@ def test_node_table_routes_like_each_tree(make_matrix, seed, monkeypatch):
             assert table.value[leaves].tolist() == [
                 trees[t].value[leaf] for t, leaf in zip(owners, local)
             ]
+    for tree, root in zip(trees, table.roots):
+        reference = leaf_intervals_reference(node_lists(tree), width)
+        assert leaf_intervals(table, root, tree, width) == reference
+
+
+def test_intervals_keep_the_tightest_split_of_a_column():
+    # The second split on column 0 is looser than the first on the left
+    # side and, on the right, leaves the right child an empty interval.
+    saved = {
+        "max_depth": 3, "min_samples_leaf": 1, "max_features": None,
+        "feature": [0, 0, -1, -1, 1, -1, 0, -1, -1],
+        "threshold": [5.0, 7.0, 0.0, 0.0, 1.0, 0.0, 3.0, 0.0, 0.0],
+        "left": [1, 2, -1, -1, 5, -1, 7, -1, -1],
+        "right": [4, 3, -1, -1, 6, -1, 8, -1, -1],
+        "value": [0.0] * 9,
+    }
+    tree = RegressionTree.from_dict(saved)
+    intervals = leaf_intervals(NodeTable([tree]), 0, tree, 2)
+    assert intervals == leaf_intervals_reference(saved, 2)
+    inf = math.inf
+    assert intervals[2] == [(-inf, 5.0), (-inf, inf)]
+    assert intervals[3] == [(7.0, 5.0), (-inf, inf)]
+    assert intervals[8] == [(5.0, inf), (1.0, inf)]
 
 
 # Few values, signed zeros and neighbouring floats, so ties and near-ties are common.
@@ -324,7 +358,7 @@ def test_unsplit_root_routes_every_row_to_itself():
     assert tree.apply(np.full((3, 2), np.nan)).tolist() == [0, 0, 0]
     table = NodeTable([tree])
     assert table.apply(np.full((3, 2), np.nan), np.array([0]), np.array([2])).tolist() == [0]
-    assert tree.path_columns(2).tolist() == [[False, False]]
+    assert leaf_intervals(table, 0, tree, 2) == {0: [(-math.inf, math.inf)] * 2}
 
 
 def test_apply_on_no_rows_is_empty():
