@@ -113,12 +113,12 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 def brier_score(probabilities: Sequence[float], labels: Sequence[int]) -> float:
     """Mean squared gap between predicted probability and the 0/1 outcome."""
     _check_aligned(probabilities, labels)
-    if not probabilities:
+    if len(probabilities) == 0:
         raise ValueError("brier_score needs at least one prediction")
     for p in probabilities:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability out of [0, 1]: {p!r}")
-    return sum((p - y) ** 2 for p, y in zip(probabilities, labels)) / len(labels)
+    return float(sum((p - y) ** 2 for p, y in zip(probabilities, labels)) / len(labels))
 
 
 @dataclass(frozen=True, slots=True)

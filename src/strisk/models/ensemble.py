@@ -6,9 +6,10 @@ log-loss residuals and replaces leaf outputs with one Newton step per
 leaf before shrinking by the learning rate.
 
 Their base, _TreeEnsemble, holds predict_proba and the permuted scorer,
-both handing each tree's per-row values to the family's _proba, and the
-saved parameters with their checks. A family adds its fit and _proba:
-the clipped mean vote, or the sigmoid of the boosted sum.
+both routing (tree, row) pairs of all trees together through one
+NodeTable and handing each tree's per-row values to the family's _proba,
+and the saved parameters with their checks. A family adds its fit and
+_proba: the clipped mean vote, or the sigmoid of the boosted sum.
 """
 from __future__ import annotations
 
@@ -41,6 +42,14 @@ def _tree_sum(start: np.ndarray, weight: float, values: Iterable[np.ndarray]) ->
     return start
 
 
+def _route(table: NodeTable, X: np.ndarray) -> np.ndarray:
+    """(trees, rows) table leaf ids of X: every (tree, row) pair routed together."""
+    n_trees, n_rows = len(table.roots), len(X)
+    tree_ids = np.arange(n_trees, dtype=np.min_scalar_type(n_trees))
+    rows = np.arange(n_rows, dtype=np.min_scalar_type(n_rows))
+    return table.apply(X, np.repeat(tree_ids, n_rows), np.tile(rows, n_trees)).reshape(n_trees, n_rows)
+
+
 def _permuted_values(
     trees: list[RegressionTree], X: np.ndarray
 ) -> Callable[[np.ndarray, Sequence[int]], Iterator[np.ndarray]]:
@@ -55,10 +64,7 @@ def _permuted_values(
     """
     table = NodeTable(trees)
     nodes, (n_rows, width) = len(table.value), X.shape
-    # (trees, rows) table leaf ids of X.
-    unshuffled = np.empty((len(trees), n_rows), dtype=np.min_scalar_type(nodes))
-    for leaves, tree, root in zip(unshuffled, trees, table.roots):
-        leaves[:] = root + tree.apply(X)
+    unshuffled = _route(table, X)
     tree_ids, row_ids = np.arange(len(trees), dtype=np.min_scalar_type(len(trees))), np.min_scalar_type(n_rows)
     # Per column set: moved pairs' rows, each tree's end, and bounded node n's first-column interval at slot[n].
     movable: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
@@ -107,8 +113,13 @@ class _TreeEnsemble:
     family turns every tree's per-row values into probabilities in
     _proba(n_rows, values)."""
 
+    def _tree_values(self, X: np.ndarray) -> Iterator[np.ndarray]:
+        """Each tree's per-row values for X, in tree order."""
+        table = NodeTable(self.trees)
+        return (table.value.take(leaves) for leaves in _route(table, X))
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._proba(len(X), (tree.predict(X) for tree in self.trees))
+        return self._proba(len(X), self._tree_values(X))
 
     def permuted_proba(self, X: np.ndarray) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
         """proba(shuffled, columns): predict_proba of a matrix equal to X
@@ -213,7 +224,7 @@ class GradientBoostedTrees(_TreeEnsemble):
         return self
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        return self._decision(len(X), (tree.predict(X) for tree in self.trees))
+        return self._decision(len(X), self._tree_values(X))
 
     def _decision(self, n_rows: int, values: Iterable[np.ndarray]) -> np.ndarray:
         return _tree_sum(np.full(n_rows, self.base_score), self.learning_rate, values)

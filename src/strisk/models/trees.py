@@ -15,11 +15,12 @@ trees are the ones a per-node float sort would grow. A random forest
 draws the feature subsets of a whole depth at once; any draw order gives
 each node a uniform subset (Breiman, "Random Forests", 2001).
 
-A tree is five numpy node arrays in which leaves route to themselves, so
-prediction moves all rows down one level per step and is done after as
-many steps as the tree is deep. A NodeTable holds several trees' arrays
-end to end, so that chosen (tree, row) pairs of all of them take those
-steps together, and gives each node's value intervals on chosen columns.
+A tree is five numpy node arrays in which leaves route to themselves.
+All routing goes through one loop, NodeTable.apply. A NodeTable holds
+trees' arrays end to end, and chosen (tree, row) pairs of all of them
+move down one level per step together, done after as many steps as the
+deepest tree is deep. A single tree routes as a table of one. A
+NodeTable also gives each node's value intervals on chosen columns.
 """
 from __future__ import annotations
 
@@ -51,27 +52,6 @@ def rank_columns(X: np.ndarray) -> np.ndarray:
     return np.array(inverses, dtype=np.min_scalar_type(top)).reshape(X.shape[::-1])
 
 
-def step(
-    cells: np.ndarray,
-    row_start: np.ndarray,
-    node: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    routes: np.ndarray,
-) -> np.ndarray:
-    """Move each (row, node) pair down one level; return the nodes reached.
-
-    ``cells`` is a C-ordered float64 matrix raveled, ``row_start`` the
-    flat offset of each pair's row. ``routes`` holds (right, left) child
-    pairs, so a node's next node is at flat index 2 * node + goes_left.
-    A row goes left when its value is <= the threshold, so NaN goes
-    right; a leaf's +inf threshold sends its rows back to itself.
-    """
-    # Leaves read column -1; their +inf threshold makes it moot.
-    goes_left = cells.take(row_start + feature.take(node)) <= threshold.take(node)
-    return routes.take(2 * node + goes_left)
-
-
 @dataclass
 class RegressionTree:
     """CART-style tree; fit() and from_dict() fill the node arrays.
@@ -90,7 +70,7 @@ class RegressionTree:
     threshold: np.ndarray = field(init=False, repr=False)
     left: np.ndarray = field(init=False, repr=False)
     right: np.ndarray = field(init=False, repr=False)
-    # (nodes, 2) children as step() reads them; left and right are views.
+    # (nodes, 2) children as NodeTable.apply reads them; left and right are views.
     routes: np.ndarray = field(init=False, repr=False)
     value: np.ndarray = field(init=False, repr=False)
     # Longest root-to-leaf path; apply() takes this many routing steps.
@@ -117,25 +97,14 @@ class RegressionTree:
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.value = np.asarray(value, dtype=np.float64)
-        # Row i holds (right, left) children of node i, so step() finds a
-        # row's next node at flat index 2i + goes_left.
+        # Row i holds (right, left) children of node i, so NodeTable.apply
+        # finds a row's next node at flat index 2i + goes_left.
         self.routes = np.column_stack([right, left]).astype(np.int64)
         self.right, self.left = self.routes[:, 0], self.routes[:, 1]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for each row of X.
-
-        All rows start at the root and take one step() per level, as many
-        steps as the tree is deep. NodeTable routes chosen rows of
-        several trees.
-        """
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        cells = X.ravel()
-        row_start = np.arange(len(X), dtype=np.int64) * X.shape[1]
-        node = np.zeros(len(X), dtype=np.int64)
-        for _ in range(self.depth):
-            node = step(cells, row_start, node, self.feature, self.threshold, self.routes)
-        return node
+        """Leaf node index for each row of X, routed as a NodeTable of this one tree."""
+        return NodeTable([self]).apply(X, np.zeros(len(X), dtype=np.uint8), np.arange(len(X)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
@@ -505,7 +474,7 @@ _BLOCK = 1 << 14
 
 class NodeTable:
     """Several trees' nodes in one set of arrays, so that (tree, row) pairs
-    of all of them route together through step().
+    of all of them route together through apply().
 
     Tree t's node i is table node roots[t] + i; child ids are shifted the same way, so a leaf
     still routes to itself. threshold has one entry per node, then -inf and +inf for intervals().
@@ -531,7 +500,10 @@ class NodeTable:
             row_start = np.multiply(rows[block], width, dtype=np.int64)
             node = self.roots.take(tree_ids[block])
             for _ in range(self.depth):
-                node = step(cells, row_start, node, self.feature, self.threshold, self.routes)
+                # A row goes left when its value is <= the threshold, so NaN goes right. Leaves
+                # read column -1, and their +inf threshold sends their rows back to themselves.
+                goes_left = cells.take(row_start + self.feature.take(node)) <= self.threshold.take(node)
+                node = self.routes.take(2 * node + goes_left)
             leaves[block] = node
         return leaves
 

@@ -44,8 +44,6 @@ from .records import (
     write_jsonl,
 )
 
-SIGNAL_GROUPS = ("technical", "social", "sector", "org_size")
-
 # Unnamed groups in a partial signal dict keep these strengths.
 DEFAULT_SIGNAL = {"technical": 1.0, "social": 1.0, "sector": 0.5, "org_size": 0.5}
 

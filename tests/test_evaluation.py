@@ -186,6 +186,18 @@ class TestBrierScore:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             brier_score([], [])
+        with pytest.raises(ValueError, match="at least one"):
+            brier_score(np.array([]), np.array([], dtype=np.int64))
+
+    @given(scores_and_labels)
+    def test_numpy_input_scores_like_a_list(self, rows):
+        scores = [s for s, _ in rows]
+        labels = [y for _, y in rows]
+        expected = brier_score(scores, labels)
+        for array_labels in (labels, np.array(labels)):
+            result = brier_score(np.array(scores), array_labels)
+            assert (type(result), result) == (float, expected)
+        assert evaluate_scores("m", np.array(scores), labels) == evaluate_scores("m", scores, labels)
 
     @given(scores_and_labels)
     def test_bounded_by_one(self, rows):

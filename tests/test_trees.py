@@ -136,6 +136,38 @@ def test_node_table_routes_like_each_tree(make_matrix, seed, monkeypatch):
         assert leaf_intervals(table, root, tree, width) == reference
 
 
+@pytest.mark.parametrize("make_matrix", MATRICES)
+@pytest.mark.parametrize("seed", range(2))
+def test_ensembles_score_each_tree_like_the_reference(make_matrix, seed, monkeypatch):
+    # A small block, so pairs of one tree straddle block boundaries.
+    monkeypatch.setattr(trees_module, "_BLOCK", 7)
+    rng = np.random.default_rng(seed + 40)
+    n, width = int(rng.integers(30, 80)), int(rng.integers(2, 5))
+    X = make_matrix(rng, n, width)
+    y = np.resize([0, 1, 1], n)
+    rng.shuffle(y)
+    bagged = BaggedTrees(n_estimators=4, max_depth=4, seed=seed).fit(X, y)
+    forest = BaggedTrees(n_estimators=5, max_depth=5, max_features="sqrt", seed=seed).fit(X, y)
+    boosted = GradientBoostedTrees(n_estimators=6, max_depth=3, seed=seed).fit(X, y)
+
+    def summed(model, matrix: np.ndarray, start: np.ndarray, weight: float) -> np.ndarray:
+        """start plus weight times each tree's oracle leaf values, in tree order."""
+        for tree in model.trees:
+            params = tree.to_dict()
+            leaves = apply_tree_reference(params, matrix)
+            start += weight * np.array([params["value"][leaf] for leaf in leaves], dtype=np.float64)
+        return start
+
+    for matrix in (X, with_nan_rows(rng, make_matrix(rng, 40, width)), np.empty((0, width))):
+        for model in (bagged, forest):
+            votes = summed(model, matrix, np.zeros(len(matrix)), 1.0)
+            expected = np.clip(votes / len(model.trees), 0.0, 1.0)
+            assert model.predict_proba(matrix).tolist() == expected.tolist()
+        decision = summed(boosted, matrix, np.full(len(matrix), boosted.base_score), boosted.learning_rate)
+        assert boosted.decision(matrix).tolist() == decision.tolist()
+        assert boosted.predict_proba(matrix).tolist() == sigmoid(decision).tolist()
+
+
 def test_intervals_keep_the_tightest_split_of_a_column():
     # The second split on column 0 is looser than the first on the left
     # side and, on the right, leaves the right child an empty interval.
