@@ -60,9 +60,12 @@ def tpr_fpr_f1_at(
 ) -> tuple[float | None, float | None, float | None]:
     """Threshold scores at >= threshold and compute TPR, FPR, F1.
 
-    Any metric whose denominator is empty comes back as None.
+    Any metric whose denominator is empty comes back as None; a NaN or
+    infinite threshold is a ValueError.
     """
     _check_aligned(scores, labels)
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, got {threshold!r}")
     tp = fp = tn = fn = 0
     for score, label in zip(scores, labels):
         predicted = 1 if score >= threshold else 0
@@ -145,11 +148,12 @@ def evaluate_scores(
     threshold: float = 0.5,
 ) -> EvaluationReport:
     tpr, fpr, f1 = tpr_fpr_f1_at(scores, labels, threshold)
+    n_positive = int(sum(labels))  # a Python int, which JSON writes, for numpy labels too
     return EvaluationReport(
         model=model,
         threshold=threshold,
-        n_positive=sum(labels),
-        n_negative=len(labels) - sum(labels),
+        n_positive=n_positive,
+        n_negative=len(labels) - n_positive,
         tpr=tpr,
         fpr=fpr,
         f1=f1,

@@ -34,6 +34,8 @@ class GaussianNaiveBayes:
         raw_var = np.vstack([X[y == c].var(axis=0) for c in classes])
         overall = float(X.var(axis=0).max())
         epsilon = self.var_smoothing * overall if overall > 0 else self.var_smoothing
+        if not np.isfinite(epsilon):
+            raise ValueError(f"var_smoothing {self.var_smoothing!r} times variance {overall!r} overflows")
         self.variances = raw_var + epsilon
         return self
 

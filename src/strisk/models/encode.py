@@ -81,14 +81,12 @@ def encode_labels(profiles: Sequence[FeatureVector]) -> np.ndarray:
 
 def read_params(cls: type[T], data: object, shapes: dict[str, tuple[int, ...]]) -> T:
     """A family's saved parameters (read_config), every field given, each array named
-    in ``shapes`` of that shape and with only finite values."""
+    in ``shapes`` of that shape."""
     model = read_config(cls, data, "params", complete=True)
     for name, shape in shapes.items():
         array = getattr(model, name)
         if getattr(array, "shape", None) != shape:
             raise ValueError(f"field {name!r} has shape {getattr(array, 'shape', None)}, expected {shape}")
-        if not np.isfinite(array).all():
-            raise ValueError(f"field {name!r} must be finite")
     return model
 
 

@@ -236,7 +236,5 @@ class GradientBoostedTrees(_TreeEnsemble):
     def from_params(cls, data: dict, width: int) -> GradientBoostedTrees:
         model = super().from_params(data, width)
         if not 0.0 < model.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be a finite number in (0, 1]")
-        if not math.isfinite(model.base_score):
-            raise ValueError("base_score must be a finite number")
+            raise ValueError("learning_rate must be in (0, 1]")
         return model

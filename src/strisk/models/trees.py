@@ -134,9 +134,9 @@ class RegressionTree:
         Raises ValueError for any tree that could crash or misroute:
         a setting below 1, unequal node arrays, a child outside
         parent < child < n (which also rules out cycles), a node other
-        than the root without exactly one parent, a non-finite threshold
-        or value, or more levels than max_depth. check_features bounds
-        the split columns, which depend on the matrix.
+        than the root without exactly one parent, or more levels than
+        max_depth. check_features bounds the split columns, which depend
+        on the matrix.
         """
         saved = read_config(_SavedTree, data, where)
         for name in ("max_depth", "min_samples_leaf", "max_features"):
@@ -157,8 +157,6 @@ class RegressionTree:
                 raise ValueError("tree leaf has a child")
         if not (np.bincount(np.concatenate([left[inner], right[inner]]), minlength=n)[1:] == 1).all():
             raise ValueError("every tree node but the root must have exactly one parent")
-        if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
-            raise ValueError("tree thresholds and values must be finite")
         depth, level = 0, np.zeros(1, dtype=np.int64)
         while inner[level].any():
             level = level[inner[level]]

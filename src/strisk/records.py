@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import ipaddress
 import json
+import math
 import operator
 import re
 import types
@@ -75,23 +76,29 @@ def _typed(value: object, kind: type, key: str):
 
 
 def _read_float(value: object, key: str) -> float:
-    """A float, or an integer that converts to a finite one."""
+    """A finite float, or an integer that converts to one: never NaN or ±Infinity."""
     try:
-        return float(value) if type(value) is int else _typed(value, float, key)
+        number = float(value) if type(value) is int else _typed(value, float, key)
     except OverflowError:
-        raise RecordError(f"field {key!r} must convert to a finite float") from None
+        number = math.inf
+    if math.isfinite(number):
+        return number
+    raise RecordError(f"field {key!r} must be a finite number")
 
 
 def _read_array(dtype: type, kinds: set[type], noun: str, value: object, key: str) -> np.ndarray:
     """An array of ``dtype`` from a list of JSON values of ``kinds``, nested for more
-    than one dimension. The whole list is type-checked at once."""
+    than one dimension, every entry finite. The whole list is type-checked at once."""
     if type(value) is list:
         try:
-            cells = np.array(value, dtype=object)
-            if set(map(type, cells.ravel())) <= kinds:
-                return cells.astype(dtype)
+            array = np.array(value, dtype=object)  # one name, so the cells are freed before isfinite
+            array = array.astype(dtype) if set(map(type, array.ravel())) <= kinds else None
         except (ValueError, OverflowError):  # a ragged list, or an integer too large for dtype
-            pass
+            array = None
+        if array is not None:
+            if not np.isfinite(array).all():
+                raise RecordError(f"field {key!r} must hold only finite numbers")
+            return array
     raise RecordError(f"field {key!r} must be a list of {noun}")
 
 
@@ -143,12 +150,12 @@ def _reader(annotation: object) -> Callable[[object, str], object]:
 
 
 def read_value(value: object, annotation: object, key: str):
-    """The JSON value of field ``key`` read as the type ``annotation`` names (_typed), an
-    integer also as a float. A tuple, frozenset or list is read from a list and a dict from
-    an object, item by item; an array from nested lists of numbers (_read_array); a Literal
-    as one of its values; a dataclass with its own from_dict(value, key) or else read_config;
-    a datetime or Path from text. A union takes its first member that reads; when none
-    does, it fails as the first does."""
+    """The JSON value of field ``key`` read as the type ``annotation`` names (_typed), a
+    finite float also from an integer (_read_float). A tuple, frozenset or list is read
+    from a list and a dict from an object, item by item; an array from nested lists of
+    finite numbers (_read_array); a Literal as one of its values; a dataclass with its own
+    from_dict(value, key) or else read_config; a datetime or Path from text. A union takes
+    its first member that reads; when none does, it fails as the first does."""
     return _reader(annotation)(value, key)
 
 

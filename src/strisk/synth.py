@@ -431,6 +431,8 @@ def inject_label_noise(
     seed-determined shuffle of the positives, so R successive calls
     relabel non-overlapping sets; without it the first slice is used.
     """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
     positives = [i for i, p in enumerate(dataset) if p.label == 1]
     k = math.floor(fraction * len(positives))
     if k < 1:

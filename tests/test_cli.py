@@ -295,6 +295,27 @@ class TestTrainPredictEvaluate:
         assert 0.0 <= report["auc"] <= 1.0
         assert report["n_positive"] + report["n_negative"] == 60
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_stage_failure(self, workspace, model_path, tmp_path, capsys, threshold):
+        _, _, features, _ = workspace
+        out = tmp_path / "eval.json"
+        args = ["--model", str(model_path), "--features", str(features), "--threshold", threshold, "--out", str(out)]
+        code = main(["evaluate", *args])
+        _assert_exit(code, 3, capsys, f"error: stage evaluate: threshold must be a finite number, got {threshold}")
+        assert not out.exists()
+
+    def test_overflowing_variance_floor_is_stage_failure(self, tmp_path, capsys):
+        gen = write_json(tmp_path / "gen.json", {"n_orgs": 60, "seed": 5})
+        assert main(["--quiet", "simulate", "--config", str(gen), "--out-dir", str(tmp_path / "corpus")]) == 0
+        paths = {role: tmp_path / "corpus" / f"{role}.jsonl" for role in ("organizations", "observations", "tweets", "incidents")}
+        assert featurize(paths, tmp_path / "features.csv") == 0
+        spec = write_json(tmp_path / "spec.json", {"family": "naive_bayes", "hyperparameters": {"var_smoothing": 1e308}})
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        code = main(["train", "--features", str(tmp_path / "features.csv"), "--spec", str(spec), "--out", str(out)])
+        _assert_exit(code, 3, capsys, "error: stage train: var_smoothing 1e+308 times variance")
+        assert not out.exists()
+
     def test_stacked_spec_trains_stacked_model(self, workspace, tmp_path):
         _, _, features, _ = workspace
         spec = write_json(
@@ -343,6 +364,16 @@ class TestExperiment:
             ["experiment", "--features", str(features), "--models", str(models), "--repeats", "0", "--out", str(out)]
         )
         _assert_exit(code, 3, capsys, "error: stage experiment: repeats must be >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", ["inf", "nan"])
+    def test_non_finite_fraction_is_stage_failure(self, workspace, tmp_path, capsys, fraction):
+        _, _, features, models = workspace
+        out = tmp_path / "experiment.json"
+        code = main(
+            ["experiment", "--features", str(features), "--models", str(models), "--fraction", fraction, "--out", str(out)]
+        )
+        _assert_exit(code, 3, capsys, f"error: stage experiment: fraction must be in (0, 1], got {fraction}")
         assert not out.exists()
 
 
@@ -513,6 +544,18 @@ class TestExitCodes:
         model = write_json(tmp_path / "model.json", data)
         code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")])
         _assert_exit(code, 2, capsys, "data error: model file", repr(keys[-1]))
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("bias", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_bias_exit_data_error(self, model_path, workspace, tmp_path, capsys, command, bias):
+        _, _, features, _ = workspace
+        data = json.loads(model_path.read_text())
+        data["params"]["bias"] = bias
+        model = write_json(tmp_path / "model.json", data)
+        out = tmp_path / "out"
+        code = main([command, "--model", str(model), "--features", str(features), "--out", str(out)])
+        _assert_exit(code, 2, capsys, "data error: model file", "field 'bias' must be a finite number")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("seed", 2.9), ("folds", "7")])
     def test_mistyped_stacked_model_exit_data_error(self, workspace, tmp_path, capsys, key, value):
@@ -993,6 +1036,21 @@ class TestMalformedConfig:
                 "l2",
                 id="l2-401-digits",
             ),
+            pytest.param("run", {"evaluate": {"threshold": float("nan")}}, "threshold", id="threshold-NaN"),
+            pytest.param(
+                "train",
+                {"family": "logistic_regression", "hyperparameters": {"l2": float("nan")}},
+                "l2",
+                id="l2-NaN",
+            ),
+            pytest.param(
+                "train",
+                {"family": "naive_bayes", "hyperparameters": {"var_smoothing": float("inf")}},
+                "var_smoothing",
+                id="var_smoothing-Infinity",
+            ),
+            pytest.param("simulate", {"n_orgs": 60, "signal": {"technical": float("nan")}}, "technical", id="signal-NaN"),
+            pytest.param("simulate", {"n_orgs": 60, "negative_ratio": float("inf")}, "negative_ratio", id="ratio-Infinity"),
         ],
         ids=lambda value: json.dumps(value) if isinstance(value, dict) else str(value),
     )

@@ -109,6 +109,11 @@ class TestThresholdMetrics:
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             tpr_fpr_f1_at([0.5, 0.5], [1, 2])
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            tpr_fpr_f1_at([0.9, 0.1], [1, 0], threshold)
+
 
 class TestRocAuc:
     def test_perfect_and_inverted(self):
@@ -215,6 +220,13 @@ class TestEvaluateScores:
         assert (report.tpr, report.fpr, report.f1) == (1.0, 0.0, 1.0)
         assert report.auc == 1.0
         assert report.brier == pytest.approx(0.045)
+
+    def test_numpy_and_list_inputs_give_equal_serializable_reports(self):
+        from_lists = evaluate_scores("m", [0.2, 0.8, 0.6], [0, 1, 1])
+        from_arrays = evaluate_scores("m", np.array([0.2, 0.8, 0.6]), np.array([0, 1, 1]))
+        assert from_arrays == from_lists
+        assert type(from_arrays.n_positive) is int and type(from_arrays.n_negative) is int
+        assert json.dumps(from_arrays.to_dict()) == json.dumps(from_lists.to_dict())
 
     def test_round_trip_preserves_none(self):
         report = EvaluationReport(

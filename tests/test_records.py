@@ -1,15 +1,27 @@
 """Record validation (addresses, host counts, organization sizes, incident
-dates) and the JSON lines each record type is written as and read from."""
+dates), the JSON lines each record type is written as and read from, and
+the typed reader's refusal of non-finite numbers in every config, spec
+and model file."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import ipaddress
 import json
+import operator
+import typing
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_dataset
+from strisk.models import MODEL_FAMILIES, ModelSpec, load_model, train, train_stacked
+from strisk.models.linear import LogisticRegression
+from strisk.names import MatchConfig
+from strisk.pipeline import PipelineConfig
 from strisk.records import (
     IncidentRecord,
     ObservationRecord,
@@ -17,11 +29,14 @@ from strisk.records import (
     RecordError,
     TweetRecord,
     _is_ip,
+    field_types,
     load_incidents,
     load_observations,
     load_organizations,
+    read_json,
     write_jsonl,
 )
+from strisk.synth import GeneratorConfig
 
 
 def ipaddress_accepts(subject: str) -> bool:
@@ -208,3 +223,110 @@ def test_naive_timestamp_is_read_as_utc_and_unknown_key_ignored():
         "timestamp": "2019-01-01T12:00:00+00:00",
         "detail": "",
     }
+
+
+# The reader and a valid document of each config kind.
+CONFIG_DOCUMENTS = {
+    "run": (
+        PipelineConfig.from_dict,
+        {
+            "workdir": "work",
+            "simulate": {"n_orgs": 60},
+            "models": [{"family": "naive_bayes"}],
+            "split": {"train_fraction": 0.7},
+            "evaluate": {"threshold": 0.5},
+        },
+    ),
+    "generator": (
+        GeneratorConfig.from_dict,
+        {
+            "n_orgs": 60,
+            "negative_ratio": 4.0,
+            "noise_fraction": 0.1,
+            "signal": {"technical": 2.0},
+            "sector_mix": [0.1] * 10,
+        },
+    ),
+    "match": (MatchConfig.from_dict, {"jaccard_threshold": 0.5, "jw_threshold": 0.85, "prefix_scale": 0.1}),
+}
+SMALL_TREES = {"n_estimators": 2, "max_depth": 2}
+TREE_FAMILIES = ("bagged_trees", "random_forest", "gradient_boosted_trees")
+
+
+def float_fields(cls: type) -> list[str]:
+    """The fields of ``cls`` annotated as a float or a float array."""
+    return [name for name, hint in field_types(cls).items() if hint is float or np.ndarray in (hint, *typing.get_args(hint))]
+
+
+NON_FINITE_FIELDS = [
+    ("run", ("split", "train_fraction")),
+    ("run", ("evaluate", "threshold")),
+    ("generator", ("negative_ratio",)),
+    ("generator", ("noise_fraction",)),
+    ("generator", ("signal", "technical")),
+    ("generator", ("sector_mix",)),
+    *(("match", (name,)) for name in CONFIG_DOCUMENTS["match"][1]),
+    *(
+        (f"spec:{family}", ("hyperparameters", name))
+        for family in MODEL_FAMILIES
+        for name, default in ModelSpec(family).resolved().items()
+        if type(default) is float
+    ),
+    *(
+        (f"model:{family}", ("params", name))
+        for family in MODEL_FAMILIES
+        for name in float_fields(ModelSpec(family).impl_class)
+    ),
+    *((f"model:{family}", ("params", "trees", 0, name)) for family in TREE_FAMILIES for name in ("threshold", "value")),
+    *(("model:stacked", ("meta", name)) for name in float_fields(LogisticRegression)),
+]
+
+
+@pytest.fixture(scope="module")
+def saved_models() -> dict[str, dict]:
+    """The saved JSON of a model of every family and of a stacked model."""
+    dataset = make_dataset(40, 20, seed=3)
+    specs = {
+        family: ModelSpec(family, SMALL_TREES if family in TREE_FAMILIES else {}) for family in MODEL_FAMILIES
+    }
+    models = {family: train(dataset, spec) for family, spec in specs.items()}
+    models["stacked"] = train_stacked(dataset, [specs["naive_bayes"], specs["logistic_regression"]], folds=3)
+    return {name: model.to_dict() for name, model in models.items()}
+
+
+def read_document(kind: str, text: str, file: Path) -> object:
+    """The ``kind`` of document in JSON ``text``, read from ``file`` as strisk reads it."""
+    file.write_text(text, encoding="utf-8")
+    if kind == "model":
+        return load_model(file)
+    return (ModelSpec.from_dict if kind == "spec" else CONFIG_DOCUMENTS[kind][0])(read_json(file))
+
+
+def _depth(value: object) -> int:
+    """How many lists deep ``value``'s first entry lies."""
+    return 1 + _depth(value[0]) if isinstance(value, list) else 0
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "document, path", NON_FINITE_FIELDS, ids=[f"{doc}:{'.'.join(map(str, path))}" for doc, path in NON_FINITE_FIELDS]
+)
+def test_non_finite_number_is_refused_naming_its_field(saved_models, tmp_path, document, path, token):
+    """Every float and float array strisk reads from JSON refuses NaN, ±Infinity and a
+    literal too large for a float, while the unchanged document reads."""
+    kind, _, name = document.partition(":")
+    if kind == "model":
+        data = saved_models[name]
+    elif kind == "spec":
+        data = {"family": name, "hyperparameters": {path[-1]: 1.0}}
+    else:
+        data = CONFIG_DOCUMENTS[kind][1]
+    data = json.loads(json.dumps(data))  # a copy to change
+    read_document(kind, json.dumps(data), tmp_path / "valid.json")
+    # The token goes in place of the field's value, or of an array's first entry.
+    *parents, key = [*path, *[0] * _depth(functools.reduce(operator.getitem, path, data))]
+    functools.reduce(operator.getitem, parents, data)[key] = "@token"
+    text = json.dumps(data).replace('"@token"', token)
+    named = next(part for part in reversed(path) if isinstance(part, str))
+    with pytest.raises(RecordError, match=f"field {named!r} must .*finite"):
+        read_document(kind, text, tmp_path / "bad.json")

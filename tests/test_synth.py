@@ -326,6 +326,12 @@ class TestInjectLabelNoise:
         with pytest.raises(ValueError, match="positives"):
             inject_label_noise(dataset, 0.4, partition=(2, 3))
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        dataset = make_dataset(20, 10, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"fraction must be in (0, 1], got {fraction!r}")):
+            inject_label_noise(dataset, fraction)
+
     def test_fraction_too_small_rejected(self):
         dataset = make_dataset(20, 5, seed=0)
         with pytest.raises(ValueError, match="fraction too small"):
