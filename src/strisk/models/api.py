@@ -67,6 +67,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.family not in _FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {sorted(MODEL_FAMILIES)}"

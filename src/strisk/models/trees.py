@@ -4,16 +4,20 @@ Targets are arbitrary reals (0/1 class labels for bagging, gradient
 residuals for boosting); splits minimize within-node squared error via
 prefix sums, which for binary targets is the classic impurity criterion.
 Split search never sorts floats: rank_columns turns each column into
-integer codes once per ensemble. grow_trees grows all the trees of an
-ensemble together, one depth at a time, as XGBoost does (Chen & Guestrin,
-KDD 2016): each depth searches every splittable node of every tree at
-once, one row of codes per (node, candidate column). One stable radix
-argsort orders all the rows of a block, target prefix sums are taken in
-that order, and only the cuts between two different codes are scored.
-The threshold is read back from the two adjacent feature values, so
-trees are the ones a per-node float sort would grow. A random forest
-draws the feature subsets of a whole depth at once; any draw order gives
-each node a uniform subset (Breiman, "Random Forests", 2001).
+integer codes, keeping its distinct values, once per ensemble. grow_trees
+grows all the trees of an ensemble together, one depth at a time, as
+XGBoost does (Chen & Guestrin, KDD 2016): each depth searches every
+splittable node of every tree at once, in blocks of (node, candidate
+column) cells. A block of 0/1 targets whose cells' columns have no more
+codes in all than its cells have rows counts each code's rows and ones,
+as LightGBM does (Ke et al., NeurIPS 2017). Residuals, whose bin sums
+would round otherwise, and small nodes, whose bins would be mostly empty,
+sort each cell's codes with a stable radix argsort and sum the targets in
+that order. Either way only cuts between two different codes are scored,
+and the threshold is read back from the two adjacent feature values, so
+trees are those a per-node float sort would grow. A random forest draws
+the feature subsets of a whole depth at once; any draw order gives each
+node a uniform subset (Breiman, "Random Forests", 2001).
 
 A tree is five numpy node arrays in which leaves route to themselves.
 All routing goes through one loop, NodeTable.apply. A NodeTable holds
@@ -35,8 +39,9 @@ from ..records import json_fields, read_config
 _LEAF = -1
 
 
-def rank_columns(X: np.ndarray) -> np.ndarray:
-    """(width, n) dense rank codes of X's columns, in the narrowest unsigned dtype.
+def rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Dense rank codes of X's columns, (width, n) in the narrowest unsigned
+    dtype, and each column's sorted distinct values, one per code.
 
     Codes keep each column's order and are equal exactly where its values
     are, so sorting codes sorts values; uint16 holds up to 65,536
@@ -47,9 +52,10 @@ def rank_columns(X: np.ndarray) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("tree fitting needs finite feature values")
     # Ranking one column at a time keeps temporaries to a column's size.
-    inverses = [np.unique(column, return_inverse=True)[1] for column in X.T]
-    top = max((int(inverse.max(initial=0)) for inverse in inverses), default=0)
-    return np.array(inverses, dtype=np.min_scalar_type(top)).reshape(X.shape[::-1])
+    uniques = [np.unique(column, return_inverse=True) for column in X.T]
+    top = max((int(inverse.max(initial=0)) for _, inverse in uniques), default=0)
+    codes = np.array([inverse for _, inverse in uniques], dtype=np.min_scalar_type(top))
+    return codes.reshape(X.shape[::-1]), [values for values, _ in uniques]
 
 
 @dataclass
@@ -81,14 +87,14 @@ class RegressionTree:
         X: np.ndarray,
         y: np.ndarray,
         rng: np.random.Generator | None = None,
-        ranks: np.ndarray | None = None,
+        ranks: tuple[np.ndarray, list[np.ndarray]] | None = None,
     ) -> RegressionTree:
         """Grow the tree on X's rows and targets y: grow_trees for a forest of one.
 
-        ``ranks`` holds rank_columns codes for X's rows: (width, len(y)),
+        ``ranks`` is rank_columns(X): codes for X's rows, (width, len(y)),
         column j ordered like X[:, j], equal codes exactly where values
-        are equal. Ensembles rank their matrix once and pass the codes;
-        without them fit ranks X itself.
+        are equal, and each column's sorted distinct values. Ensembles
+        rank their matrix once and pass it; without it fit ranks X itself.
         """
         grow_trees([self], X, y, np.arange(len(y))[None], rng, ranks)
         return self
@@ -206,33 +212,34 @@ def grow_trees(
     y: np.ndarray,
     samples: np.ndarray,
     rng: np.random.Generator | None,
-    ranks: np.ndarray | None = None,
+    ranks: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> None:
     """Grow every tree of ``trees`` together, one depth at a time.
 
     The trees share the first one's max_depth, min_samples_leaf and
     max_features. Tree t grows on rows samples[t] of X and y, in that
-    order (a bootstrap sample, say). ``ranks`` are rank_columns codes of
-    X, made here when not given.
+    order (a bootstrap sample, say). ``ranks`` is rank_columns(X), made
+    here when not given.
 
     Each depth searches the splits of every splittable node of every
-    tree at once (see _search_block). With feature subsampling it first
+    tree at once (see _best_splits). With feature subsampling it first
     draws rng.random((nodes, width)) for those nodes, ordered by tree and
     then left to right, and a node searches the max_features columns
-    with the smallest keys. A node's value is its targets' sum, in row
-    order, over its row count.
+    with the smallest keys. A node's value is its targets' sum over its
+    row count: in row order, as np.mean adds, unless the targets are 0/1,
+    whose sums are exact in any order.
     """
     spec = trees[0]
     if spec.max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if spec.min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be >= 1")
-    if ranks is None:
-        ranks = rank_columns(X)
+    codes, values = rank_columns(X) if ranks is None else ranks
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not np.isfinite(y).all():
         raise ValueError("tree fitting needs finite targets")
+    binary = samples.size > 0 and bool(((y == 0) | (y == 1)).all())
     width = X.shape[1]
     subset = spec.max_features
     if subset is not None and subset < width:
@@ -244,7 +251,7 @@ def grow_trees(
     cells = X.ravel()
     # A last column of the largest code and a zero target: the pad row.
     padded_ranks = np.concatenate(
-        [ranks, np.full((width, 1), np.iinfo(ranks.dtype).max, ranks.dtype)], axis=1
+        [codes, np.full((width, 1), np.iinfo(codes.dtype).max, codes.dtype)], axis=1
     )
     padded_y = np.append(y, 0.0)
     # The live nodes of the current depth, tree by tree and left to right:
@@ -258,10 +265,8 @@ def grow_trees(
         starts = ends - counts
         targets = y.take(rows)
         # The sum over the count is np.mean's own arithmetic, minus its overhead.
-        sums = np.fromiter(
-            (targets[a:b].sum() for a, b in zip(starts.tolist(), ends.tolist())),
-            np.float64,
-            len(counts),
+        sums = np.add.reduceat(targets, starts) if binary else np.fromiter(
+            (targets[a:b].sum() for a, b in zip(starts.tolist(), ends.tolist())), np.float64, len(counts)
         )
         value = sums / counts
         feature = np.full(len(counts), _LEAF, dtype=np.int64)
@@ -275,7 +280,7 @@ def grow_trees(
                 keys = rng.random((len(live), width))
                 candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :subset], axis=1)
             feature[live], threshold[live] = _best_splits(
-                X, padded_ranks, padded_y, min_leaf,
+                X, padded_ranks, values if binary else None, padded_y, min_leaf,
                 np.append(rows, len(y)), starts.take(live), counts.take(live), candidates,
             )
         levels.append((owner, value, feature, threshold))
@@ -298,6 +303,7 @@ def grow_trees(
 def _best_splits(
     X: np.ndarray,
     ranks: np.ndarray,
+    values: list[np.ndarray] | None,
     y: np.ndarray,
     min_leaf: int,
     rows: np.ndarray,
@@ -315,10 +321,20 @@ def _best_splits(
     go largest first, in blocks of at most _GROW_BLOCK cells padded to
     the block's first row count; a block takes only nodes that fill
     more than half of it.
+
+    ``values``, each column's sorted distinct values, is given when every
+    target is 0 or 1; then blocks whose histogram fits (_histogram_fits)
+    count rows per code (_count_block) and others sort them (_search_block)
+    with equal results. Residuals keep the sort, as bin sums would round
+    them otherwise, and so do small nodes, whose bins would be mostly empty.
     """
     width = candidates.shape[1]
     feature = np.full(len(counts), _LEAF, dtype=np.int64)
-    threshold = np.full(len(counts), np.inf)
+    # The feature values either side of each node's cut; +inf where it has none.
+    low, high = np.full((2, len(counts)), np.inf)
+    if values is not None:
+        levels = np.array([len(column) for column in values])
+        flat_values = np.concatenate(values)
     by_size = np.argsort(-counts, kind="stable")
     descending = counts.take(by_size)
     halves = np.searchsorted(-descending, -(descending // 2)).tolist()
@@ -327,14 +343,73 @@ def _best_splits(
         padded = int(descending[first])
         last = min(first + max(1, _GROW_BLOCK // (width * padded)), halves[first])
         block = by_size[first:last]
-        node, chosen, cut = _search_block(
-            X, ranks, y, min_leaf,
-            rows, starts.take(block), counts.take(block), candidates[block], padded,
-        )
+        nodes = (rows, starts.take(block), counts.take(block), candidates[block])
+        if values is not None and _histogram_fits(levels, *nodes[2:]):
+            node, chosen, below, above = _count_block(ranks, levels, flat_values, y, min_leaf, *nodes)
+        else:
+            node, chosen, below, above = _search_block(X, ranks, y, min_leaf, *nodes, padded)
         split = block.take(node)
-        feature[split], threshold[split] = chosen, cut
+        feature[split], low[split], high[split] = chosen, below, above
         first = last
-    return feature, threshold
+    cut = (low + high) / 2.0
+    # Adjacent floats can round the midpoint up onto high, which would
+    # route every row left; pin to the lower value.
+    return feature, np.where(cut >= high, low, cut)
+
+
+def _histogram_fits(levels: np.ndarray, counts: np.ndarray, candidates: np.ndarray) -> bool:
+    """Whether a block's histogram has no more bins than its cells have rows."""
+    return int(levels.take(candidates).sum()) <= int(counts.sum()) * candidates.shape[1]
+
+
+def _count_block(
+    ranks: np.ndarray, levels: np.ndarray, flat_values: np.ndarray, y: np.ndarray, min_leaf: int,
+    rows: np.ndarray, starts: np.ndarray, counts: np.ndarray, candidates: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_search_block's result for 0/1 targets, from a histogram with a bin
+    per code of each (node, candidate) cell: ``levels`` per column, valued
+    as in ``flat_values``, all columns end to end. Sums of 0/1 targets are
+    exact and each is its own square, so every SSE is bit-equal to the
+    sort's, and cuts run in its order: node, column, then code. The values
+    either side are the chosen code's and the cell's next occupied one's."""
+    n_nodes, width = candidates.shape
+    cell_bins = levels.take(candidates).ravel()
+    cell_start = np.cumsum(cell_bins) - cell_bins
+    node = np.repeat(np.arange(n_nodes), counts)
+    # Row j of the block is row j - (rows before its node) of its node.
+    node_rows = rows.take(np.arange(len(node)) + (starts - np.cumsum(counts) + counts).take(node))
+    bins = ranks.take((candidates * ranks.shape[1]).take(node, axis=0) + node_rows[:, None])
+    bins = bins + cell_start.reshape(n_nodes, width).take(node, axis=0)
+    one = y.take(node_rows) == 1
+    filled, ones = (np.bincount(b.ravel(), minlength=int(cell_bins.sum())) for b in (bins, bins[one]))
+    # Rows and ones through each bin, and before each cell's first bin.
+    rows_through, ones_through = np.cumsum(filled), np.cumsum(ones)
+    cell_n = np.repeat(counts, width)
+    rows_before = np.cumsum(cell_n) - cell_n
+    ones_before = ones_through.take(cell_start) - ones.take(cell_start)
+    cell_ones = ones_through.take(cell_start + cell_bins - 1) - ones_before
+    low = np.repeat(rows_before + min_leaf, cell_bins)
+    high = np.repeat(rows_before + cell_n - min_leaf, cell_bins)
+    scored = np.flatnonzero((filled > 0) & (rows_through >= low) & (rows_through <= high))
+    cell = np.searchsorted(cell_start, scored, side="right") - 1
+    sizes = rows_through.take(scored) - rows_before.take(cell)
+    left_sum = (ones_through.take(scored) - ones_before.take(cell)).astype(np.float64)
+    right_sum = cell_ones.take(cell) - left_sum
+    # _search_block's expression, with each sum of squares equal to its sum.
+    sse = left_sum - left_sum * left_sum / sizes + (right_sum - right_sum * right_sum / (cell_n.take(cell) - sizes))
+    # Scored bins run node by node; take each node's first minimum.
+    owner = cell // width
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    lowest = np.minimum.reduceat(sse, first)
+    hits = np.flatnonzero(sse == np.repeat(lowest, np.diff(first, append=len(sse))))
+    best = hits.take(np.searchsorted(hits, first))
+    chosen, cell = scored.take(best), cell.take(best)
+    occupied = np.flatnonzero(filled)
+    above = occupied.take(np.searchsorted(occupied, chosen, side="right"))
+    feature = candidates.ravel().take(cell)
+    # Bin b of a cell stands for code b - cell_start of its column.
+    offset = (np.cumsum(levels) - levels).take(feature) - cell_start.take(cell)
+    return owner.take(first), feature, flat_values.take(chosen + offset), flat_values.take(above + offset)
 
 
 def _search_block(
@@ -347,9 +422,9 @@ def _search_block(
     counts: np.ndarray,
     candidates: np.ndarray,
     padded: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lowest-SSE cut of each node of one block: the nodes that have a
-    cut, and each one's feature and threshold.
+    cut, and each one's feature and the two feature values either side.
 
     Each (node, candidate) pair is one row of codes: the node's rows in
     order, then pad rows up to ``padded``. One stable argsort orders
@@ -358,7 +433,7 @@ def _search_block(
     order match a float sort bit for bit, and only cuts between two
     different codes with min_leaf rows on both sides are scored. Ties
     resolve to the earliest candidate column and the lowest cut, and the
-    threshold is read back from the two adjacent feature values.
+    two adjacent feature values are read back through the sort order.
     """
     n_nodes, width = candidates.shape
     span = np.arange(padded)
@@ -402,12 +477,7 @@ def _search_block(
     row = node * width + column
     at = (row * padded + pos + low)[:, None] + (0, 1)
     sides = X[node_rows.take(order.take(at) + ((node - row) * padded)[:, None]), feature[:, None]]
-    low_value, high_value = sides[:, 0], sides[:, 1]
-    cut = (low_value + high_value) / 2.0
-    # Adjacent floats can round the midpoint up onto high_value, which
-    # would route every row left; pin to the lower value.
-    cut = np.where(cut >= high_value, low_value, cut)
-    return node, feature, cut
+    return node, feature, sides[:, 0], sides[:, 1]
 
 
 def _number_in_preorder(

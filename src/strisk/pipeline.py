@@ -112,6 +112,8 @@ class PipelineConfig:
     skip: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.simulate is None and not self.inputs:
             raise ValueError("config needs either a simulate section or input paths")
         if "simulate" in self.skip and not self.inputs:

@@ -137,6 +137,8 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_orgs < 20:
             raise ValueError("n_orgs must be >= 20")
         if self.negative_ratio <= 0:

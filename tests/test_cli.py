@@ -937,6 +937,21 @@ class TestMalformedConfig:
         code = main(["run", "--config", str(write_json(tmp_path / "nowork.json", config))])
         _assert_exit(code, 1, capsys, "usage error: bad pipeline config", "missing field 'workdir'")
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"seed": -1},
+            {"simulate": {"n_orgs": 60, "seed": -1}},
+            {"models": [{"family": "naive_bayes", "seed": -1}]},
+        ],
+        ids=["top-level", "simulate", "model-spec"],
+    )
+    def test_negative_seed_is_named_usage_error_before_any_stage(self, tmp_path, capsys, changes):
+        config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path, **changes))
+        code = main(["run", "--config", str(config)])
+        _assert_exit(code, 1, capsys, "usage error: bad pipeline config", "seed must be >= 0, got -1")
+        assert not (tmp_path / "work").exists()
+
     def test_run_config_list_is_usage_error(self, tmp_path, capsys):
         config = write_json(tmp_path / "pipeline.json", [_run_config(tmp_path)])
         code = main(["run", "--config", str(config)])

@@ -16,9 +16,12 @@ from oracles import (
     grow_tree_reference,
     leaf_intervals_reference,
 )
+from strisk.features import featurize_corpus
+from strisk.models import ModelSpec, train
 from strisk.models import trees as trees_module
 from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
-from strisk.models.trees import NodeTable, RegressionTree, check_features, rank_columns
+from strisk.models.trees import NodeTable, RegressionTree, check_features, grow_trees, rank_columns
+from strisk.synth import GeneratorConfig, generate_corpus
 
 NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
@@ -205,9 +208,14 @@ rank_value = st.one_of(
 )
 def test_rank_columns_keep_order_and_ties(X):
     before = X.tobytes()
-    codes = rank_columns(X)
+    codes, values = rank_columns(X)
     assert X.tobytes() == before
     assert codes.shape == X.shape[::-1]
+    # Each column's distinct values, sorted, one per code.
+    assert len(values) == X.shape[1]
+    for column, code, distinct in zip(X.T, codes, values):
+        assert (np.diff(distinct) > 0).all()
+        assert (distinct[code] == column).all()
     by_row = codes.T.astype(np.int64)
     assert ((X[:, None] < X[None, :]) == (by_row[:, None] < by_row[None, :])).all()
     assert ((X[:, None] == X[None, :]) == (by_row[:, None] == by_row[None, :])).all()
@@ -222,7 +230,7 @@ def test_rank_columns_keep_order_and_ties(X):
 )
 def test_rank_columns_use_the_narrowest_dtype(levels, dtype):
     X = np.column_stack([np.zeros(levels), -np.arange(levels, dtype=np.float64)])
-    codes = rank_columns(X)
+    codes, _ = rank_columns(X)
     assert codes.dtype == dtype
     assert codes[1].tolist() == list(range(levels - 1, -1, -1))
 
@@ -315,6 +323,143 @@ def test_block_cap_leaves_trees_unchanged(make_matrix, cap, monkeypatch):
     # padded; a cap of 1 searches each node alone and 512 cells a few at a time.
     monkeypatch.setattr(trees_module, "_GROW_BLOCK", cap)
     assert [model.fit(X, y).to_params() for model in models] == expected
+
+
+@pytest.fixture
+def count_path(monkeypatch):
+    """count_path(fits) makes every block of 0/1 targets count (True), none
+    (False) or those _histogram_fits admits (None); it returns the list
+    each counted block appends to, emptied."""
+    counted: list[int] = []
+    count_block, histogram_fits = trees_module._count_block, trees_module._histogram_fits
+    monkeypatch.setattr(trees_module, "_count_block", lambda *args: counted.append(1) or count_block(*args))
+
+    def force(fits: bool | None) -> list[int]:
+        predicate = histogram_fits if fits is None else (lambda *args: fits)
+        monkeypatch.setattr(trees_module, "_histogram_fits", predicate)
+        counted.clear()
+        return counted
+
+    return force
+
+
+def many_code_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Columns of 2, about 36 and (for n of a few hundred) over 256 distinct values."""
+    return np.column_stack(
+        [rng.integers(0, 2, n), rng.integers(0, 36, n), rng.normal(size=n).round(3), rng.integers(0, 37, n)]
+    ).astype(np.float64)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(2))
+def test_counting_and_sorting_grow_the_same_ensembles(count_path, min_samples_leaf, seed):
+    rng = np.random.default_rng(seed + 60)
+    n = 400
+    X = many_code_matrix(rng, n)
+    assert rank_columns(X)[0].dtype == np.uint16
+    y = (X[:, 1] + 12 * X[:, 0] + rng.normal(scale=10, size=n) > 30).astype(np.int64)
+    models = [
+        BaggedTrees(n_estimators=3, max_depth=5, min_samples_leaf=min_samples_leaf, max_features=features, seed=seed)
+        for features in (None, 2)
+    ]
+    fits = []
+    for fits_all in (True, False):
+        counted = count_path(fits_all)
+        fits.append([model.fit(X, y).to_params() for model in models])
+        assert bool(counted) == fits_all
+    assert fits[0] == fits[1]
+    # Both match the one-node-at-a-time reference on the bootstrap rows,
+    # duplicates included, replayed as in the bagging test above.
+    replay = np.random.default_rng(seed)
+    samples = [replay.integers(0, n, size=n) for _ in range(3)]
+    y = y.astype(np.float64)
+    references = (
+        [grow_tree_reference(X[rows], y[rows], 5, min_samples_leaf) for rows in samples],
+        grow_forest_reference(X, y, samples, 5, min_samples_leaf, 2, rng=replay),
+    )
+    for model, reference in zip(models, references):
+        assert [node_lists(tree) for tree in model.trees] == reference
+
+
+def test_targets_other_than_0_1_are_never_counted(count_path):
+    rng = np.random.default_rng(70)
+    X = many_code_matrix(rng, 300)
+    y = np.resize([0, 1, 1], 300)
+    counted = count_path(True)
+    GradientBoostedTrees(n_estimators=4, max_depth=3).fit(X, y)
+    RegressionTree(max_depth=4).fit(X, np.resize([0.0, 0.5, 1.0], 300))
+    assert counted == []
+    RegressionTree(max_depth=4).fit(X, y.astype(np.float64))
+    assert counted
+
+
+def test_quick_start_forest_counts_and_matches_the_sort(count_path):
+    # The README quick start's corpus at 2,000 orgs, and a training split's worth of its rows.
+    config = GeneratorConfig(
+        n_orgs=2000, negative_ratio=4.0, signal={"technical": 2.0, "social": 1.5}, noise_fraction=0.2, seed=1
+    )
+    bundle = generate_corpus(config)
+    profiles = featurize_corpus(bundle.organizations, bundle.observations, bundle.tweets, bundle.incidents)
+    dataset = [profiles[i] for i in np.random.default_rng(1).permutation(len(profiles))[:1400]]
+    spec = ModelSpec("random_forest", seed=1)
+    counted = count_path(None)
+    params = train(dataset, spec).impl.to_params()
+    assert len(counted) > 20
+    count_path(False)
+    assert train(dataset, spec).impl.to_params() == params
+
+
+def grown_with_the_count_path(count_path, X, y, min_samples_leaf=1, rows=None) -> RegressionTree:
+    """A tree grown on X[rows] with every block counted, checked against the
+    sorted search and the reference."""
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows)
+    trees = []
+    for fits in (True, False):
+        counted = count_path(fits)
+        trees.append(RegressionTree(max_depth=3, min_samples_leaf=min_samples_leaf))
+        grow_trees(trees[-1:], X, y, rows[None], None)
+        assert bool(counted) == fits
+    counted_tree, sorted_tree = map(node_lists, trees)
+    assert counted_tree == sorted_tree == grow_tree_reference(X[rows], y[rows], 3, min_samples_leaf)
+    return trees[0]
+
+
+def test_count_path_threshold_spans_the_codes_a_node_skips(count_path):
+    # Ten values, but the node holds only 0-2 and 7-9: the cut lies
+    # between 2 and 7, the next value present, not between 2 and 3.
+    X = np.arange(10, dtype=np.float64)[:, None]
+    y = (X[:, 0] > 4).astype(np.float64)
+    tree = grown_with_the_count_path(count_path, X, y, rows=[0, 1, 2, 2, 7, 8, 9, 9])
+    assert tree.threshold[0] == 4.5
+
+
+def test_count_path_ties_go_to_the_earliest_column_and_lowest_cut(count_path):
+    # Both columns order the rows alike, so they tie on every cut, and
+    # within a column the cuts after the first and third rows tie too.
+    X = np.array([[0.0, 10.0], [1.0, 20.0], [2.0, 30.0], [3.0, 40.0]])
+    tree = grown_with_the_count_path(count_path, X, np.array([1.0, 0.0, 0.0, 1.0]))
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+
+
+@pytest.mark.parametrize("min_samples_leaf, threshold", [(1, 0.5), (2, 1.5), (3, 1.5), (4, math.inf)])
+def test_count_path_scores_only_cuts_with_min_samples_leaf_rows_each_side(count_path, min_samples_leaf, threshold):
+    # The purest cut leaves one row on the left; codes whose cut leaves
+    # fewer than min_samples_leaf rows on either side are not scored, and
+    # with 4 no code leaves them, so the root stays a leaf.
+    X = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0])[:, None]
+    y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    tree = grown_with_the_count_path(count_path, X, y, min_samples_leaf)
+    assert tree.threshold[0] == threshold
+
+
+def test_count_path_pins_a_midpoint_that_rounds_onto_the_higher_value(count_path):
+    low = np.nextafter(1.0, 2.0)
+    high = np.nextafter(low, 2.0)
+    assert (low + high) / 2.0 == high
+    X = np.array([[low], [low], [high], [high]])
+    tree = grown_with_the_count_path(count_path, X, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert tree.threshold[0] == low
+    assert tree.apply(X).tolist() == [tree.left[0]] * 2 + [tree.right[0]] * 2
 
 
 def test_boosting_routes_the_training_rows_once_per_round(monkeypatch):
