@@ -27,7 +27,7 @@ from .pipeline import (
     run_pipeline,
     stage_guard,
 )
-from .records import RecordError, read_config, read_json, read_names, read_value, write_json
+from .records import Folds, RecordError, Seed, check_bounds, read_config, read_json, read_names, read_value, write_json
 from .synth import GeneratorConfig
 
 T = TypeVar("T")
@@ -71,8 +71,13 @@ class StackedSpec:
     """A ``train --spec`` file that fits a stacked model over ``bases``."""
 
     bases: tuple[ModelSpec, ...]
-    folds: int = 5
-    seed: int = 0
+    folds: Folds = 5
+    seed: Seed = 0
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
+        if len(self.bases) < 2:
+            raise ValueError(f"field 'bases' must hold at least 2 specs, got {len(self.bases)}")
 
     from_dict = classmethod(read_config)
 

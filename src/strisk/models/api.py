@@ -17,7 +17,9 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from ..features import FeatureVector
-from ..records import RecordError, field_types, json_fields, read_config, read_json, read_value, write_json
+from ..records import (
+    RecordError, Seed, check_bounds, field_types, json_fields, read_config, read_json, read_value, write_json
+)
 from .bayes import GaussianNaiveBayes
 from .encode import FeatureSchema, default_schema, encode_labels, encode_profiles
 from .ensemble import BaggedTrees, GradientBoostedTrees
@@ -64,11 +66,10 @@ class ModelSpec:
 
     family: str
     hyperparameters: dict = field(default_factory=dict)
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_bounds(self)
         if self.family not in _FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {sorted(MODEL_FAMILIES)}"
@@ -80,6 +81,7 @@ class ModelSpec:
         hints = field_types(self.impl_class)
         read = {key: read_value(value, hints[key], key) for key, value in self.hyperparameters.items()}
         object.__setattr__(self, "hyperparameters", read)
+        self.impl_class(**self.resolved())  # checks each hyperparameter's bounds
 
     @property
     def impl_class(self) -> type:

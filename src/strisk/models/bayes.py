@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..records import json_fields
+from ..records import Positive, check_bounds, json_fields
 from .encode import read_params, with_columns
 
 
@@ -19,14 +19,14 @@ class GaussianNaiveBayes:
     log-densities finite on constant or one-hot columns.
     """
 
-    var_smoothing: float = 1e-9
+    var_smoothing: Positive = 1e-9
     log_prior: np.ndarray | None = None
     means: np.ndarray | None = None
     variances: np.ndarray | None = None
 
+    __post_init__ = check_bounds
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> GaussianNaiveBayes:
-        if self.var_smoothing <= 0:
-            raise ValueError("var_smoothing must be positive")
         classes = (0, 1)
         counts = np.array([np.sum(y == c) for c in classes], dtype=np.float64)
         self.log_prior = np.log(counts / counts.sum())

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Annotated, Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from ..records import json_fields
+from ..records import Bound, Count, Seed, check_bounds, json_fields
 from .encode import read_params
 from .linear import _sigmoid
 from .trees import _BLOCK, NodeTable, RegressionTree, check_features, grow_trees, rank_columns
@@ -111,7 +111,9 @@ def _permuted_values(
 class _TreeEnsemble:
     """Scoring and saving shared by the ensembles of ``trees``: each
     family turns every tree's per-row values into probabilities in
-    _proba(n_rows, values)."""
+    _proba(n_rows, values). Settings are checked on construction."""
+
+    __post_init__ = check_bounds
 
     def _tree_values(self, X: np.ndarray) -> Iterator[np.ndarray]:
         """Each tree's per-row values for X, in tree order."""
@@ -144,29 +146,21 @@ class BaggedTrees(_TreeEnsemble):
     """Bootstrap-aggregated probability trees; forests add per-node
     feature subsampling on top."""
 
-    n_estimators: int = 50
-    max_depth: int = 8
-    min_samples_leaf: int = 2
-    max_features: int | str | None = None
-    seed: int = 0
+    n_estimators: Count = 50
+    max_depth: Count = 8
+    min_samples_leaf: Count = 2
+    max_features: Annotated[int | Literal["sqrt"] | None, Bound(1)] = None
+    seed: Seed = 0
     trees: list[RegressionTree] = field(default_factory=list)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> BaggedTrees:
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
         rng = np.random.default_rng(self.seed)
         subset = _resolve_max_features(self.max_features, X.shape[1])
         # Every tree's bootstrap rows first, then the feature draws of
         # all trees together, depth by depth.
         samples = np.array([rng.integers(0, len(y), size=len(y)) for _ in range(self.n_estimators)])
-        self.trees = [
-            RegressionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=subset,
-            )
-            for _ in range(self.n_estimators)
-        ]
+        settings = {"max_depth": self.max_depth, "min_samples_leaf": self.min_samples_leaf, "max_features": subset}
+        self.trees = [RegressionTree(**settings) for _ in range(self.n_estimators)]
         grow_trees(self.trees, X, y.astype(np.float64), samples, rng)
         return self
 
@@ -184,20 +178,16 @@ class GradientBoostedTrees(_TreeEnsemble):
     that to the running log-odds.
     """
 
-    n_estimators: int = 150
-    learning_rate: float = 0.1
-    max_depth: int = 3
-    min_samples_leaf: int = 2
+    n_estimators: Count = 150
+    learning_rate: Annotated[float, Bound(0, 1, "(]")] = 0.1
+    max_depth: Count = 3
+    min_samples_leaf: Count = 2
     l2_leaf: float = 1.0
-    seed: int = 0
+    seed: Seed = 0
     base_score: float = 0.0
     trees: list[RegressionTree] = field(default_factory=list)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> GradientBoostedTrees:
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
         y = y.astype(np.float64)
         positive_rate = float(y.mean())
         self.base_score = math.log(positive_rate / (1.0 - positive_rate))
@@ -231,10 +221,3 @@ class GradientBoostedTrees(_TreeEnsemble):
 
     def _proba(self, n_rows: int, values: Iterable[np.ndarray]) -> np.ndarray:
         return _sigmoid(self._decision(n_rows, values))
-
-    @classmethod
-    def from_params(cls, data: dict, width: int) -> GradientBoostedTrees:
-        model = super().from_params(data, width)
-        if not 0.0 < model.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        return model

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..records import json_fields
+from ..records import Count, Positive, check_bounds, json_fields
 from .encode import read_params, standardize_apply, standardize_fit, with_columns
 
 
@@ -126,11 +126,13 @@ class _StandardizedLinear:
     statistics. A family adds its fit, which hands its loss and Hessian
     to _fit_standardized, and its _link from margins to probabilities."""
 
-    max_iter: int = 200
+    max_iter: Count = 200
     weights: np.ndarray | None = None
     bias: float = 0.0
     mean: np.ndarray | None = None
     scale: np.ndarray | None = None
+
+    __post_init__ = check_bounds
 
     def _fit_standardized(self, X: np.ndarray, loss_gradient: Callable, hessian: Callable) -> np.ndarray:
         """Standardize X, then keep the weights and bias minimizing loss_gradient(params, X_std)
@@ -229,13 +231,11 @@ class LinearSvmPlatt(_StandardizedLinear):
     """Squared-hinge linear SVM; probabilities via a Platt sigmoid fitted
     on training margins with the standard smoothed 0/1 targets."""
 
-    c: float = 1.0
+    c: Positive = 1.0
     platt_a: float = 1.0
     platt_b: float = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> LinearSvmPlatt:
-        if self.c <= 0:
-            raise ValueError("c must be positive")
         signs = 2.0 * y.astype(np.float64) - 1.0
         reg = 1.0 / self.c
         X_std = self._fit_standardized(

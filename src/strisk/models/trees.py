@@ -29,12 +29,12 @@ NodeTable also gives each node's value intervals on chosen columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ..records import json_fields, read_config
+from ..records import Bound, Count, check_bounds, json_fields, read_config
 
 _LEAF = -1
 
@@ -69,9 +69,9 @@ class RegressionTree:
     threshold, making structure deterministic for a fixed rng.
     """
 
-    max_depth: int = 3
-    min_samples_leaf: int = 1
-    max_features: int | None = None
+    max_depth: Count = 3
+    min_samples_leaf: Count = 1
+    max_features: Annotated[int | None, Bound(1)] = None
     feature: np.ndarray = field(init=False, repr=False)
     threshold: np.ndarray = field(init=False, repr=False)
     left: np.ndarray = field(init=False, repr=False)
@@ -81,6 +81,8 @@ class RegressionTree:
     value: np.ndarray = field(init=False, repr=False)
     # Longest root-to-leaf path; apply() takes this many routing steps.
     depth: int = field(init=False, default=0)
+
+    __post_init__ = check_bounds
 
     def fit(
         self,
@@ -138,17 +140,14 @@ class RegressionTree:
         """Rebuild a saved tree, read by _SavedTree's annotations.
 
         Raises ValueError for any tree that could crash or misroute:
-        a setting below 1, unequal node arrays, a child outside
+        a setting out of its bounds, unequal node arrays, a child outside
         parent < child < n (which also rules out cycles), a node other
         than the root without exactly one parent, or more levels than
         max_depth. check_features bounds the split columns, which depend
         on the matrix.
         """
         saved = read_config(_SavedTree, data, where)
-        for name in ("max_depth", "min_samples_leaf", "max_features"):
-            setting = getattr(saved, name)
-            if setting is not None and setting < 1:
-                raise ValueError(f"tree {name} must be a positive integer: {setting!r}")
+        tree = cls(saved.max_depth, saved.min_samples_leaf, saved.max_features)
         nodes = (saved.feature, saved.threshold, saved.left, saved.right, saved.value)
         feature, threshold, left, right, value = nodes
         n = len(feature)
@@ -170,7 +169,6 @@ class RegressionTree:
             depth += 1
         if depth > saved.max_depth:
             raise ValueError(f"tree is {depth} levels deep, max_depth is {saved.max_depth}")
-        tree = cls(saved.max_depth, saved.min_samples_leaf, saved.max_features)
         tree.depth = depth
         threshold[~inner] = np.inf
         tree._set_nodes(
@@ -230,10 +228,6 @@ def grow_trees(
     whose sums are exact in any order.
     """
     spec = trees[0]
-    if spec.max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if spec.min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be >= 1")
     codes, values = rank_columns(X) if ranks is None else ranks
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

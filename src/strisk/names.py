@@ -11,9 +11,9 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Annotated, Sequence
 
-from .records import json_fields, read_config
+from .records import Bound, Count, Probability, check_bounds, json_fields, read_config
 
 DEFAULT_SUFFIX_STOPLIST = frozenset({"llc", "dba", "inc", "corp", "co", "ltd"})
 
@@ -34,21 +34,14 @@ class MatchConfig:
     keep every score inside [0, 1].
     """
 
-    jaccard_threshold: float = 0.5
-    jw_threshold: float = 0.85
-    prefix_scale: float = 0.1
-    max_prefix: int = 4
+    jaccard_threshold: Probability = 0.5
+    jw_threshold: Probability = 0.85
+    prefix_scale: Annotated[float, Bound(0, 0.25, "(]")] = 0.1
+    max_prefix: Count = 4
     suffix_stoplist: frozenset[str] = DEFAULT_SUFFIX_STOPLIST
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.prefix_scale <= 0.25:
-            raise ValueError("prefix_scale must be in (0, 0.25] to keep scores <= 1")
-        if self.max_prefix < 1:
-            raise ValueError("max_prefix must be >= 1")
-        for name in ("jaccard_threshold", "jw_threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        check_bounds(self)
         object.__setattr__(self, "suffix_stoplist", frozenset(self.suffix_stoplist))
 
     to_dict = json_fields

@@ -14,7 +14,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 from .evaluation import EvaluationReport, evaluate_scores, split_train_test
 from .features import (
@@ -37,7 +37,11 @@ from .models.api import Model
 from .names import MatchCandidate, MatchConfig, match_names
 from .noise import CONFUSION_MATRIX, METHODS, NoiseReport, correct_labels
 from .records import (
+    Bound,
+    Folds,
     RecordError,
+    Seed,
+    check_bounds,
     field_types,
     json_object,
     load_incidents,
@@ -95,25 +99,24 @@ class PipelineConfig:
     default to the training models."""
 
     workdir: Path
-    seed: int = 0
+    seed: Seed = 0
     simulate: GeneratorConfig | None = None
     inputs: dict[str, Path] | None = None
     ground_truth: Path | None = None
     window: str | None = None
     match: MatchConfig = field(default_factory=MatchConfig)
     denoise_method: str = CONFUSION_MATRIX
-    denoise_folds: int = 5
+    denoise_folds: Folds = 5
     denoise_models: tuple[ModelSpec, ...] = ()
-    split_fraction: float = 0.7
+    split_fraction: Annotated[float, Bound(0, 1, "()")] = 0.7
     models: tuple[ModelSpec, ...] = ()
-    stack_folds: int | None = None
+    stack_folds: Annotated[int | None, Bound(2)] = None
     threshold: float = 0.5
-    importance_repeats: int | None = None
+    importance_repeats: Annotated[int | None, Bound(1)] = None
     skip: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_bounds(self)
         if self.simulate is None and not self.inputs:
             raise ValueError("config needs either a simulate section or input paths")
         if "simulate" in self.skip and not self.inputs:

@@ -9,6 +9,7 @@ import functools
 import ipaddress
 import json
 import math
+import numbers
 import operator
 import re
 import types
@@ -16,7 +17,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Annotated, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -112,7 +113,8 @@ def _read_literal(allowed: tuple, value: object, key: str):
 @functools.cache
 def _reader(annotation: object) -> Callable[[object, str], object]:
     """A function (value, key) reading a JSON value as ``annotation`` names."""
-    if isinstance(annotation, types.UnionType):
+    origin = typing.get_origin(annotation)
+    if origin in (types.UnionType, typing.Union):  # int | Literal["sqrt"] is a typing.Union
         readers = tuple(map(_reader, typing.get_args(annotation)))
 
         def read_union(value, key):
@@ -125,7 +127,6 @@ def _reader(annotation: object) -> Callable[[object, str], object]:
             raise errors[0]
 
         return read_union
-    origin = typing.get_origin(annotation)
     if origin in (tuple, frozenset, list):
         read_item = _reader(typing.get_args(annotation)[0])
         return lambda value, key: origin(read_item(item, key) for item in _typed(value, list, key))
@@ -159,9 +160,52 @@ def read_value(value: object, annotation: object, key: str):
     return _reader(annotation)(value, key)
 
 
+@dataclass(frozen=True, slots=True)
+class Bound:
+    """The numbers a field admits, declared in its annotation as in Annotated[int, Bound(1)]:
+    low to high, each end included ("[" or "]") or open ("(" or ")")."""
+
+    low: float
+    high: float = math.inf
+    ends: str = "[]"
+
+    def __contains__(self, value: float) -> bool:
+        above = value >= self.low if self.ends[0] == "[" else value > self.low
+        return above and (value <= self.high if self.ends[1] == "]" else value < self.high)
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"{'>=' if self.ends[0] == '[' else '>'} {self.low}"
+        return f"in {self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
+
+
+Seed = Annotated[int, Bound(0)]
+Count = Annotated[int, Bound(1)]
+Folds = Annotated[int, Bound(2)]
+Positive = Annotated[float, Bound(0, ends="(]")]
+Probability = Annotated[float, Bound(0, 1)]
+
+
+@functools.cache
+def _bounds(cls: type) -> tuple[tuple[str, Bound], ...]:
+    """(name, bound) of each field of ``cls`` whose annotation declares a Bound."""
+    hints = typing.get_type_hints(cls, include_extras=True).items()
+    annotated = ((name, hint.__metadata__) for name, hint in hints if typing.get_origin(hint) is Annotated)
+    return tuple((name, bound) for name, metadata in annotated for bound in metadata if isinstance(bound, Bound))
+
+
+def check_bounds(obj: object) -> None:
+    """ValueError naming the first field of ``obj`` whose number lies outside the Bound its
+    annotation declares (None and non-numbers pass); classes run it on construction."""
+    for name, bound in _bounds(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, numbers.Real) and value not in bound:
+            raise ValueError(f"field {name!r} must be {bound}, got {value!r}")
+
+
 @functools.cache
 def field_types(cls: type) -> dict[str, object]:
-    """The annotation of each init field of a dataclass, by name."""
+    """The annotation of each init field of a dataclass, by name, Annotated metadata dropped."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
@@ -214,10 +258,10 @@ _TO_JSON: dict[type, Callable] = {
 @functools.cache
 def _writer(annotation: object) -> Callable | None:
     """The function writing a value of ``annotation`` to JSON; None to write it as it is."""
-    if isinstance(annotation, types.UnionType):
+    origin = typing.get_origin(annotation)
+    if origin in (types.UnionType, typing.Union):
         write = next(filter(None, map(_writer, typing.get_args(annotation))), None)
         return write and (lambda value: None if value is None else write(value))
-    origin = typing.get_origin(annotation)
     if origin in (tuple, frozenset, list):
         write_item = _writer(typing.get_args(annotation)[0])
         order = sorted if origin is frozenset else list

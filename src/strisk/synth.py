@@ -27,18 +27,22 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Annotated, Literal, Sequence
 
 import numpy as np
 
 from .features import FeatureVector
 from .records import (
     SECTORS,
+    Bound,
     IncidentRecord,
     ObservationRecord,
     OrganizationRecord,
+    Positive,
+    Seed,
     TweetRecord,
     _load,
+    check_bounds,
     read_config,
     read_fields,
     write_jsonl,
@@ -129,22 +133,15 @@ _PHRASES = (_NEUTRAL_PHRASES, _POSITIVE_PHRASES, _NEGATIVE_PHRASES)
 class GeneratorConfig:
     """Knobs for one synthetic corpus."""
 
-    n_orgs: int
-    negative_ratio: float = 4.0
+    n_orgs: Annotated[int, Bound(20)]
+    negative_ratio: Positive = 4.0
     signal: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SIGNAL))
-    noise_fraction: float = 0.0
+    noise_fraction: Annotated[float, Bound(0, 0.5)] = 0.0
     sector_mix: tuple[float, ...] = DEFAULT_SECTOR_MIX
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_orgs < 20:
-            raise ValueError("n_orgs must be >= 20")
-        if self.negative_ratio <= 0:
-            raise ValueError("negative_ratio must be positive")
-        if not 0.0 <= self.noise_fraction <= 0.5:
-            raise ValueError("noise_fraction must be in [0, 0.5]")
+        check_bounds(self)
         merged = dict(DEFAULT_SIGNAL)
         for group, strength in self.signal.items():
             if group not in merged:
@@ -154,9 +151,7 @@ class GeneratorConfig:
             merged[group] = float(strength)
         object.__setattr__(self, "signal", merged)
         mix = tuple(float(p) for p in self.sector_mix)
-        if len(mix) != len(SECTORS) or any(p < 0 for p in mix):
-            raise ValueError("invalid probability vector")
-        if abs(sum(mix) - 1.0) > 1e-9:
+        if len(mix) != len(SECTORS) or any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-9:
             raise ValueError("invalid probability vector")
         object.__setattr__(self, "sector_mix", mix)
 

@@ -586,6 +586,16 @@ class TestExitCodes:
         code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(tmp_path / "s.csv")])
         _assert_exit(code, 2, capsys, f"at least 2 bases, got {kept}")
 
+    def test_saved_setting_out_of_range_exit_data_error(self, family_models, workspace, tmp_path, capsys):
+        _, _, features, _ = workspace
+        data = json.loads(family_models["random_forest"].read_text())
+        data["params"]["n_estimators"] = 0
+        model = write_json(tmp_path / "model.json", data)
+        out = tmp_path / "s.csv"
+        code = main(["predict", "--model", str(model), "--features", str(features), "--out", str(out)])
+        _assert_exit(code, 2, capsys, "data error: model file", "field 'n_estimators' must be >= 1, got 0")
+        assert not out.exists()
+
     def test_stacked_bases_of_different_layouts_exit_data_error(self, family_models, workspace, tmp_path, capsys):
         _, _, features, _ = workspace
         data = json.loads(family_models["stacked"].read_text())
@@ -949,7 +959,7 @@ class TestMalformedConfig:
     def test_negative_seed_is_named_usage_error_before_any_stage(self, tmp_path, capsys, changes):
         config = write_json(tmp_path / "pipeline.json", _run_config(tmp_path, **changes))
         code = main(["run", "--config", str(config)])
-        _assert_exit(code, 1, capsys, "usage error: bad pipeline config", "seed must be >= 0, got -1")
+        _assert_exit(code, 1, capsys, "usage error: bad pipeline config", "field 'seed' must be >= 0, got -1")
         assert not (tmp_path / "work").exists()
 
     def test_run_config_list_is_usage_error(self, tmp_path, capsys):
@@ -1066,6 +1076,20 @@ class TestMalformedConfig:
             ),
             pytest.param("simulate", {"n_orgs": 60, "signal": {"technical": float("nan")}}, "technical", id="signal-NaN"),
             pytest.param("simulate", {"n_orgs": 60, "negative_ratio": float("inf")}, "negative_ratio", id="ratio-Infinity"),
+            # Values out of a field's declared range; a run-config section's field is named as PipelineConfig's.
+            ("run", {"models": [{"family": "random_forest", "hyperparameters": {"n_estimators": 0}}]}, "n_estimators"),
+            ("run", {"denoise": {"folds": 1}}, "denoise_folds"),
+            ("run", {"split": {"train_fraction": 1.0}}, "split_fraction"),
+            ("run", {"models": [{"family": "naive_bayes"}, {"family": "logistic_regression"}], "stack": {"folds": 1}}, "stack_folds"),
+            ("run", {"importance": {"repeats": 0}}, "importance_repeats"),
+            ("run", {"models": [{"family": "gradient_boosted_trees", "hyperparameters": {"learning_rate": 2.0}}]}, "learning_rate"),
+            ("run", {"models": [{"family": "random_forest", "hyperparameters": {"max_features": "log2"}}]}, "max_features"),
+            ("train", {"family": "naive_bayes", "hyperparameters": {"var_smoothing": 0}}, "var_smoothing"),
+            ("train", {"family": "linear_svm_platt", "hyperparameters": {"c": -1}}, "c"),
+            ("train", {"family": "logistic_regression", "hyperparameters": {"max_iter": 0}}, "max_iter"),
+            ("train", {"bases": [{"family": "naive_bayes"}, {"family": "logistic_regression"}], "seed": -1}, "seed"),
+            ("train", {"bases": [{"family": "naive_bayes"}, {"family": "logistic_regression"}], "folds": 1}, "folds"),
+            ("train", {"bases": [{"family": "naive_bayes"}]}, "bases"),
         ],
         ids=lambda value: json.dumps(value) if isinstance(value, dict) else str(value),
     )

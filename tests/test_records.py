@@ -1,14 +1,16 @@
 """Record validation (addresses, host counts, organization sizes, incident
-dates), the JSON lines each record type is written as and read from, and
-the typed reader's refusal of non-finite numbers in every config, spec
-and model file."""
+dates), the JSON lines each record type is written as and read from, the
+typed reader's refusal of non-finite numbers in every config, spec and
+model file, and the ranges config, spec and model fields declare."""
 from __future__ import annotations
 
 import dataclasses
 import functools
 import ipaddress
 import json
+import math
 import operator
+import re
 import typing
 from pathlib import Path
 
@@ -18,16 +20,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
+from strisk.cli import StackedSpec
 from strisk.models import MODEL_FAMILIES, ModelSpec, load_model, train, train_stacked
-from strisk.models.linear import LogisticRegression
+from strisk.models.bayes import GaussianNaiveBayes
+from strisk.models.ensemble import BaggedTrees, GradientBoostedTrees
+from strisk.models.linear import LinearSvmPlatt, LogisticRegression
+from strisk.models.trees import RegressionTree
 from strisk.names import MatchConfig
 from strisk.pipeline import PipelineConfig
 from strisk.records import (
+    Bound,
     IncidentRecord,
     ObservationRecord,
     OrganizationRecord,
     RecordError,
     TweetRecord,
+    _bounds,
     _is_ip,
     field_types,
     load_incidents,
@@ -248,6 +256,21 @@ CONFIG_DOCUMENTS = {
         },
     ),
     "match": (MatchConfig.from_dict, {"jaccard_threshold": 0.5, "jw_threshold": 0.85, "prefix_scale": 0.1}),
+    "stacked": (StackedSpec.from_dict, {"bases": [{"family": "naive_bayes"}, {"family": "logistic_regression"}]}),
+    # A single leaf, which fits every max_depth.
+    "tree": (
+        RegressionTree.from_dict,
+        {
+            "max_depth": 1,
+            "min_samples_leaf": 1,
+            "max_features": None,
+            "feature": [-1],
+            "threshold": [0.0],
+            "left": [-1],
+            "right": [-1],
+            "value": [0.5],
+        },
+    ),
 }
 SMALL_TREES = {"n_estimators": 2, "max_depth": 2}
 TREE_FAMILIES = ("bagged_trees", "random_forest", "gradient_boosted_trees")
@@ -330,3 +353,118 @@ def test_non_finite_number_is_refused_naming_its_field(saved_models, tmp_path, d
     named = next(part for part in reversed(path) if isinstance(part, str))
     with pytest.raises(RecordError, match=f"field {named!r} must .*finite"):
         read_document(kind, text, tmp_path / "bad.json")
+
+
+COUNT, POSITIVE, SEED = Bound(1), Bound(0, ends="(]"), Bound(0)
+TREE_SETTINGS = {"max_depth": COUNT, "min_samples_leaf": COUNT}
+# The Bound each field of these classes declares; a field left out declares none.
+DECLARED_BOUNDS = {
+    PipelineConfig: {
+        "seed": SEED,
+        "denoise_folds": Bound(2),
+        "split_fraction": Bound(0, 1, "()"),
+        "stack_folds": Bound(2),
+        "importance_repeats": COUNT,
+    },
+    GeneratorConfig: {"n_orgs": Bound(20), "negative_ratio": POSITIVE, "noise_fraction": Bound(0, 0.5), "seed": SEED},
+    MatchConfig: {
+        "jaccard_threshold": Bound(0, 1),
+        "jw_threshold": Bound(0, 1),
+        "prefix_scale": Bound(0, 0.25, "(]"),
+        "max_prefix": COUNT,
+    },
+    ModelSpec: {"seed": SEED},
+    StackedSpec: {"folds": Bound(2), "seed": SEED},
+    BaggedTrees: {"n_estimators": COUNT, **TREE_SETTINGS, "max_features": COUNT, "seed": SEED},
+    GradientBoostedTrees: {"n_estimators": COUNT, "learning_rate": Bound(0, 1, "(]"), **TREE_SETTINGS, "seed": SEED},
+    GaussianNaiveBayes: {"var_smoothing": POSITIVE},
+    LogisticRegression: {"max_iter": COUNT},
+    LinearSvmPlatt: {"max_iter": COUNT, "c": POSITIVE},
+    RegressionTree: {**TREE_SETTINGS, "max_features": COUNT},
+}
+# Arguments besides the bounded field that each class needs to be built.
+BUILD = {
+    PipelineConfig: {"workdir": Path("work"), "simulate": GeneratorConfig(60), "models": (ModelSpec("naive_bayes"),)},
+    GeneratorConfig: {"n_orgs": 60},
+    ModelSpec: {"family": "naive_bayes"},
+    StackedSpec: {"bases": (ModelSpec("naive_bayes"), ModelSpec("logistic_regression"))},
+}
+# The documents read_document reads a class's fields from, each with the keys of
+# the object holding them. A spec holds only its family's hyperparameters.
+HYPERPARAMETERS, PARAMS = ("hyperparameters",), ("params",)
+BOUNDED_DOCUMENTS = {
+    PipelineConfig: [("run", ())],
+    GeneratorConfig: [("generator", ())],
+    MatchConfig: [("match", ())],
+    ModelSpec: [("spec:naive_bayes", ())],
+    StackedSpec: [("stacked", ())],
+    BaggedTrees: [("spec:random_forest", HYPERPARAMETERS), ("model:random_forest", PARAMS)],
+    GradientBoostedTrees: [("spec:gradient_boosted_trees", HYPERPARAMETERS), ("model:gradient_boosted_trees", PARAMS)],
+    GaussianNaiveBayes: [("spec:naive_bayes", HYPERPARAMETERS), ("model:naive_bayes", PARAMS)],
+    LogisticRegression: [
+        ("spec:logistic_regression", HYPERPARAMETERS),
+        ("model:logistic_regression", PARAMS),
+        ("model:stacked", ("meta",)),
+    ],
+    LinearSvmPlatt: [("spec:linear_svm_platt", HYPERPARAMETERS), ("model:linear_svm_platt", PARAMS)],
+    RegressionTree: [("tree", ())],
+}
+# Run-config fields set in a section, by their keys there.
+RUN_KEYS = {
+    "denoise_folds": ("denoise", "folds"),
+    "split_fraction": ("split", "train_fraction"),
+    "stack_folds": ("stack", "folds"),
+    "importance_repeats": ("importance", "repeats"),
+}
+BOUND_ENDS = [
+    (cls, name, end)
+    for cls, bounds in DECLARED_BOUNDS.items()
+    for name, bound in bounds.items()
+    for end in (0, 1)
+    if end == 0 or bound.high < math.inf
+]
+
+
+@pytest.mark.parametrize("cls", DECLARED_BOUNDS, ids=lambda cls: cls.__name__)
+def test_declared_bounds_are_the_table(cls):
+    assert dict(_bounds(cls)) == DECLARED_BOUNDS[cls]
+
+
+def edge_values(bound: Bound, end: int, integer: bool) -> tuple[float, float]:
+    """The value nearest to ``bound``'s low (end 0) or high (end 1) end that lies
+    outside it, and the one nearest that lies inside: integers, or floats."""
+    at, inward = (bound.low, 1) if end == 0 else (bound.high, -1)
+    if integer:
+        step = int.__add__
+    else:
+        at, step = float(at), lambda value, sign: math.nextafter(value, sign * math.inf)
+    return (step(at, -inward), at) if bound.ends[end] in "[]" else (at, step(at, inward))
+
+
+@pytest.mark.parametrize(
+    "cls, name, end", BOUND_ENDS, ids=[f"{cls.__name__}.{name}.{('low', 'high')[end]}" for cls, name, end in BOUND_ENDS]
+)
+def test_value_past_a_bound_is_refused_naming_its_field(saved_models, tmp_path, cls, name, end):
+    """The nearest value past each end of a declared bound is refused, naming the
+    field, when the object is built in Python and when its JSON document is read;
+    the value at that end inside the bound is accepted both ways."""
+    bound = DECLARED_BOUNDS[cls][name]
+    hint = field_types(cls)[name]
+    outside, inside = edge_values(bound, end, int in (hint, *typing.get_args(hint)))
+    refused = f"field {name!r} must be {re.escape(str(bound))}, got {re.escape(repr(outside))}$"
+    with pytest.raises(ValueError, match=refused):
+        cls(**{**BUILD.get(cls, {}), name: outside})
+    assert getattr(cls(**{**BUILD.get(cls, {}), name: inside}), name) == inside
+    for document, keys in BOUNDED_DOCUMENTS[cls]:
+        kind, _, family = document.partition(":")
+        if kind == "spec" and keys and name not in ModelSpec(family).resolved():
+            continue
+        data = saved_models[family] if kind == "model" else {"family": family} if kind == "spec" else CONFIG_DOCUMENTS[kind][1]
+        data = json.loads(json.dumps(data))  # a copy to change
+        *parents, key = (*keys, *RUN_KEYS.get(name, (name,)))
+        holder = functools.reduce(lambda obj, part: obj.setdefault(part, {}), parents, data)
+        holder[key] = outside
+        with pytest.raises(ValueError, match=refused):
+            read_document(kind, json.dumps(data), tmp_path / "bad.json")
+        holder[key] = inside
+        read_document(kind, json.dumps(data), tmp_path / "valid.json")

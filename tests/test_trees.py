@@ -614,8 +614,8 @@ class TestFromParams:
             (lambda p: p["threshold"].__setitem__(0, float("nan")), "finite"),
             (lambda p: p["value"].__setitem__(-1, float("inf")), "finite"),
             (lambda p: p.update(max_depth=1), "levels deep"),
-            (lambda p: p.update(max_depth=0), "positive integer"),
-            (lambda p: p.update(min_samples_leaf=0), "positive integer"),
+            (lambda p: p.update(max_depth=0), "field 'max_depth' must be >= 1, got 0"),
+            (lambda p: p.update(min_samples_leaf=0), "field 'min_samples_leaf' must be >= 1, got 0"),
             (lambda p: p.update(min_samples_leaf="2"), "field 'min_samples_leaf' must be int"),
             (lambda p: p.update(max_features=1.0), "field 'max_features' must be int"),
             (lambda p: p["value"].__setitem__(0, True), "field 'value' must be a list of numbers"),
