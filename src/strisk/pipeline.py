@@ -129,6 +129,8 @@ class PipelineConfig:
                 raise ValueError(f"inputs lacks {missing}, read when nothing is simulated")
         if not self.models:
             raise ValueError("config lists no models to train")
+        if self.stack_folds is not None and len(self.models) < 2:
+            raise ValueError(f"'stack' needs at least 2 models to stack, got {len(self.models)}")
         if not self.denoise_models:
             object.__setattr__(self, "denoise_models", self.models)
         if self.denoise_method not in METHODS:
@@ -289,7 +291,7 @@ def run_pipeline(config: PipelineConfig) -> None:
     # Bases first, then the stacked model over them: importance scores the last.
     # A stacked model's bases are the single models, so they are fitted once.
     with stage_guard("train"):
-        if config.stack_folds and len(config.models) >= 2:
+        if config.stack_folds:
             stacked = train_stacked(
                 train_set, config.models, folds=config.stack_folds, seed=config.seed
             )

@@ -1,7 +1,8 @@
 """Domain records for organizations, observations, tweets, and incidents.
 
-All record types are immutable and carry their own validation. Files are
-line-oriented JSON (one record per line); timestamps are ISO-8601 UTC.
+All record types are immutable, checked by their from_dict when read from a
+file and not when built in Python. Files are line-oriented JSON (one record
+per line); timestamps are ISO-8601 UTC.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ import operator
 import re
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Annotated, Callable, Iterable, Iterator, TypeVar
+from typing import Annotated, Callable, Iterable, Iterator, Literal, TypeVar
 
 import numpy as np
 
@@ -54,14 +55,18 @@ class RecordError(ValueError):
     """Raised when a record violates its schema or invariants."""
 
 
-def _parse_timestamp(value: str | datetime) -> datetime:
-    if isinstance(value, datetime):
-        ts = value
-    else:
-        ts = datetime.fromisoformat(str(value).replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+class _Mismatch(RecordError):
+    """A JSON value of a type its reader does not take: ``expected`` names the types taken."""
+
+    def __init__(self, key: str, expected: str, value: object):
+        super().__init__(f"field {key!r} must be {expected}, got {value!r}")
+        self.expected, self.value = expected, value
+
+
+def _parse_timestamp(text: str) -> datetime:
+    """An ISO-8601 time in UTC; one without an offset is read as UTC."""
+    ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    return ts.astimezone(timezone.utc) if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
 
 
 def _format_timestamp(ts: datetime) -> str:
@@ -72,7 +77,7 @@ def _typed(value: object, kind: type, key: str):
     """``value`` if it is of ``kind`` exactly as JSON decodes it: no string is read as a
     number, no number as a boolean and no boolean as an integer."""
     if type(value) is not kind:
-        raise RecordError(f"field {key!r} must be {kind.__name__}, got {value!r}")
+        raise _Mismatch(key, "null" if kind is type(None) else kind.__name__, value)
     return value
 
 
@@ -106,7 +111,7 @@ def _read_array(dtype: type, kinds: set[type], noun: str, value: object, key: st
 def _read_literal(allowed: tuple, value: object, key: str):
     """``value`` if it is one of ``allowed``, of the same JSON type."""
     if not any(type(value) is type(option) and value == option for option in allowed):
-        raise RecordError(f"field {key!r} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+        raise _Mismatch(key, " or ".join(map(repr, allowed)), value)
     return value
 
 
@@ -124,7 +129,9 @@ def _reader(annotation: object) -> Callable[[object, str], object]:
                     return read(value, key)
                 except ValueError as error:
                     errors.append(error)
-            raise errors[0]
+            # The first member that took the value's type names the fault; if none did, each type is named.
+            taken = [error for error in errors if not (isinstance(error, _Mismatch) and error.value is value)]
+            raise taken[0] if taken else _Mismatch(key, " or ".join(error.expected for error in errors), value)
 
         return read_union
     if origin in (tuple, frozenset, list):
@@ -156,7 +163,8 @@ def read_value(value: object, annotation: object, key: str):
     from a list and a dict from an object, item by item; an array from nested lists of
     finite numbers (_read_array); a Literal as one of its values; a dataclass with its own
     from_dict(value, key) or else read_config; a datetime or Path from text. A union takes
-    its first member that reads; when none does, it fails as the first does."""
+    its first member that reads; when none does, it fails as the first member that took
+    the value's type does, or else naming every type its members take."""
     return _reader(annotation)(value, key)
 
 
@@ -196,7 +204,8 @@ def _bounds(cls: type) -> tuple[tuple[str, Bound], ...]:
 
 def check_bounds(obj: object) -> None:
     """ValueError naming the first field of ``obj`` whose number lies outside the Bound its
-    annotation declares (None and non-numbers pass); classes run it on construction."""
+    annotation declares (None and non-numbers pass). Configs, specs and models run it on
+    construction, records when they are read."""
     for name, bound in _bounds(type(obj)):
         value = getattr(obj, name)
         if isinstance(value, numbers.Real) and value not in bound:
@@ -329,40 +338,36 @@ def check_org_size(value: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class OrganizationRecord:
-    """One organization: identity, sector, size, and network footprint.
-
-    host_count, the total addresses across all allocated ranges, is
-    summed while the ranges are validated; it is not an argument and
-    takes no part in equality or repr.
-    """
+    """One organization: identity, sector, size, and network footprint."""
 
     org_id: str
     name: str
-    sector: str
+    sector: Literal[SECTORS]
     org_size: int
     ip_ranges: tuple[str, ...] = ()
     domains: tuple[str, ...] = ()
-    host_count: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.org_id:
-            raise RecordError("organization requires an org_id")
-        check_org_id(self.org_id)
-        if self.sector not in SECTORS:
-            raise RecordError(f"unknown sector {self.sector!r}")
-        check_org_size(self.org_size)
-        object.__setattr__(self, "ip_ranges", tuple(self.ip_ranges))
-        object.__setattr__(self, "domains", tuple(self.domains))
-        host_count = 0
-        for block in self.ip_ranges:
-            try:
-                host_count += ipaddress.ip_network(block, strict=False).num_addresses
-            except ValueError as exc:
-                raise RecordError(f"invalid CIDR block {block!r}") from exc
-        object.__setattr__(self, "host_count", host_count)
+    @property
+    def host_count(self) -> int:
+        """The total addresses across all allocated ranges."""
+        return sum(ipaddress.ip_network(block, strict=False).num_addresses for block in self.ip_ranges)
 
     to_dict = json_fields
-    from_dict = classmethod(read_fields)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> OrganizationRecord:
+        """read_fields, then: org_id not empty (check_org_id), check_org_size, CIDR ip_ranges."""
+        record = read_fields(cls, data)
+        if not record.org_id:
+            raise RecordError("organization requires an org_id")
+        check_org_id(record.org_id)
+        check_org_size(record.org_size)
+        for block in record.ip_ranges:
+            try:
+                ipaddress.ip_network(block, strict=False)
+            except ValueError as exc:
+                raise RecordError(f"invalid CIDR block {block!r}") from exc
+        return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,27 +375,25 @@ class ObservationRecord:
     """One externally measured technical event tied to an organization."""
 
     org_id: str
-    kind: str
+    kind: Literal[OBSERVATION_KINDS]
     subject: str
     timestamp: datetime
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.kind not in OBSERVATION_KINDS:
-            raise RecordError(f"unknown observation kind {self.kind!r}")
-        if not self.subject:
-            raise RecordError("observation requires a subject")
-        if self.kind in IP_KINDS:
-            if not _is_ip(self.subject):
-                raise RecordError(
-                    f"{self.kind} subject must be an IP address, got {self.subject!r}"
-                )
-        elif _is_ip(self.subject):
-            raise RecordError("spam_domain subject must be a domain, not an IP")
-        object.__setattr__(self, "timestamp", _parse_timestamp(self.timestamp))
-
     to_dict = json_fields
-    from_dict = classmethod(read_fields)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> ObservationRecord:
+        """read_fields, then: an IP address subject for IP_KINDS, else a domain that is not one."""
+        record = read_fields(cls, data)
+        if not record.subject:
+            raise RecordError("observation requires a subject")
+        if record.kind in IP_KINDS:
+            if not _is_ip(record.subject):
+                raise RecordError(f"{record.kind} subject must be an IP address, got {record.subject!r}")
+        elif _is_ip(record.subject):
+            raise RecordError("spam_domain subject must be a domain, not an IP")
+        return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,21 +402,22 @@ class TweetRecord:
 
     org_id: str
     text: str
-    likes: int
-    retweets: int
-    replies: int
+    likes: Annotated[int, Bound(0)]
+    retweets: Annotated[int, Bound(0)]
+    replies: Annotated[int, Bound(0)]
     account: str
     is_reply_to: bool
     is_replied_to: bool
     timestamp: datetime
 
-    def __post_init__(self) -> None:
-        if min(self.likes, self.retweets, self.replies) < 0:
-            raise RecordError("engagement counts must be non-negative")
-        object.__setattr__(self, "timestamp", _parse_timestamp(self.timestamp))
-
     to_dict = json_fields
-    from_dict = classmethod(read_fields)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> TweetRecord:
+        """read_fields, then check_bounds: no engagement count is negative."""
+        record = read_fields(cls, data)
+        check_bounds(record)
+        return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -424,21 +428,22 @@ class IncidentRecord:
     org_id: str
     name: str
     date: str
-    source: str
+    source: Literal[INCIDENT_SOURCES]
     breach_type: str = "HACK"
 
-    def __post_init__(self) -> None:
-        if self.source not in INCIDENT_SOURCES:
-            raise RecordError(f"unknown incident source {self.source!r}")
+    to_dict = json_fields
+
+    @classmethod
+    def from_dict(cls, data: dict) -> IncidentRecord:
+        """read_fields, then: the date is YYYY-MM-DD text of a calendar date."""
+        record = read_fields(cls, data)
         try:  # only YYYY-MM-DD text survives the round trip
-            valid = datetime.fromisoformat(self.date).date().isoformat() == self.date
+            valid = datetime.fromisoformat(record.date).date().isoformat() == record.date
         except ValueError:
             valid = False
         if not valid:
-            raise RecordError(f"incident date must be a YYYY-MM-DD calendar date, got {self.date!r}")
-
-    to_dict = json_fields
-    from_dict = classmethod(read_fields)
+            raise RecordError(f"incident date must be a YYYY-MM-DD calendar date, got {record.date!r}")
+        return record
 
 
 def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:

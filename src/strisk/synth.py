@@ -12,10 +12,10 @@ comes out 0 while the ground truth remembers 1.
 Each quantity is drawn once for its whole population from one seeded
 numpy generator: a field of every organization, the observation count
 of every (organization, kind) cell, a field of every tweet, every
-timestamp. Records are then built from those values through the record
-classes, so each passes the same validation as a record read from a
-file. Observations and tweets fall in the 2019 observation year and
-incidents in 2020, so every feature predates the breach it predicts.
+timestamp. Records are then built from those values, unchecked: the
+record rules apply when the written files are read back. Observations
+and tweets fall in the 2019 observation year and incidents in 2020, so
+every feature predates the breach it predicts.
 
 Distribution constants below are the documented shape of the corpus;
 they are deliberately module-level so a config change cannot silently
@@ -85,8 +85,9 @@ _YEAR_START_S = int(YEAR_START.timestamp())
 INCIDENT_YEAR_START = date(2020, 1, 1)
 INCIDENT_YEAR_DAYS = 366
 
-# Usable hosts of a synthetic /27 block: its 32 addresses less the
-# network and broadcast addresses.
+# A synthetic /27 block holds 32 addresses; its usable hosts are those
+# less the network and broadcast addresses.
+ADDRESSES_PER_BLOCK = 32
 HOSTS_PER_BLOCK = 30
 
 _ADJECTIVES = (
@@ -283,8 +284,7 @@ def generate_corpus(config: GeneratorConfig) -> CorpusBundle:
     # Observations: a count per (org, kind) cell, then distinct subjects
     # from the org's hosts (IP kinds) or domains (spam listings).
     kinds = (*OBSERVATION_RATES, "spam_domain")
-    host_counts = np.array([org.host_count for org in organizations])
-    exposure = np.column_stack([host_counts] * len(OBSERVATION_RATES) + [n_domains])
+    exposure = np.column_stack([ADDRESSES_PER_BLOCK * n_blocks] * len(OBSERVATION_RATES) + [n_domains])
     rates = np.array([*OBSERVATION_RATES.values(), SPAM_DOMAIN_RATE])
     tech_multiplier = np.where(victim, 1.0 + TECHNICAL_BOOST * signal["technical"], 1.0)
     pools = np.column_stack([HOSTS_PER_BLOCK * n_blocks] * len(OBSERVATION_RATES) + [n_domains])
@@ -380,18 +380,10 @@ def generate_corpus(config: GeneratorConfig) -> CorpusBundle:
 
 def write_corpus(bundle: CorpusBundle, out_dir: str | Path) -> dict[str, Path]:
     """Write the four record files plus ground_truth.jsonl; returns paths."""
-    out_dir = Path(out_dir)
-    paths = {
-        "organizations": out_dir / "organizations.jsonl",
-        "observations": out_dir / "observations.jsonl",
-        "tweets": out_dir / "tweets.jsonl",
-        "incidents": out_dir / "incidents.jsonl",
-        "ground_truth": out_dir / "ground_truth.jsonl",
-    }
-    write_jsonl(paths["organizations"], (r.to_dict() for r in bundle.organizations))
-    write_jsonl(paths["observations"], (r.to_dict() for r in bundle.observations))
-    write_jsonl(paths["tweets"], (r.to_dict() for r in bundle.tweets))
-    write_jsonl(paths["incidents"], (r.to_dict() for r in bundle.incidents))
+    roles = ("organizations", "observations", "tweets", "incidents")
+    paths = {role: Path(out_dir) / f"{role}.jsonl" for role in (*roles, "ground_truth")}
+    for role in roles:
+        write_jsonl(paths[role], (record.to_dict() for record in getattr(bundle, role)))
     write_jsonl(
         paths["ground_truth"],
         (

@@ -1082,6 +1082,8 @@ class TestMalformedConfig:
             ("run", {"split": {"train_fraction": 1.0}}, "split_fraction"),
             ("run", {"models": [{"family": "naive_bayes"}, {"family": "logistic_regression"}], "stack": {"folds": 1}}, "stack_folds"),
             ("run", {"importance": {"repeats": 0}}, "importance_repeats"),
+            # Stacking needs two models; _run_config lists one.
+            ("run", {"stack": {"folds": 5}}, "stack"),
             ("run", {"models": [{"family": "gradient_boosted_trees", "hyperparameters": {"learning_rate": 2.0}}]}, "learning_rate"),
             ("run", {"models": [{"family": "random_forest", "hyperparameters": {"max_features": "log2"}}]}, "max_features"),
             ("train", {"family": "naive_bayes", "hyperparameters": {"var_smoothing": 0}}, "var_smoothing"),

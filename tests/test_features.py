@@ -5,6 +5,7 @@ import math
 import sys
 import tempfile
 from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from strisk.records import (
 from strisk.synth import GeneratorConfig, generate_corpus
 from strisk.text import clean_tweet_text
 
-TS = "2019-03-01T00:00:00+00:00"
+TS = datetime(2019, 3, 1, tzinfo=timezone.utc)
 
 
 def org(org_id="o1", ip_ranges=("10.0.0.0/30",), domains=("a.example.com", "b.example.com")):
@@ -225,8 +226,8 @@ class TestFeaturizeCorpus:
     def test_window_filters_records(self):
         orgs, _, _, incidents = self.corpus()
         observations = [
-            obs("blacklist_ip", "10.0.0.1", org_id="o1", ts="2018-06-01T00:00:00+00:00"),
-            obs("blacklist_ip", "10.0.0.2", org_id="o1", ts="2019-06-01T00:00:00+00:00"),
+            obs("blacklist_ip", "10.0.0.1", org_id="o1", ts=datetime(2018, 6, 1, tzinfo=timezone.utc)),
+            obs("blacklist_ip", "10.0.0.2", org_id="o1", ts=datetime(2019, 6, 1, tzinfo=timezone.utc)),
         ]
         profiles = featurize_corpus(
             orgs, observations, [], incidents, window=parse_window("2019-01-01:2019-12-31")

@@ -260,7 +260,7 @@ class TestModelSpec:
         assert spec.to_dict()["hyperparameters"] == {"l2": 1.0, "max_iter": 50}
         assert type(spec.hyperparameters["l2"]) is float
         assert ModelSpec("random_forest", {"max_features": None}).hyperparameters == {"max_features": None}
-        with pytest.raises(ValueError, match="'max_features' must be int, got 2.5"):
+        with pytest.raises(ValueError, match="'max_features' must be int or 'sqrt' or null, got 2.5"):
             ModelSpec("random_forest", {"max_features": 2.5})
         with pytest.raises(ValueError, match="'max_iter' must be int, got 50.0"):
             ModelSpec("logistic_regression", {"max_iter": 50.0})

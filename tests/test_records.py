@@ -1,5 +1,6 @@
-"""Record validation (addresses, host counts, organization sizes, incident
-dates), the JSON lines each record type is written as and read from, the
+"""Record rules, checked when a record file is read (addresses, host counts,
+organization sizes, incident dates and one bad line per rule), the JSON
+lines each record type is written as and read from, the
 typed reader's refusal of non-finite numbers in every config, spec and
 model file, and the ranges config, spec and model fields declare."""
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import operator
 import re
 import typing
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from strisk.records import (
     load_incidents,
     load_observations,
     load_organizations,
+    load_tweets,
     read_json,
     write_jsonl,
 )
@@ -130,8 +133,27 @@ def test_host_count_is_not_an_argument_and_not_compared():
     assert org == OrganizationRecord("o1", "Acme", "finance", 5, ip_ranges=("10.0.0.0/30",))
     with pytest.raises(TypeError):
         OrganizationRecord("o1", "Acme", "finance", 5, host_count=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         dataclasses.replace(org, host_count=4)
+
+
+# A valid line of each record file, as its loader reads it.
+VALID_RECORDS = {
+    load_organizations: {"org_id": "o1", "name": "Acme", "sector": "finance", "org_size": 5, "ip_ranges": ["10.0.0.0/30"]},
+    load_observations: {"org_id": "o1", "kind": "open_port", "subject": "10.0.0.1", "timestamp": "2019-01-01T00:00:00Z"},
+    load_tweets: {
+        "org_id": "o1",
+        "text": "outage again",
+        "likes": 3,
+        "retweets": 1,
+        "replies": 0,
+        "account": "@user",
+        "is_reply_to": False,
+        "is_replied_to": True,
+        "timestamp": "2019-01-01T00:00:00Z",
+    },
+    load_incidents: {"org_id": "o1", "name": "Acme", "date": "2019-05-01", "source": "PRC"},
+}
 
 
 @pytest.mark.parametrize(
@@ -141,22 +163,59 @@ def test_host_count_is_not_an_argument_and_not_compared():
 )
 def test_org_size_must_be_positive_and_fit_a_float(size):
     with pytest.raises(RecordError, match="org_size"):
-        OrganizationRecord("o1", "Acme", "finance", size)
+        OrganizationRecord.from_dict({**VALID_RECORDS[load_organizations], "org_size": size})
 
 
 @pytest.mark.parametrize("size", [1, 10**308, 2**1023], ids=["1", "10**308", "2**1023"])
 def test_org_size_limits_accepted(size):
-    assert OrganizationRecord("o1", "Acme", "finance", size).org_size == size
+    assert OrganizationRecord.from_dict({**VALID_RECORDS[load_organizations], "org_size": size}).org_size == size
 
 
 @pytest.mark.parametrize("date", ["2019-02-30", "yesterday", "2019-2-3", "20190203", "2019-02-28\n", ""])
 def test_incident_date_must_be_a_calendar_date(date):
     with pytest.raises(RecordError, match="YYYY-MM-DD"):
-        IncidentRecord("o1", "Acme", date, "PRC")
+        IncidentRecord.from_dict({**VALID_RECORDS[load_incidents], "date": date})
 
 
 def test_incident_date_text_is_kept():
-    assert IncidentRecord("o1", "Acme", "2020-02-29", "PRC").date == "2020-02-29"
+    assert IncidentRecord.from_dict({**VALID_RECORDS[load_incidents], "date": "2020-02-29"}).date == "2020-02-29"
+
+
+# One line breaking each record rule: the loader, the keys changed from its valid
+# line and the start of the error, which names the rule.
+BAD_LINES = {
+    "sector": (load_organizations, {"sector": "farming"}, "field 'sector' must be 'information_technology' or"),
+    "kind": (load_observations, {"kind": "ping"}, "field 'kind' must be 'blacklist_ip' or"),
+    "source": (load_incidents, {"source": "news"}, "field 'source' must be 'PRC' or 'VCDB', got 'news'"),
+    **{name: (load_tweets, {name: -1}, f"field {name!r} must be >= 0, got -1") for name in ("likes", "retweets", "replies")},
+    "org_size-0": (load_organizations, {"org_size": 0}, "org_size must be a positive integer"),
+    "org_size-10**400": (load_organizations, {"org_size": 10**400}, "field 'org_size' must be a finite number"),
+    "cidr": (load_organizations, {"ip_ranges": ["10.0.0.0/30", "10.0.0.0/33"]}, "invalid CIDR block '10.0.0.0/33'"),
+    "ip-kind-domain": (load_observations, {"subject": "a.example"}, "open_port subject must be an IP address, got 'a.example'"),
+    "spam-domain-ip": (
+        load_observations,
+        {"kind": "spam_domain", "subject": "10.0.0.1"},
+        "spam_domain subject must be a domain, not an IP",
+    ),
+    "org_id-empty": (load_organizations, {"org_id": ""}, "organization requires an org_id"),
+    "org_id-cr": (load_organizations, {"org_id": "o\r1"}, "org_id must not hold a carriage return"),
+    "date": (load_incidents, {"date": "2019-02-30"}, "incident date must be a YYYY-MM-DD calendar date, got '2019-02-30'"),
+}
+
+
+@pytest.mark.parametrize("load, changes, message", BAD_LINES.values(), ids=BAD_LINES)
+def test_line_breaking_a_record_rule_is_refused_on_read(tmp_path, load, changes, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(VALID_RECORDS[load]) + "\n", encoding="utf-8")
+    assert len(load(path)) == 1
+    path.write_text(json.dumps({**VALID_RECORDS[load], **changes}) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match=f"^{re.escape(f'{path}:1: {message}')}"):
+        load(path)
+
+
+def test_record_built_in_python_is_not_checked():
+    assert OrganizationRecord("", "Acme", "farming", 0, ("10.0.0.0/33",)).org_size == 0
+    assert TweetRecord("o1", "x", -1, -1, -1, "u", False, False, datetime(2019, 1, 1)).likes == -1
 
 
 # One record of each type and the exact JSONL line it is written as.
@@ -167,12 +226,14 @@ WRITTEN_LINES = [
         '"org_id": "org-1", "org_size": 120, "sector": "finance"}',
     ),
     (
-        ObservationRecord("org-1", "open_port", "10.0.0.1", "2019-03-04T06:06:07+01:00", "tcp/23"),
+        ObservationRecord(
+            "org-1", "open_port", "10.0.0.1", datetime(2019, 3, 4, 6, 6, 7, tzinfo=timezone(timedelta(hours=1))), "tcp/23"
+        ),
         '{"detail": "tcp/23", "kind": "open_port", "org_id": "org-1", "subject": "10.0.0.1", '
         '"timestamp": "2019-03-04T05:06:07+00:00"}',
     ),
     (
-        TweetRecord("org-1", "outage again", 3, 1, 0, "@user", False, True, "2019-03-04T05:06:07Z"),
+        TweetRecord("org-1", "outage again", 3, 1, 0, "@user", False, True, datetime(2019, 3, 4, 5, 6, 7, tzinfo=timezone.utc)),
         '{"account": "@user", "is_replied_to": true, "is_reply_to": false, "likes": 3, '
         '"org_id": "org-1", "replies": 0, "retweets": 1, "text": "outage again", '
         '"timestamp": "2019-03-04T05:06:07+00:00"}',
@@ -240,7 +301,7 @@ CONFIG_DOCUMENTS = {
         {
             "workdir": "work",
             "simulate": {"n_orgs": 60},
-            "models": [{"family": "naive_bayes"}],
+            "models": [{"family": "naive_bayes"}, {"family": "logistic_regression"}],
             "split": {"train_fraction": 0.7},
             "evaluate": {"threshold": 0.5},
         },
@@ -384,7 +445,11 @@ DECLARED_BOUNDS = {
 }
 # Arguments besides the bounded field that each class needs to be built.
 BUILD = {
-    PipelineConfig: {"workdir": Path("work"), "simulate": GeneratorConfig(60), "models": (ModelSpec("naive_bayes"),)},
+    PipelineConfig: {
+        "workdir": Path("work"),
+        "simulate": GeneratorConfig(60),
+        "models": (ModelSpec("naive_bayes"), ModelSpec("logistic_regression")),
+    },
     GeneratorConfig: {"n_orgs": 60},
     ModelSpec: {"family": "naive_bayes"},
     StackedSpec: {"bases": (ModelSpec("naive_bayes"), ModelSpec("logistic_regression"))},

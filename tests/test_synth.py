@@ -14,7 +14,10 @@ import pytest
 
 from conftest import make_dataset
 from strisk.features import featurize_corpus
+from strisk import records
 from strisk.records import (
+    INCIDENT_SOURCES,
+    OBSERVATION_KINDS,
     SECTORS,
     RecordError,
     field_types,
@@ -24,6 +27,7 @@ from strisk.records import (
     load_tweets,
 )
 from strisk.synth import (
+    ADDRESSES_PER_BLOCK,
     MEAN_TWEETS,
     OBSERVATION_RATES,
     TECHNICAL_BOOST,
@@ -199,7 +203,9 @@ class TestGenerateCorpus:
         for record in records:
             for name, annotation in field_types(type(record)).items():
                 value = getattr(record, name)
-                assert type(value) is (typing.get_origin(annotation) or annotation), (record, name)
+                origin = typing.get_origin(annotation)
+                expected = type(typing.get_args(annotation)[0]) if origin is typing.Literal else origin or annotation
+                assert type(value) is expected, (record, name)
                 if annotation == tuple[str, ...]:
                     assert all(type(item) is str for item in value), (record, name)
         assert all(type(k) is str and type(v) is int for k, v in bundle.ground_truth.items())
@@ -262,25 +268,50 @@ class TestGenerateCorpus:
         assert len(bundle.organizations) == 40
 
 
+# The simulate section of the README quick-start config.
+QUICK_START = {"n_orgs": 200, "negative_ratio": 4.0, "signal": {"technical": 2.0, "social": 1.5}, "noise_fraction": 0.2}
+
+
 class TestWriteCorpus:
     def test_round_trip_through_files(self, tmp_path):
-        bundle = generate_corpus(GeneratorConfig(n_orgs=30, noise_fraction=0.2, seed=4))
-        paths = write_corpus(bundle, tmp_path)
-        assert set(paths) == {
-            "organizations",
-            "observations",
-            "tweets",
-            "incidents",
-            "ground_truth",
-        }
-        loaded = CorpusBundle(
-            organizations=tuple(load_organizations(paths["organizations"])),
-            observations=tuple(load_observations(paths["observations"])),
-            tweets=tuple(load_tweets(paths["tweets"])),
-            incidents=tuple(load_incidents(paths["incidents"])),
-            ground_truth=load_ground_truth(paths["ground_truth"]),
-        )
-        assert loaded == bundle
+        """The generator's records, which it does not check, pass every read check and
+        read back equal, field by field; between them the seeds draw every sector,
+        observation kind and incident source."""
+        drawn = set()
+        for seed in (13, 91):
+            bundle = generate_corpus(GeneratorConfig.from_dict({**QUICK_START, "seed": seed}))
+            paths = write_corpus(bundle, tmp_path / str(seed))
+            assert set(paths) == {
+                "organizations",
+                "observations",
+                "tweets",
+                "incidents",
+                "ground_truth",
+            }
+            loaded = CorpusBundle(
+                organizations=tuple(load_organizations(paths["organizations"])),
+                observations=tuple(load_observations(paths["observations"])),
+                tweets=tuple(load_tweets(paths["tweets"])),
+                incidents=tuple(load_incidents(paths["incidents"])),
+                ground_truth=load_ground_truth(paths["ground_truth"]),
+            )
+            assert loaded == bundle
+            # The generator drew exposure from the addresses of its blocks without parsing them.
+            assert [org.host_count for org in loaded.organizations] == [
+                ADDRESSES_PER_BLOCK * len(org.ip_ranges) for org in bundle.organizations
+            ]
+            drawn |= {org.sector for org in loaded.organizations}
+            drawn |= {obs.kind for obs in loaded.observations} | {incident.source for incident in loaded.incidents}
+        assert drawn == {*SECTORS, *OBSERVATION_KINDS, *INCIDENT_SOURCES}
+
+    def test_generator_runs_no_read_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the generator checked a value it built")
+
+        for module, name in [(records, "_is_ip"), (records, "_parse_timestamp"), (ipaddress, "ip_network")]:
+            monkeypatch.setattr(module, name, refuse)
+        bundle = generate_corpus(GeneratorConfig.from_dict({**QUICK_START, "seed": 13}))
+        assert {obs.kind for obs in bundle.observations} == set(OBSERVATION_KINDS)
 
     @pytest.mark.parametrize("label", [2, True, 1.0])
     def test_latent_label_outside_0_1_names_path_and_line(self, tmp_path, label):
