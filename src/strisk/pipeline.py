@@ -245,21 +245,21 @@ def evaluate_model(model: Model, profiles: Sequence[FeatureVector], threshold: f
     return evaluate_scores(model.name, scores, [p.label for p in profiles], threshold)
 
 
-def run_pipeline(config: PipelineConfig) -> None:
-    """Execute every non-skipped stage in order; artifacts land in workdir."""
-    workdir = Path(config.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    skip = set(config.skip)
-
+def _profile_corpus(
+    config: PipelineConfig, workdir: Path
+) -> tuple[list[FeatureVector], dict[str, int], dict[str, int]]:
+    """Simulate or load the corpus, match it and featurize it: the profiles, the count
+    of each match verdict and the record count of each role. The corpus and the match
+    candidates are freed on return, so they do not outlive featurize."""
     # A simulated corpus is featurized as generated; its files are written
     # for inspection and for the standalone commands.
-    if config.simulate is not None and "simulate" not in skip:
+    if config.simulate is not None and "simulate" not in config.skip:
         corpus, _ = simulate(config.simulate, workdir / "corpus")
     else:
         corpus = load_corpus(config.inputs, config.ground_truth)
 
     match_summary: dict[str, int] = {}
-    if "match" not in skip:
+    if "match" not in config.skip:
         incident_names = [incident.name for incident in corpus.incidents]
         registry_names = [org.name for org in corpus.organizations]
         candidates = match(incident_names, registry_names, config.match, workdir / "matches.jsonl")
@@ -267,6 +267,15 @@ def run_pipeline(config: PipelineConfig) -> None:
 
     window = parse_window(config.window) if config.window else None
     profiles = featurize(corpus, window, workdir / "features.csv")
+    return profiles, match_summary, {role: len(getattr(corpus, role)) for role in _INPUT_ROLES}
+
+
+def run_pipeline(config: PipelineConfig) -> None:
+    """Execute every non-skipped stage in order; artifacts land in workdir."""
+    workdir = Path(config.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    skip = set(config.skip)
+    profiles, match_summary, corpus_counts = _profile_corpus(config, workdir)
 
     noise_report: NoiseReport | None = None
     if "denoise" not in skip:
@@ -315,12 +324,7 @@ def run_pipeline(config: PipelineConfig) -> None:
         "label_policy": NOISY_LABEL_POLICY if "denoise" in skip else CORRECTED_LABEL_POLICY,
         "seed": config.seed,
         "match": match_summary,
-        "corpus": {
-            "organizations": len(corpus.organizations),
-            "observations": len(corpus.observations),
-            "tweets": len(corpus.tweets),
-            "incidents": len(corpus.incidents),
-        },
+        "corpus": corpus_counts,
         "labels": {
             "train": {
                 "positive": sum(p.label for p in train_set),

@@ -17,6 +17,7 @@ import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Annotated, Callable, Iterable, Iterator, Literal, TypeVar
 
@@ -303,11 +304,64 @@ def json_fields(obj: object) -> dict:
     return dict(zip(names, values))
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_list(value: list) -> str:
+    if all(type(item) is str for item in value):
+        return "[" + ", ".join(map(encode_basestring_ascii, value)) + "]"
+    return _ENCODE(value)
+
+
+# The text _ENCODE writes for a value of each of these exact types; any other goes through _ENCODE.
+_JSON_TEXT: dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda value: "null",
+    list: _json_list,
+}
+
+
+@functools.cache
+def _renderer(cls: type) -> Callable[[object], str]:
+    """A function writing an instance of dataclass ``cls`` as the JSON text _ENCODE
+    writes for its json_fields object, without building that object: the same
+    conversions, the keys sorted once, and the same text or the same error."""
+    names, _, converters = _field_writers(cls)
+    keys = sorted(names)
+    get = operator.attrgetter(*keys) if len(keys) > 1 else lambda obj: (getattr(obj, keys[0]),)
+    converters = tuple((keys.index(names[i]), write) for i, write in converters)
+    template = "{" + ", ".join(encode_basestring_ascii(key) + ": %s" for key in keys) + "}"
+
+    def render(obj: object) -> str:
+        values = list(get(obj))
+        for i, write in converters:
+            values[i] = write(values[i])
+        return template % tuple([_JSON_TEXT.get(type(value), _ENCODE)(value) for value in values])
+
+    return render
+
+
 # A dotted-quad IPv4 address in ASCII digits, each octet 0-255 without a
 # leading zero: only strings ipaddress accepts as IPv4. fullmatch, not $,
 # which would also accept a trailing newline.
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4 = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+
+
+# A CIDR block in its common form: a dotted quad, a slash and one or two ASCII digits.
+_IPV4_BLOCK = re.compile(rf"{_IPV4.pattern}/([0-9]{{1,2}})")
+
+
+def _block_addresses(block: str) -> int:
+    """The number of addresses of CIDR block ``block``, host bits allowed; ValueError if
+    ipaddress refuses it. A dotted quad with a prefix length of 0-32 is counted without
+    ipaddress; any other form (IPv6, a netmask, a zero-padded prefix) is parsed by it."""
+    match = _IPV4_BLOCK.fullmatch(block)
+    if match and int(match[1]) <= 32:
+        return 1 << 32 - int(match[1])
+    return ipaddress.ip_network(block, strict=False).num_addresses
 
 
 def _is_ip(subject: str) -> bool:
@@ -350,7 +404,7 @@ class OrganizationRecord:
     @property
     def host_count(self) -> int:
         """The total addresses across all allocated ranges."""
-        return sum(ipaddress.ip_network(block, strict=False).num_addresses for block in self.ip_ranges)
+        return sum(map(_block_addresses, self.ip_ranges))
 
     to_dict = json_fields
 
@@ -364,7 +418,7 @@ class OrganizationRecord:
         check_org_size(record.org_size)
         for block in record.ip_ranges:
             try:
-                ipaddress.ip_network(block, strict=False)
+                _block_addresses(block)
             except ValueError as exc:
                 raise RecordError(f"invalid CIDR block {block!r}") from exc
         return record
@@ -487,14 +541,17 @@ def read_names(path: str | Path) -> list[str]:
     return names
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+def write_jsonl(path: str | Path, records: Iterable[object]) -> None:
+    """Write one JSON object per line, keys sorted: a dict as JSONEncoder(sort_keys=True)
+    writes it, and a dataclass record as it writes the record's json_fields object
+    (_renderer), line by line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(encode(record))
-            handle.write("\n")
+        handle.writelines(
+            f"{_ENCODE(record) if isinstance(record, dict) else _renderer(type(record))(record)}\n"
+            for record in records
+        )
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -383,13 +383,10 @@ def write_corpus(bundle: CorpusBundle, out_dir: str | Path) -> dict[str, Path]:
     roles = ("organizations", "observations", "tweets", "incidents")
     paths = {role: Path(out_dir) / f"{role}.jsonl" for role in (*roles, "ground_truth")}
     for role in roles:
-        write_jsonl(paths[role], (record.to_dict() for record in getattr(bundle, role)))
+        write_jsonl(paths[role], getattr(bundle, role))
     write_jsonl(
         paths["ground_truth"],
-        (
-            {"org_id": org_id, "latent_label": label}
-            for org_id, label in sorted(bundle.ground_truth.items())
-        ),
+        (_GroundTruthEntry(org_id, label) for org_id, label in sorted(bundle.ground_truth.items())),
     )
     return paths
 

@@ -1,7 +1,9 @@
 """End-to-end pipeline orchestration and the text report."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -258,6 +260,31 @@ class TestRunPipeline:
         for base in stacked["bases"]:
             saved = json.loads((workdir / f"{base['spec']['family']}.json").read_text())
             assert saved == base
+
+    def test_corpus_is_freed_before_denoise(self, config, tmp_path, monkeypatch):
+        import strisk.pipeline
+
+        class Tracked(list):
+            pass
+
+        tracked = []
+
+        def generate_corpus(generator_config):
+            bundle = generate(generator_config)
+            tweets = Tracked(bundle.tweets)
+            tracked.append(weakref.ref(tweets))
+            return dataclasses.replace(bundle, tweets=tweets)
+
+        def denoise(*args, **kwargs):
+            assert tracked and not tracked[0](), "the corpus outlived featurize"
+            return original_denoise(*args, **kwargs)
+
+        generate, original_denoise = strisk.pipeline.generate_corpus, strisk.pipeline.denoise
+        monkeypatch.setattr(strisk.pipeline, "generate_corpus", generate_corpus)
+        monkeypatch.setattr(strisk.pipeline, "denoise", denoise)
+        workdir = run_config(tmp_path).workdir
+        assert len(tracked) == 1
+        assert (workdir / "report.json").read_bytes() == (config.workdir / "report.json").read_bytes()
 
     def test_stage_order_is_documented(self):
         assert STAGES == (

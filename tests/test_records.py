@@ -127,6 +127,37 @@ def test_host_count_sums_block_sizes_also_after_replace(blocks, other):
     assert dataclasses.replace(changed, org_size=7).host_count == total_addresses(other)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.builds(
+        lambda address, prefix, tail: f"{address}/{prefix}{tail}",
+        subjects,
+        st.one_of(
+            st.integers(0, 130).map(str),
+            st.sampled_from(["", "00", "024", "+8", "-1", " 8", "٣", "255.255.255.0", "0.0.0.255", "255.0.255.0"]),
+        ),
+        padding,
+    )
+)
+@example("10.0.0.0/27")
+@example("10.0.0.1/32")
+@example("0.0.0.0/0")
+@example("10.0.0.0/33")
+@example("10.0.0.0/024")
+@example("10.0.0.0/255.255.255.224")
+@example("10.0.0.0/0.0.0.31")
+@example("10.0.0.0/27\n")
+@example("::/64")
+def test_block_size_agrees_with_ipaddress(block):
+    try:
+        expected = ipaddress.ip_network(block, strict=False).num_addresses
+    except ValueError:
+        with pytest.raises(RecordError, match="invalid CIDR block"):
+            OrganizationRecord.from_dict({**VALID_RECORDS[load_organizations], "ip_ranges": [block]})
+    else:
+        assert OrganizationRecord("o1", "Acme", "finance", 5, ip_ranges=(block,)).host_count == expected
+
+
 def test_host_count_is_not_an_argument_and_not_compared():
     org = OrganizationRecord("o1", "Acme", "finance", 5, ip_ranges=("10.0.0.0/30",))
     assert "host_count" not in repr(org)
@@ -249,9 +280,88 @@ WRITTEN_LINES = [
 @pytest.mark.parametrize("record, line", WRITTEN_LINES, ids=[type(r).__name__ for r, _ in WRITTEN_LINES])
 def test_record_written_as_exact_line_and_read_back(tmp_path, record, line):
     path = tmp_path / "records.jsonl"
-    write_jsonl(path, [record.to_dict()])
-    assert path.read_text(encoding="utf-8") == line + "\n"
+    write_jsonl(path, [record.to_dict(), record])
+    assert path.read_text(encoding="utf-8") == (line + "\n") * 2
     assert type(record).from_dict(json.loads(line)) == record
+
+
+ENCODE = json.JSONEncoder(sort_keys=True).encode
+# Text JSON must escape: non-ASCII, control characters, quotes, backslashes, lone surrogates.
+texts = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(categories=["Cs"]),
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ufeff'),
+    ),
+    max_size=12,
+)
+integers = st.one_of(st.integers(), st.integers(2**63, 2**200), st.integers(max_value=-(2**63)))
+stamps = st.builds(
+    lambda ts, offset: ts.replace(tzinfo=timezone(offset)),
+    st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)),
+    st.timedeltas(-timedelta(hours=23, minutes=59), timedelta(hours=23, minutes=59)),
+)
+# Values a record built in Python may hold where its annotation names text.
+anything = st.one_of(
+    texts, integers, st.booleans(), st.none(), st.floats(), st.lists(texts, max_size=2).map(tuple),
+    st.lists(st.one_of(integers, texts), max_size=3), st.dictionaries(texts, integers, max_size=2),
+)
+records_of_each_type = st.tuples(
+    st.builds(
+        OrganizationRecord, texts, texts, texts, integers,
+        st.lists(texts, max_size=3).map(tuple), st.lists(texts, max_size=3).map(tuple),
+    ),
+    st.builds(ObservationRecord, texts, texts, texts, stamps, anything),
+    st.builds(
+        TweetRecord, texts, texts, integers, integers, st.one_of(integers, st.booleans()),
+        texts, st.booleans(), st.booleans(), stamps,
+    ),
+    st.builds(IncidentRecord, texts, texts, texts, texts, anything),
+)
+
+
+@pytest.fixture(scope="module")
+def lines_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("lines") / "records.jsonl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(records_of_each_type)
+@example(
+    (
+        OrganizationRecord("", "", "", 2**64),
+        ObservationRecord("\ud800", "é", '"\\', datetime(2019, 1, 1, tzinfo=timezone(timedelta(hours=-5))), ()),
+        TweetRecord("o", "\x00\n", -(2**70), 0, True, "", True, False, datetime(2019, 1, 1, tzinfo=timezone.utc)),
+        IncidentRecord("o", "n", "d", "s", float("nan")),
+    )
+)
+def test_record_is_written_as_the_json_encoder_writes_its_dict(lines_path, records):
+    write_jsonl(lines_path, records)
+    expected = [ENCODE(record.to_dict()) + "\n" for record in records]
+    assert lines_path.read_text(encoding="utf-8").splitlines(keepends=True) == expected
+
+
+def test_dicts_and_records_mix_in_one_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    (org, _), (obs, _) = WRITTEN_LINES[:2]
+    write_jsonl(path, [org, {"b": 1, "a": [2]}, obs.to_dict(), obs])
+    lines = [ENCODE(org.to_dict()), '{"a": [2], "b": 1}', ENCODE(obs.to_dict()), ENCODE(obs.to_dict())]
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        dataclasses.replace(WRITTEN_LINES[2][0], likes=np.int64(3)),
+        dataclasses.replace(WRITTEN_LINES[1][0], detail={"tcp/23"}),
+    ],
+    ids=["int64-likes", "set-detail"],
+)
+def test_value_json_cannot_encode_is_the_encoders_type_error(tmp_path, record):
+    with pytest.raises(TypeError) as expected:
+        ENCODE(record.to_dict())
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        write_jsonl(tmp_path / "records.jsonl", [record])
 
 
 @pytest.mark.parametrize(
