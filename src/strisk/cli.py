@@ -6,6 +6,7 @@ clock or environment, so identical invocations produce identical bytes.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import sys
 from dataclasses import dataclass, replace
@@ -27,7 +28,8 @@ from .pipeline import (
     run_pipeline,
     stage_guard,
 )
-from .records import Folds, RecordError, Seed, check_bounds, read_config, read_json, read_names, read_value, write_json
+from .records import Count, Folds, Fraction, RecordError, Seed, check_bounds, read_config, read_json, read_names
+from .records import read_value, write_json
 from .synth import GeneratorConfig
 
 T = TypeVar("T")
@@ -38,6 +40,31 @@ _METHOD_ALIASES = {
     CONFIDENT_JOINT: CONFIDENT_JOINT,
     CONFUSION_MATRIX: CONFUSION_MATRIX,
 }
+
+
+class _Read(click.ParamType):
+    """An option read by ``read`` as the command line is parsed: a ValueError is a usage error naming it."""
+
+    def __init__(self, name: str, read: Callable[[object], object]):
+        self.name, self.read = name, read
+
+    def convert(self, value, param, ctx):
+        try:
+            return self.read(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+def _number(annotation: object, key: str) -> _Read:
+    """An option read as a config field of ``annotation`` (read_value), its text as int() or else float() reads it."""
+
+    def number(value: object) -> object:
+        for parse in (int, float) if isinstance(value, str) else ():  # click passes a default as it is
+            with contextlib.suppress(ValueError):
+                return parse(value)
+        return value
+
+    return _Read(key, lambda value: read_value(number(value), annotation, key))
 
 
 def _parse_config(path: str, what: str, parse: Callable[[object], T]) -> T:
@@ -88,7 +115,9 @@ def _echo(ctx: click.Context, message: str) -> None:
 
 
 @click.group(name="strisk")
-@click.option("--seed", type=int, default=0, show_default=True, help="Default seed for commands that take one.")
+@click.option(
+    "--seed", type=_number(Seed, "seed"), default=0, show_default=True, help="Default seed for commands that take one."
+)
 @click.option("--quiet", is_flag=True, help="Suppress progress output.")
 @click.pass_context
 def cli(ctx: click.Context, seed: int, quiet: bool) -> None:
@@ -120,19 +149,12 @@ def match(ctx, incidents_path, registry_path, config_path, out_path) -> None:
 @click.option("--observations", "observations_path", required=True, type=click.Path())
 @click.option("--tweets", "tweets_path", required=True, type=click.Path())
 @click.option("--incidents", "incidents_path", required=True, type=click.Path())
-@click.option("--window", "window_spec", default=None, help="Inclusive date window YYYY-MM-DD:YYYY-MM-DD.")
+@click.option("--window", type=_Read("window", parse_window), help="Inclusive date window YYYY-MM-DD:YYYY-MM-DD.")
 @click.option("--ground-truth", "truth_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.pass_context
-def featurize(ctx, orgs_path, observations_path, tweets_path, incidents_path, window_spec, truth_path, out_path) -> None:
+def featurize(ctx, orgs_path, observations_path, tweets_path, incidents_path, window, truth_path, out_path) -> None:
     """Build per-organization feature vectors from record files."""
-    if window_spec is not None:
-        try:
-            window = parse_window(window_spec)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-    else:
-        window = None
     paths = {
         "organizations": orgs_path,
         "observations": observations_path,
@@ -147,8 +169,8 @@ def featurize(ctx, orgs_path, observations_path, tweets_path, incidents_path, wi
 @click.option("--features", "features_path", required=True, type=click.Path())
 @click.option("--models", "models_path", required=True, type=click.Path())
 @click.option("--method", type=click.Choice(sorted(set(_METHOD_ALIASES))), default="cm", show_default=True)
-@click.option("--folds", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--folds", type=_number(Folds, "folds"), default=5, show_default=True)
+@click.option("--seed", type=_number(Seed, "seed"), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--report", "report_path", required=True, type=click.Path())
 @click.pass_context
@@ -217,7 +239,7 @@ def predict(ctx, model_path, features_path, out_path) -> None:
 @cli.command()
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--features", "features_path", required=True, type=click.Path())
-@click.option("--threshold", type=float, default=0.5, show_default=True)
+@click.option("--threshold", type=_number(float, "threshold"), default=0.5, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.pass_context
 def evaluate(ctx, model_path, features_path, threshold, out_path) -> None:
@@ -248,11 +270,11 @@ def simulate(ctx, config_path, out_dir) -> None:
 @cli.command()
 @click.option("--features", "features_path", required=True, type=click.Path())
 @click.option("--models", "models_path", required=True, type=click.Path())
-@click.option("--fraction", type=float, default=0.1, show_default=True)
-@click.option("--repeats", type=int, default=10, show_default=True)
+@click.option("--fraction", type=_number(Fraction, "fraction"), default=0.1, show_default=True)
+@click.option("--repeats", type=_number(Count, "repeats"), default=10, show_default=True)
 @click.option("--method", type=click.Choice(sorted(set(_METHOD_ALIASES)) + ["both"]), default="both", show_default=True)
-@click.option("--folds", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--folds", type=_number(Folds, "folds"), default=5, show_default=True)
+@click.option("--seed", type=_number(Seed, "seed"), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.pass_context
 def experiment(ctx, features_path, models_path, fraction, repeats, method, folds, seed, out_path) -> None:

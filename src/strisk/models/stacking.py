@@ -36,8 +36,6 @@ def train_stacked(
     all share one fold assignment and each meta training row mixes
     predictions made under the same exclusion.
     """
-    if len(base_specs) < 2:
-        raise ValueError("stacking needs at least 2 base specs")
     meta_inputs = np.column_stack(
         [out_of_fold_probabilities(dataset, spec, folds, seed) for spec in base_specs]
     )

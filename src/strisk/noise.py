@@ -351,8 +351,8 @@ def noise_detection_experiment(
             raise ValueError(f"method must be one of {METHODS}: {m!r}")
     if not model_specs:
         raise ValueError("need at least one model spec")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    # The last slice needs the most positives, so an impossible partition fails before any fit.
+    inject_label_noise(dataset, flip_fraction, seed=seed, partition=(repeats - 1, repeats))
     combos: list[tuple[int, ...]] = [(i,) for i in range(len(model_specs))]
     if len(model_specs) > 1:
         combos.append(tuple(range(len(model_specs))))

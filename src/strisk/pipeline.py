@@ -27,13 +27,13 @@ from .features import (
 from .models import (
     ImportanceReport,
     ModelSpec,
-    permutation_importance,
     predict_proba_many,
     save_model,
     train,
     train_stacked,
 )
 from .models.api import Model
+from .models.importance import IMPORTANCE_CATEGORIES, permutation_importance
 from .names import MatchCandidate, MatchConfig, match_names
 from .noise import CONFUSION_MATRIX, METHODS, NoiseReport, correct_labels
 from .records import (
@@ -444,7 +444,7 @@ def render_report_text(report: dict) -> str:
     if importance:
         share_rows = [
             [category, importance["category_shares"][category]]
-            for category in ("technical", "twitter", "sector", "org_size")
+            for category in IMPORTANCE_CATEGORIES
         ]
         sections.append(
             "feature importance by category (model {}, baseline AUC {:.4f})\n".format(

@@ -148,6 +148,9 @@ def _reader(annotation: object) -> Callable[[object, str], object]:
         return functools.partial(_read_array, dtype, kinds, noun)
     if origin is typing.Literal:
         return functools.partial(_read_literal, typing.get_args(annotation))
+    if origin is Annotated:  # Annotated[T, Bound(...)]: read as T, then checked by the Bound
+        read, (bound,) = _reader(annotation.__origin__), annotation.__metadata__
+        return lambda value, key: bound.check(read(value, key), key)
     if is_dataclass(annotation):
         return getattr(annotation, "from_dict", functools.partial(read_config, annotation))
     if annotation is float:
@@ -162,16 +165,17 @@ def read_value(value: object, annotation: object, key: str):
     """The JSON value of field ``key`` read as the type ``annotation`` names (_typed), a
     finite float also from an integer (_read_float). A tuple, frozenset or list is read
     from a list and a dict from an object, item by item; an array from nested lists of
-    finite numbers (_read_array); a Literal as one of its values; a dataclass with its own
-    from_dict(value, key) or else read_config; a datetime or Path from text. A union takes
-    its first member that reads; when none does, it fails as the first member that took
-    the value's type does, or else naming every type its members take."""
+    finite numbers (_read_array); a Literal as one of its values; Annotated[T, Bound(...)]
+    as T, then checked by the Bound; a dataclass with its own from_dict(value, key) or else
+    read_config; a datetime or Path from text. A union takes its first member that reads;
+    when none does, it fails as the first member that took the value's type does, or else
+    naming every type its members take."""
     return _reader(annotation)(value, key)
 
 
 @dataclass(frozen=True, slots=True)
 class Bound:
-    """The numbers a field admits, declared in its annotation as in Annotated[int, Bound(1)]:
+    """The numbers a field admits, declared as its annotation's one metadata, as in Annotated[int, Bound(1)]:
     low to high, each end included ("[" or "]") or open ("(" or ")")."""
 
     low: float
@@ -181,6 +185,12 @@ class Bound:
     def __contains__(self, value: float) -> bool:
         above = value >= self.low if self.ends[0] == "[" else value > self.low
         return above and (value <= self.high if self.ends[1] == "]" else value < self.high)
+
+    def check(self, value: T, key: str) -> T:
+        """``value`` unless it is a number outside the bound, a ValueError naming field ``key``."""
+        if isinstance(value, numbers.Real) and value not in self:
+            raise ValueError(f"field {key!r} must be {self}, got {value!r}")
+        return value
 
     def __str__(self) -> str:
         if self.high == math.inf:
@@ -193,38 +203,35 @@ Count = Annotated[int, Bound(1)]
 Folds = Annotated[int, Bound(2)]
 Positive = Annotated[float, Bound(0, ends="(]")]
 Probability = Annotated[float, Bound(0, 1)]
+Fraction = Annotated[float, Bound(0, 1, "(]")]
 
 
 @functools.cache
 def _bounds(cls: type) -> tuple[tuple[str, Bound], ...]:
-    """(name, bound) of each field of ``cls`` whose annotation declares a Bound."""
-    hints = typing.get_type_hints(cls, include_extras=True).items()
-    annotated = ((name, hint.__metadata__) for name, hint in hints if typing.get_origin(hint) is Annotated)
-    return tuple((name, bound) for name, metadata in annotated for bound in metadata if isinstance(bound, Bound))
+    """(name, bound) of each field of ``cls`` whose annotation is Annotated[T, Bound(...)]."""
+    hints = field_types(cls, extras=True).items()
+    return tuple((name, hint.__metadata__[0]) for name, hint in hints if typing.get_origin(hint) is Annotated)
 
 
 def check_bounds(obj: object) -> None:
-    """ValueError naming the first field of ``obj`` whose number lies outside the Bound its
-    annotation declares (None and non-numbers pass). Configs, specs and models run it on
-    construction, records when they are read."""
+    """Bound.check of each field of ``obj`` whose annotation declares a Bound. Configs, specs
+    and models run it on construction; a file's fields are checked as read_value reads them."""
     for name, bound in _bounds(type(obj)):
-        value = getattr(obj, name)
-        if isinstance(value, numbers.Real) and value not in bound:
-            raise ValueError(f"field {name!r} must be {bound}, got {value!r}")
+        bound.check(getattr(obj, name), name)
 
 
 @functools.cache
-def field_types(cls: type) -> dict[str, object]:
-    """The annotation of each init field of a dataclass, by name, Annotated metadata dropped."""
-    hints = typing.get_type_hints(cls)
+def field_types(cls: type, extras: bool = False) -> dict[str, object]:
+    """The annotation of each init field of a dataclass, by name, Annotated metadata kept if ``extras``."""
+    hints = typing.get_type_hints(cls, include_extras=extras)
     return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
 
 @functools.cache
 def _field_readers(cls: type) -> tuple[tuple[str, Callable, bool], ...]:
-    """(name, reader, required) of each init field of a dataclass."""
+    """(name, reader, required) of each init field of a dataclass; a Bound is checked as read."""
     required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-    return tuple((name, _reader(hint), name in required) for name, hint in field_types(cls).items())
+    return tuple((name, _reader(hint), name in required) for name, hint in field_types(cls, extras=True).items())
 
 
 def read_fields(cls: type[T], data: dict, *, complete: bool = False) -> T:
@@ -465,13 +472,7 @@ class TweetRecord:
     timestamp: datetime
 
     to_dict = json_fields
-
-    @classmethod
-    def from_dict(cls, data: dict) -> TweetRecord:
-        """read_fields, then check_bounds: no engagement count is negative."""
-        record = read_fields(cls, data)
-        check_bounds(record)
-        return record
+    from_dict = classmethod(read_fields)
 
 
 @dataclass(frozen=True, slots=True)

@@ -147,9 +147,7 @@ class GeneratorConfig:
         for group, strength in self.signal.items():
             if group not in merged:
                 raise ValueError(f"unknown signal group {group!r}")
-            if strength < 0:
-                raise ValueError(f"signal strength for {group} must be >= 0")
-            merged[group] = float(strength)
+            merged[group] = float(Bound(0).check(strength, group))
         object.__setattr__(self, "signal", merged)
         mix = tuple(float(p) for p in self.sector_mix)
         if len(mix) != len(SECTORS) or any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-9:

@@ -296,12 +296,12 @@ class TestTrainPredictEvaluate:
         assert report["n_positive"] + report["n_negative"] == 60
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
-    def test_non_finite_threshold_is_stage_failure(self, workspace, model_path, tmp_path, capsys, threshold):
+    def test_non_finite_threshold_is_usage_error(self, workspace, model_path, tmp_path, capsys, threshold):
         _, _, features, _ = workspace
         out = tmp_path / "eval.json"
         args = ["--model", str(model_path), "--features", str(features), "--threshold", threshold, "--out", str(out)]
         code = main(["evaluate", *args])
-        _assert_exit(code, 3, capsys, f"error: stage evaluate: threshold must be a finite number, got {threshold}")
+        _assert_exit(code, 1, capsys, "usage error: Invalid value for '--threshold': field 'threshold' must be a finite number")
         assert not out.exists()
 
     def test_overflowing_variance_floor_is_stage_failure(self, tmp_path, capsys):
@@ -357,23 +357,23 @@ class TestExperiment:
         combos = {tuple(row["models"]) for row in data["rows"]}
         assert ("logistic_regression", "naive_bayes") in combos
 
-    def test_zero_repeats_is_stage_failure(self, workspace, tmp_path, capsys):
+    def test_zero_repeats_is_usage_error(self, workspace, tmp_path, capsys):
         _, _, features, models = workspace
         out = tmp_path / "experiment.json"
         code = main(
             ["experiment", "--features", str(features), "--models", str(models), "--repeats", "0", "--out", str(out)]
         )
-        _assert_exit(code, 3, capsys, "error: stage experiment: repeats must be >= 1")
+        _assert_exit(code, 1, capsys, "usage error: Invalid value for '--repeats': field 'repeats' must be >= 1, got 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("fraction", ["inf", "nan"])
-    def test_non_finite_fraction_is_stage_failure(self, workspace, tmp_path, capsys, fraction):
+    def test_non_finite_fraction_is_usage_error(self, workspace, tmp_path, capsys, fraction):
         _, _, features, models = workspace
         out = tmp_path / "experiment.json"
         code = main(
             ["experiment", "--features", str(features), "--models", str(models), "--fraction", fraction, "--out", str(out)]
         )
-        _assert_exit(code, 3, capsys, f"error: stage experiment: fraction must be in (0, 1], got {fraction}")
+        _assert_exit(code, 1, capsys, "usage error: Invalid value for '--fraction': field 'fraction' must be a finite number")
         assert not out.exists()
 
 
@@ -917,6 +917,35 @@ def _assert_exit(code: int, expected: int, capsys, *phrases: str) -> None:
     for phrase in phrases:
         assert phrase in err
     assert "Traceback" not in err
+
+
+_DENOISE = ["denoise", "--features", "@missing", "--models", "@missing", "--out", "@out", "--report", "@out"]
+_EVALUATE = ["evaluate", "--model", "@missing", "--features", "@missing", "--out", "@out"]
+_EXPERIMENT = ["experiment", "--features", "@missing", "--models", "@missing", "--out", "@out"]
+# Each numeric option, the command line around it, and values it refuses: past each end of
+# its range, not finite, and not of its type. The input paths given do not exist.
+REFUSED_OPTIONS = [
+    ([], "seed", _DENOISE, ["-1", "inf", "abc", "1.5"]),
+    (_DENOISE, "folds", [], ["1", "nan", "5.0"]),
+    (_DENOISE, "seed", [], ["-1", "nan", "abc"]),
+    (_EVALUATE, "threshold", [], ["nan", "-inf", "1e999", "abc"]),
+    (_EXPERIMENT, "fraction", [], ["0", "1.0000000000000002", "inf", "abc"]),
+    (_EXPERIMENT, "repeats", [], ["0", "nan", "2.0"]),
+    (_EXPERIMENT, "folds", [], ["1", "inf", "5.0"]),
+    (_EXPERIMENT, "seed", [], ["-1", "nan", "abc"]),
+]
+
+
+@pytest.mark.parametrize(
+    "before, name, after, value",
+    [(before, name, after, value) for before, name, after, values in REFUSED_OPTIONS for value in values],
+    ids=[f"{before[0] if before else 'strisk'} --{name}={value}" for before, name, _, values in REFUSED_OPTIONS for value in values],
+)
+def test_refused_option_is_named_usage_error_before_any_input_is_read(tmp_path, capsys, before, name, after, value):
+    paths = {"@missing": str(tmp_path / "missing.csv"), "@out": str(tmp_path / "out")}
+    code = main([paths.get(arg, arg) for arg in [*before, f"--{name}", value, *after]])
+    _assert_exit(code, 1, capsys, f"usage error: Invalid value for '--{name}': field {name!r} must be ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestMalformedConfig:

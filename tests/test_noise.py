@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +15,7 @@ from oracles import (
     discover_noisy_negatives_reference,
     noise_transition_matrix_reference,
 )
+from strisk import noise
 from strisk.evaluation import roc_auc
 from strisk.models import ModelSpec
 from strisk.noise import (
@@ -393,6 +395,19 @@ class TestNoiseDetectionExperiment:
             noise_detection_experiment(
                 dataset, [ModelSpec("naive_bayes")], method="vibes", repeats=1
             )
+
+    @pytest.mark.parametrize(
+        "repeats, message",
+        [(6, "partition 5/6 needs 24 positives, have 20"), (0, "partition index -1 outside [0, 0)")],
+    )
+    def test_impossible_partition_fails_before_any_fit(self, monkeypatch, repeats, message):
+        fits = []
+        fit = noise.out_of_sample_probabilities
+        monkeypatch.setattr(noise, "out_of_sample_probabilities", lambda *args, **kw: fits.append(1) or fit(*args, **kw))
+        dataset = make_dataset(80, 20, seed=6)  # a fraction of 0.2 hides 4 of the 20 positives per repeat
+        with pytest.raises(ValueError, match=re.escape(message)):
+            noise_detection_experiment(dataset, [ModelSpec("naive_bayes")], flip_fraction=0.2, repeats=repeats, folds=3)
+        assert fits == []
 
     def test_needs_model_specs(self):
         with pytest.raises(ValueError):

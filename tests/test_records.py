@@ -45,6 +45,7 @@ from strisk.records import (
     load_organizations,
     load_tweets,
     read_json,
+    read_value,
     write_jsonl,
 )
 from strisk.synth import GeneratorConfig
@@ -621,8 +622,9 @@ def edge_values(bound: Bound, end: int, integer: bool) -> tuple[float, float]:
 )
 def test_value_past_a_bound_is_refused_naming_its_field(saved_models, tmp_path, cls, name, end):
     """The nearest value past each end of a declared bound is refused, naming the
-    field, when the object is built in Python and when its JSON document is read;
-    the value at that end inside the bound is accepted both ways."""
+    field, when the object is built in Python, when the value is read by the field's
+    Annotated annotation and when its JSON document is read; the value at that end
+    inside the bound is accepted each way."""
     bound = DECLARED_BOUNDS[cls][name]
     hint = field_types(cls)[name]
     outside, inside = edge_values(bound, end, int in (hint, *typing.get_args(hint)))
@@ -630,6 +632,10 @@ def test_value_past_a_bound_is_refused_naming_its_field(saved_models, tmp_path, 
     with pytest.raises(ValueError, match=refused):
         cls(**{**BUILD.get(cls, {}), name: outside})
     assert getattr(cls(**{**BUILD.get(cls, {}), name: inside}), name) == inside
+    annotated = typing.get_type_hints(cls, include_extras=True)[name]
+    with pytest.raises(ValueError, match=refused):
+        read_value(outside, annotated, name)
+    assert read_value(inside, annotated, name) == inside
     for document, keys in BOUNDED_DOCUMENTS[cls]:
         kind, _, family = document.partition(":")
         if kind == "spec" and keys and name not in ModelSpec(family).resolved():
